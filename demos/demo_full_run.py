@@ -24,7 +24,7 @@ def main():
     steady = art.truth.t > 10.0
     _, r_truth = circle_fit(np.column_stack([art.truth.x[steady], art.truth.y[steady]]))
     est = art.estimates
-    pts = np.array([[s.x, s.y] for s in est if s.timestamp > 10.0])
+    pts = np.column_stack([est.x, est.y])[est.timestamp > 10.0]
     _, r_est = circle_fit(pts)
     print("turn radius: truth %.3f m, estimated %.3f m (target ~1.83 m)"
           % (r_truth, r_est))

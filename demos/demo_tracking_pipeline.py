@@ -33,9 +33,7 @@ def main():
 
     states = run_pipeline(DetectionSegment(tuple(dets)))
     mid = states[len(states) // 3 : -len(states) // 3]
-    u = np.mean([s.u for s in mid])
-    v = np.mean([s.v for s in mid])
-    r = np.mean([s.r for s in mid])
+    u, v, r = np.mean(mid.u), np.mean(mid.v), np.mean(mid.r)
 
     print("%d detections -> %d uniform 30 Hz states" % (len(dets), len(states)))
     print("             expected   recovered")

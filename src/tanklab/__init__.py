@@ -12,11 +12,11 @@ from .runner import RunArtifacts, run_scenario
 from .scenarios import BUILTIN_SCENARIOS, Scenario
 from .tracking import (
     DetectionSegment,
-    KinematicState,
     PipelineConfig,
     TagDetection,
     run_pipeline,
     segment_stream,
+    state_series,
 )
 from .vehicle import ActuatorCommand, VehicleParams, VehicleState
 
@@ -24,7 +24,6 @@ __all__ = [
     "ActuatorCommand",
     "BUILTIN_SCENARIOS",
     "DetectionSegment",
-    "KinematicState",
     "PipelineConfig",
     "PlaneCoefficients",
     "Pose",
@@ -45,6 +44,7 @@ __all__ = [
     "runner",
     "scenarios",
     "segment_stream",
+    "state_series",
     "to_world",
     "tracking",
     "vehicle",

@@ -42,12 +42,10 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = angle - TWO_PI * math.floor((angle + math.pi) / TWO_PI)
-    if a <= -math.pi:
-        a = math.pi
-    return a
+def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
+    """Wrap an angle, or each angle of an array, to (-pi, pi]."""
+    a = angle - TWO_PI * np.floor((angle + math.pi) / TWO_PI)
+    return np.where(a <= -math.pi, math.pi, a)[()]
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -87,13 +85,6 @@ def is_rotation(r: np.ndarray, tol: float = _ROT_TOL) -> bool:
     return abs(np.linalg.det(r) - 1.0) <= tol
 
 
-def check_rotation(r: np.ndarray, tol: float = _ROT_TOL) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if not is_rotation(r, tol):
-        raise GeometryError("matrix is not a proper rotation within %g" % tol)
-    return r
-
-
 @dataclass(frozen=True)
 class PlaneCoefficients:
     """Coefficients of a*x + b*y + c*z + d = 0 with c fixed at -1."""
@@ -131,10 +122,6 @@ class Pose:
             self.translation + self.rotation @ other.translation,
             self.rotation @ other.rotation,
         )
-
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(-(rt @ self.translation), rt)
 
 
 def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,9 +217,14 @@ def extract_yaw(r: np.ndarray) -> float:
     return math.atan2(r[1, 0], r[0, 0])
 
 
-def body_velocities(xdot: float, ydot: float, psi: float) -> tuple[float, float, float]:
-    """World-frame planar velocity rotated into body surge/sway; heave is 0."""
-    c, s = math.cos(psi), math.sin(psi)
+def body_velocities(xdot: float | np.ndarray, ydot: float | np.ndarray,
+                    psi: float | np.ndarray) -> tuple:
+    """World-frame planar velocity rotated into body surge/sway; heave is 0.
+
+    Takes scalars or equal-shape arrays, and returns (u, v, 0.0) of the same
+    kind; element by element, arrays give the scalar results bit for bit.
+    """
+    c, s = np.cos(psi), np.sin(psi)
     u = c * xdot + s * ydot
     v = -s * xdot + c * ydot
     return u, v, 0.0

@@ -158,6 +158,41 @@ def _parse_payload(msg_type: int, payload: bytes) -> Message:
     raise UnknownType("unknown or malformed message type 0x%02x" % msg_type)
 
 
+def _scan(data: bytes):
+    """Yield, in stream order, each frame's message or the LinkError that
+    rejected it, ending with Truncated where no complete header is left.
+
+    A rejected frame (claimed length past the buffer end, or bad CRC) may
+    be garbage that happens to hold the sync bytes, so the scan resumes one
+    byte after its sync; a frame that passes the CRC is skipped whole, even
+    when its type is unknown.
+    """
+    pos = 0
+    while True:
+        idx = data.find(SYNC, pos)
+        if idx < 0 or len(data) - idx < 6:
+            yield Truncated("no complete frame header found")
+            return
+        pos = idx + 1
+        start = idx + 2
+        length = data[start + 1]
+        end = start + 2 + length + 2
+        if end > len(data):
+            yield CrcMismatch("frame claims %d payload bytes beyond buffer end" % length)
+            continue
+        body = data[start : start + 2 + length]
+        (stored,) = struct.unpack(">H", data[end - 2 : end])
+        crc = crc16(body)
+        if crc != stored:
+            yield CrcMismatch("crc 0x%04x != stored 0x%04x" % (crc, stored))
+            continue
+        pos = end
+        try:
+            yield _parse_payload(body[0], bytes(body[2:]))
+        except UnknownType as exc:
+            yield exc
+
+
 def decode(data: bytes) -> Message:
     """Decode the first frame in ``data``.
 
@@ -166,46 +201,16 @@ def decode(data: bytes) -> Message:
     past the end of the buffer), and UnknownType for an unrecognized type
     with a valid CRC.
     """
-    idx = data.find(SYNC)
-    if idx < 0 or len(data) - idx < 6:
-        raise Truncated("no complete frame header found")
-    start = idx + 2
-    length = data[start + 1]
-    end = start + 2 + length + 2
-    if end > len(data):
-        raise CrcMismatch("frame claims %d payload bytes beyond buffer end" % length)
-    body = data[start : start + 2 + length]
-    (stored,) = struct.unpack(">H", data[end - 2 : end])
-    if crc16(body) != stored:
-        raise CrcMismatch("crc 0x%04x != stored 0x%04x" % (crc16(body), stored))
-    return _parse_payload(body[0], bytes(body[2:]))
+    first = next(_scan(data))
+    if isinstance(first, LinkError):
+        raise first
+    return first
 
 
 def decode_stream(data: bytes) -> list[Message]:
     """Decode every valid frame in a byte stream, resynchronizing past
     garbage and corrupted frames."""
-    out: list[Message] = []
-    pos = 0
-    while True:
-        idx = data.find(SYNC, pos)
-        if idx < 0 or len(data) - idx < 6:
-            return out
-        start = idx + 2
-        length = data[start + 1]
-        end = start + 2 + length + 2
-        if end > len(data):
-            pos = idx + 1
-            continue
-        body = data[start : start + 2 + length]
-        (stored,) = struct.unpack(">H", data[end - 2 : end])
-        if crc16(body) != stored:
-            pos = idx + 1
-            continue
-        try:
-            out.append(_parse_payload(body[0], bytes(body[2:])))
-        except UnknownType:
-            pass
-        pos = end
+    return [m for m in _scan(data) if not isinstance(m, LinkError)]
 
 
 @dataclass

@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from .frames import wrap_angle
-from .tracking import KinematicState
 
 
 class MetricsError(ValueError):
@@ -119,57 +118,39 @@ def truth_in_estimate_frame(
     }
 
 
-def _segment_slices(times: np.ndarray, rate: float) -> list[slice]:
-    if times.size == 0:
-        return []
-    gaps = np.where(np.diff(times) > 1.5 / rate)[0]
-    starts = [0] + [int(g) + 1 for g in gaps]
-    ends = [int(g) + 1 for g in gaps] + [times.size]
-    return [slice(a, b) for a, b in zip(starts, ends)]
-
-
 def residuals(
     truth: TruthSeries,
-    estimates: Sequence[KinematicState],
+    estimates: np.recarray,
     alignment: FrameAlignment | None = None,
     smoothing_window: int = 12,
     output_rate: float = 30.0,
 ) -> dict[str, np.ndarray]:
     """Per-sample estimate-minus-truth residuals for one pipeline segment.
 
+    ``estimates`` is the segment's state series, on one uniform grid.
     Samples within one smoothing window of either segment edge are
     excluded.  Velocity channels are compared against truth sampled one
     filter group delay ((window-1)/2 samples) earlier, since the trailing
     moving average lags by that amount.
     """
     align = alignment or FrameAlignment.identity()
-    est = [e for e in estimates]
-    if not est:
-        raise NoOverlap("no estimates")
-    t = np.array([e.timestamp for e in est])
-    keep = np.zeros(t.size, dtype=bool)
-    for sl in _segment_slices(t, output_rate):
-        n = sl.stop - sl.start
-        if n > 2 * smoothing_window:
-            keep[sl.start + smoothing_window : sl.stop - smoothing_window] = True
-    t = t[keep]
+    est = estimates[smoothing_window : len(estimates) - smoothing_window]
+    t = est.timestamp
     if t.size == 0 or t[0] > truth.t[-1] or t[-1] < truth.t[0]:
-        raise NoOverlap("estimate and truth time ranges do not overlap")
-    est = [e for e, k in zip(est, keep) if k]
+        raise NoOverlap("no estimates past the smoothing edges overlap truth")
 
     pose_truth = truth_in_estimate_frame(truth, t, align)
     lag = (smoothing_window - 1) / 2.0 / output_rate
     vel_truth = truth_in_estimate_frame(truth, t - lag, align)
-
-    ex = np.array([e.x for e in est]) - pose_truth["x"]
-    ey = np.array([e.y for e in est]) - pose_truth["y"]
-    epsi = np.array(
-        [wrap_angle(e.psi - p) for e, p in zip(est, pose_truth["psi"])]
-    )
-    eu = np.array([e.u for e in est]) - vel_truth["u"]
-    ev = np.array([e.v for e in est]) - vel_truth["v"]
-    er = np.array([e.r for e in est]) - vel_truth["r"]
-    return {"t": t, "x": ex, "y": ey, "psi": epsi, "u": eu, "v": ev, "r": er}
+    return {
+        "t": t,
+        "x": est.x - pose_truth["x"],
+        "y": est.y - pose_truth["y"],
+        "psi": wrap_angle(est.psi - pose_truth["psi"]),
+        "u": est.u - vel_truth["u"],
+        "v": est.v - vel_truth["v"],
+        "r": est.r - vel_truth["r"],
+    }
 
 
 def metrics_from_residuals(res: dict[str, np.ndarray]) -> dict[str, float]:
@@ -182,23 +163,6 @@ def metrics_from_residuals(res: dict[str, np.ndarray]) -> dict[str, float]:
         "mean_v": float(np.mean(res["v"])),
         "n_compared": float(res["t"].size),
     }
-    return out
-
-
-def compute_metrics(
-    truth: TruthSeries,
-    estimates: Sequence[KinematicState],
-    alignment: FrameAlignment | None = None,
-    smoothing_window: int = 12,
-    output_rate: float = 30.0,
-    n_frames: int | None = None,
-    n_detections: int | None = None,
-) -> dict[str, float]:
-    """RMSE metrics for one estimate segment against ground truth."""
-    res = residuals(truth, estimates, alignment, smoothing_window, output_rate)
-    out = metrics_from_residuals(res)
-    if n_frames:
-        out["detection_coverage"] = (n_detections or 0) / n_frames
     return out
 
 

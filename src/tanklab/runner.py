@@ -36,7 +36,7 @@ from .metrics import (
     residuals,
 )
 from .scenarios import Scenario
-from .tracking import KinematicState, PipelineDiagnostics, TagDetection
+from .tracking import STATE_DTYPE, PipelineDiagnostics, TagDetection, fmt, write_rows
 from .vehicle import (
     ActuatorCommand,
     NoSignal,
@@ -73,7 +73,7 @@ class RunArtifacts:
     scenario: Scenario
     truth: TruthSeries
     detections: list[TagDetection]
-    estimate_segments: list[list[KinematicState]]
+    estimate_segments: list[np.recarray]   # one state series per segment
     alignments: list[FrameAlignment]
     metrics: dict[str, float]
     command_log: list[CommandLogEntry]
@@ -81,8 +81,10 @@ class RunArtifacts:
     n_frames: int
 
     @property
-    def estimates(self) -> list[KinematicState]:
-        return [s for seg in self.estimate_segments for s in seg]
+    def estimates(self) -> np.recarray:
+        """Every segment's states, in time order, as one state series."""
+        empty = np.empty(0, dtype=STATE_DTYPE)
+        return np.concatenate([empty, *self.estimate_segments]).view(np.recarray)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts:
@@ -210,7 +212,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     truth = _build_truth(truth_rows)
 
     segments = tracking.segment_stream(detections, s.pipeline) if detections else []
-    estimate_segments: list[list[KinematicState]] = []
+    estimate_segments: list[np.recarray] = []
     alignments: list[FrameAlignment] = []
     for seg in segments:
         try:
@@ -220,8 +222,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         estimate_segments.append(states)
         alignments.append(_alignment(truth, diag, cam.pose.rotation))
 
-    run_metrics = _compute_run_metrics(
-        s, truth, detections, estimate_segments, alignments, len(frame_times)
+    run_metrics = score_run(
+        truth, estimate_segments, alignments,
+        s.pipeline.smoothing_window, s.pipeline.output_rate,
+        len(detections), len(frame_times),
     )
 
     artifacts = RunArtifacts(
@@ -240,7 +244,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     return artifacts
 
 
-def _build_truth(rows: list[tuple]) -> TruthSeries:
+def _build_truth(rows) -> TruthSeries:
     arr = np.array(rows, dtype=float)
     return TruthSeries(
         t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], z=arr[:, 3], psi=arr[:, 4],
@@ -259,22 +263,27 @@ def _alignment(
     return FrameAlignment(rotation=rot, origin_xyz=origin)
 
 
-def _compute_run_metrics(
-    s: Scenario,
+def score_run(
     truth: TruthSeries,
-    detections: list[TagDetection],
-    estimate_segments: list[list[KinematicState]],
+    segments: list[np.recarray],
     alignments: list[FrameAlignment],
+    smoothing_window: int,
+    output_rate: float,
+    n_detections: int,
     n_frames: int,
 ) -> dict[str, float]:
+    """Score a run: RMSE over every segment's residuals, pooled, plus counters.
+
+    ``segments`` are the pipeline's state series, one per detection segment,
+    and ``alignments`` map truth into each one's frame.  ``run_scenario``
+    scores its in-memory segments here and ``recompute_metrics`` the ones
+    it loads from a run directory, so both give the same keys.
+    """
     out: dict[str, float] = {}
     pooled: dict[str, list[np.ndarray]] = {}
-    for states, align in zip(estimate_segments, alignments):
+    for states, align in zip(segments, alignments):
         try:
-            res = residuals(
-                truth, states, align,
-                s.pipeline.smoothing_window, s.pipeline.output_rate,
-            )
+            res = residuals(truth, states, align, smoothing_window, output_rate)
         except metrics_mod.NoOverlap:
             continue
         for key, val in res.items():
@@ -283,18 +292,16 @@ def _compute_run_metrics(
         merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
         out.update(metrics_from_residuals(merged))
 
-    all_estimates = [st for seg in estimate_segments for st in seg]
-    out["n_segments"] = float(len(estimate_segments))
-    out["n_detections"] = float(len(detections))
+    out["n_segments"] = float(len(segments))
+    out["n_detections"] = float(n_detections)
     out["n_frames"] = float(n_frames)
-    out["detection_coverage"] = len(detections) / n_frames if n_frames else 0.0
+    out["detection_coverage"] = n_detections / n_frames if n_frames else 0.0
     out["path_length_truth"] = path_length(truth.x, truth.y)
     out["max_depth_truth"] = float(np.max(truth.z))
     out["depth_reversals_truth"] = float(count_reversals(truth.z))
-    if all_estimates:
-        out["r_sign_changes_est"] = float(
-            count_sign_changes([st.r for st in all_estimates], R_HYSTERESIS)
-        )
+    if segments:
+        r = np.concatenate([states.r for states in segments])
+        out["r_sign_changes_est"] = float(count_sign_changes(r.tolist(), R_HYSTERESIS))
     return out
 
 
@@ -302,17 +309,8 @@ def _compute_run_metrics(
 # artifact persistence
 
 _TRUTH_HEADER = ["t", "x", "y", "z", "psi", "u", "v", "w", "r", "fill"]
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+_ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
+                     "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
 
 
 def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
@@ -320,134 +318,105 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     truth = art.truth
+    estimates = art.estimates
 
-    _write_rows(
+    write_rows(
         os.path.join(out_dir, "truth.csv"), _TRUTH_HEADER,
-        ([_fmt(v) for v in row] for row in zip(
+        ([fmt(v) for v in row] for row in zip(
             truth.t, truth.x, truth.y, truth.z, truth.psi,
             truth.u, truth.v, truth.w, truth.r, truth.fill)),
     )
     tracking.write_detections_csv(os.path.join(out_dir, "detections.csv"), art.detections)
-    tracking.write_states_csv(os.path.join(out_dir, "estimates.csv"), art.estimates)
-    _write_rows(
+    tracking.write_states_csv(os.path.join(out_dir, "estimates.csv"), estimates)
+    write_rows(
         os.path.join(out_dir, "metrics.csv"), ["name", "value"],
-        ([name, _fmt(val)] for name, val in sorted(art.metrics.items())),
+        ([name, fmt(val)] for name, val in sorted(art.metrics.items())),
     )
-    _write_rows(
+    write_rows(
         os.path.join(out_dir, "meta.csv"), ["key", "value"],
         [
             ["scenario", art.scenario.name],
             ["seed", str(art.scenario.seed)],
-            ["duration", _fmt(art.scenario.duration)],
+            ["duration", fmt(art.scenario.duration)],
             ["n_frames", str(art.n_frames)],
             ["smoothing_window", str(art.scenario.pipeline.smoothing_window)],
-            ["output_rate", _fmt(art.scenario.pipeline.output_rate)],
+            ["output_rate", fmt(art.scenario.pipeline.output_rate)],
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
     align_rows = []
     for i, (states, align) in enumerate(zip(art.estimate_segments, art.alignments)):
-        row = [str(i), _fmt(states[0].timestamp), _fmt(states[-1].timestamp)]
-        row += [_fmt(v) for v in align.origin_xyz]
-        row += [_fmt(v) for v in align.rotation.reshape(-1)]
+        row = [str(i), fmt(states.timestamp[0]), fmt(states.timestamp[-1])]
+        row += [fmt(v) for v in align.origin_xyz]
+        row += [fmt(v) for v in align.rotation.reshape(-1)]
         align_rows.append(row)
-    _write_rows(
-        os.path.join(out_dir, "alignments.csv"),
-        ["segment", "t_start", "t_end", "ox", "oy", "oz",
-         "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"],
-        align_rows,
-    )
-    _write_rows(
+    write_rows(os.path.join(out_dir, "alignments.csv"), _ALIGNMENT_HEADER, align_rows)
+    write_rows(
         os.path.join(out_dir, "command_log.csv"),
         ["t_sent", "message", "status", "t_applied", "depth_at_send"],
         (
-            [_fmt(e.t_sent), repr(e.message), e.status,
-             "" if e.t_applied is None else _fmt(e.t_applied), _fmt(e.depth_at_send)]
+            [fmt(e.t_sent), repr(e.message), e.status,
+             "" if e.t_applied is None else fmt(e.t_applied), fmt(e.depth_at_send)]
             for e in art.command_log
         ),
     )
-    _write_rows(
+    write_rows(
         os.path.join(out_dir, "telemetry.csv"),
         ["t", "depth_mm", *("ir%d" % i for i in range(9)), "fill_est_tenth_ml", "flags"],
         (
-            [_fmt(t), str(msg.depth_mm), *(str(c) for c in msg.ir),
+            [fmt(t), str(msg.depth_mm), *(str(c) for c in msg.ir),
              str(msg.fill_est_tenth_ml), str(msg.flags)]
             for t, msg in art.telemetry_log
         ),
     )
 
     sign = -1.0 if art.scenario.plot_frame == "paper" else 1.0
-    estimates = art.estimates
+    t_est = [fmt(t) for t in estimates.timestamp.tolist()]
     for name in ("u", "v", "psi", "r"):
         factor = sign if name in ("psi", "r") else 1.0
-        _write_rows(
+        write_rows(
             os.path.join(plot_dir, "%s.csv" % name), ["t", name],
-            ([_fmt(st.timestamp), _fmt(factor * getattr(st, name))] for st in estimates),
+            ([t, fmt(v)] for t, v in zip(t_est, (factor * estimates[name]).tolist())),
         )
-    _write_rows(
+    write_rows(
         os.path.join(plot_dir, "track_xy.csv"), ["x", "y"],
-        ([_fmt(st.x), _fmt(st.y)] for st in estimates),
+        ([fmt(x), fmt(y)] for x, y in zip(estimates.x.tolist(), estimates.y.tolist())),
     )
-    _write_rows(
+    write_rows(
         os.path.join(plot_dir, "depth.csv"), ["t", "depth_m"],
-        ([_fmt(t), _fmt(msg.depth_mm / 1000.0)] for t, msg in art.telemetry_log),
+        ([fmt(t), fmt(msg.depth_mm / 1000.0)] for t, msg in art.telemetry_log),
     )
-    _write_rows(
+    write_rows(
         os.path.join(plot_dir, "ir.csv"),
         ["t", *("ch%d" % i for i in range(9))],
-        ([_fmt(t), *(_fmt(c / 255.0) for c in msg.ir)] for t, msg in art.telemetry_log),
+        ([fmt(t), *(fmt(c / 255.0) for c in msg.ir)] for t, msg in art.telemetry_log),
     )
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:
-    """Re-derive RMSE metrics from a run directory's CSV artifacts."""
-    meta = {}
-    with open(os.path.join(run_dir, "meta.csv"), newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for key, value in rd:
-            meta[key] = value
-    window = int(meta["smoothing_window"])
-    rate = float(meta["output_rate"])
-    n_frames = int(meta["n_frames"])
+    """Re-score a run directory's CSV artifacts with ``score_run``.
 
-    truth_arr = np.loadtxt(os.path.join(run_dir, "truth.csv"), delimiter=",", skiprows=1)
-    truth = _build_truth([tuple(row) for row in truth_arr])
-    estimates = tracking.read_states_csv(os.path.join(run_dir, "estimates.csv"))
-    aligns = []
-    with open(os.path.join(run_dir, "alignments.csv"), newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            vals = [float(v) for v in row[1:]]
-            aligns.append(
-                (vals[0], vals[1],
-                 FrameAlignment(np.array(vals[5:14]).reshape(3, 3), np.array(vals[2:5])))
-            )
+    ``estimates.csv`` holds every segment's states in time order; it is
+    split after each segment's ``t_end`` in ``alignments.csv``.
+    """
+    def path(name):
+        return os.path.join(run_dir, name)
 
-    pooled: dict[str, list[np.ndarray]] = {}
-    for t_start, t_end, align in aligns:
-        seg = [e for e in estimates if t_start - 1e-9 <= e.timestamp <= t_end + 1e-9]
-        if not seg:
-            continue
-        try:
-            res = residuals(truth, seg, align, window, rate)
-        except metrics_mod.NoOverlap:
-            continue
-        for key, val in res.items():
-            pooled.setdefault(key, []).append(val)
-    out: dict[str, float] = {}
-    if pooled:
-        merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
-        out.update(metrics_from_residuals(merged))
-    out["detection_coverage"] = (
-        sum(1 for _ in open(os.path.join(run_dir, "detections.csv"))) - 1
-    ) / n_frames if n_frames else 0.0
-    out["path_length_truth"] = path_length(truth.x, truth.y)
-    out["max_depth_truth"] = float(np.max(truth.z))
-    out["depth_reversals_truth"] = float(count_reversals(truth.z))
-    if estimates:
-        out["r_sign_changes_est"] = float(
-            count_sign_changes([e.r for e in estimates], R_HYSTERESIS)
-        )
-    return out
+    with open(path("meta.csv"), newline="") as fh:
+        meta = dict(list(csv.reader(fh))[1:])
+    with open(path("detections.csv")) as fh:
+        n_detections = sum(1 for _ in fh) - 1
+    with open(path("alignments.csv"), newline="") as fh:
+        rows = np.array(list(csv.reader(fh))[1:], dtype=float)
+    rows = rows.reshape(-1, len(_ALIGNMENT_HEADER))
+    truth = _build_truth(np.loadtxt(path("truth.csv"), delimiter=",", skiprows=1))
+    estimates = tracking.read_states_csv(path("estimates.csv"))
+
+    ends = np.searchsorted(estimates.timestamp, rows[:, 2], side="right")
+    segments = [estimates[a:b] for a, b in zip([0, *ends], ends)]
+    alignments = [FrameAlignment(row[6:15].reshape(3, 3), row[3:6]) for row in rows]
+    return score_run(
+        truth, segments, alignments,
+        int(meta["smoothing_window"]), float(meta["output_rate"]),
+        n_detections, int(meta["n_frames"]),
+    )

@@ -30,10 +30,6 @@ class SegmentTooShort(TrackingError):
     pass
 
 
-class TooShort(TrackingError):
-    pass
-
-
 class WindowTooLarge(TrackingError):
     pass
 
@@ -77,17 +73,16 @@ class PipelineConfig:
             raise TrackingError("max_gap must be > 0")
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    """One uniformly sampled pipeline output."""
+# One record per uniformly sampled pipeline output.
+STATE_DTYPE = np.dtype(
+    [(name, float) for name in ("timestamp", "x", "y", "psi", "u", "v", "r")]
+)
 
-    timestamp: float
-    x: float
-    y: float
-    psi: float
-    u: float
-    v: float
-    r: float
+
+def state_series(timestamp, x, y, psi, u, v, r) -> np.recarray:
+    """A state series: equal-length columns joined into a record array of
+    ``STATE_DTYPE``, read by column (``states.u``) or by row (``states[i].u``)."""
+    return np.rec.fromarrays([timestamp, x, y, psi, u, v, r], dtype=STATE_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def finite_difference(values: Sequence[float], dt: float) -> np.ndarray:
     """Central differences in the interior, one-sided at the endpoints."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
-        raise TooShort("finite difference needs at least 2 samples")
+        raise SegmentTooShort("finite difference needs at least 2 samples")
     return np.gradient(arr, dt)
 
 
@@ -143,7 +138,7 @@ def resample_uniform(
     t = np.asarray(timestamps, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < 2:
-        raise TooShort("resampling needs at least 2 samples")
+        raise SegmentTooShort("resampling needs at least 2 samples")
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTimestamps("timestamps must be strictly increasing")
     grid = _uniform_grid(t[0], t[-1], rate)
@@ -199,14 +194,14 @@ def segment_stream(
 
 def run_pipeline(
     segment: DetectionSegment, config: PipelineConfig | None = None
-) -> list[KinematicState]:
+) -> np.recarray:
     states, _ = run_pipeline_detailed(segment, config)
     return states
 
 
 def run_pipeline_detailed(
     segment: DetectionSegment, config: PipelineConfig | None = None
-) -> tuple[list[KinematicState], PipelineDiagnostics]:
+) -> tuple[np.recarray, PipelineDiagnostics]:
     """Full estimation pipeline over one detection segment.
 
     Ordering: plane fit, world basis, first-frame origin, world transform,
@@ -253,20 +248,8 @@ def run_pipeline_detailed(
     ydot = moving_average(finite_difference(y, dt), window)
     r = moving_average(finite_difference(psi, dt), window)
 
-    states = []
-    for i in range(grid.size):
-        u, v, _ = frames.body_velocities(xdot[i], ydot[i], psi[i])
-        states.append(
-            KinematicState(
-                timestamp=float(grid[i]),
-                x=float(x[i]),
-                y=float(y[i]),
-                psi=frames.wrap_angle(float(psi[i])),
-                u=float(u),
-                v=float(v),
-                r=float(r[i]),
-            )
-        )
+    u, v, _ = frames.body_velocities(xdot, ydot, psi)
+    states = state_series(grid, x, y, frames.wrap_angle(psi), u, v, r)
     diag = PipelineDiagnostics(
         plane=plane, rotation=r_oc, origin=origin, first_timestamp=float(t[0])
     )
@@ -280,21 +263,29 @@ DETECTION_CSV_HEADER = [
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """The one number format of every CSV artifact."""
     return "%.12g" % x
 
 
-def write_detections_csv(path, detections: Iterable[TagDetection]) -> None:
+def write_rows(path, header, rows) -> None:
+    """Write a header and already formatted rows as CSV with Unix line endings."""
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DETECTION_CSV_HEADER)
-        for d in detections:
-            r = d.pose.rotation
-            w.writerow(
-                [_fmt(d.timestamp), d.tag_id]
-                + [_fmt(v) for v in d.pose.translation]
-                + [_fmt(r[i, j]) for i in range(3) for j in range(3)]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_detections_csv(path, detections: Iterable[TagDetection]) -> None:
+    write_rows(
+        path, DETECTION_CSV_HEADER,
+        (
+            [fmt(d.timestamp), d.tag_id]
+            + [fmt(v) for v in d.pose.translation]
+            + [fmt(v) for v in d.pose.rotation.reshape(-1)]
+            for d in detections
+        ),
+    )
 
 
 def read_detections_csv(path) -> list[TagDetection]:
@@ -317,22 +308,15 @@ def read_detections_csv(path) -> list[TagDetection]:
     return out
 
 
-def write_states_csv(path, states: Iterable[KinematicState]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(STATE_CSV_HEADER)
-        for s in states:
-            w.writerow([_fmt(v) for v in (s.timestamp, s.x, s.y, s.psi, s.u, s.v, s.r)])
+def write_states_csv(path, states: np.recarray) -> None:
+    write_rows(path, STATE_CSV_HEADER, ([fmt(v) for v in row] for row in states.tolist()))
 
 
-def read_states_csv(path) -> list[KinematicState]:
-    out = []
+def read_states_csv(path) -> np.recarray:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if header != STATE_CSV_HEADER:
             raise TrackingError("unexpected state CSV header: %r" % header)
-        for row in rd:
-            t, x, y, psi, u, v, r = (float(c) for c in row)
-            out.append(KinematicState(t, x, y, psi, u, v, r))
-    return out
+        table = np.array(list(rd), dtype=float).reshape(-1, len(STATE_CSV_HEADER))
+    return state_series(*table.T)

@@ -152,10 +152,13 @@ class TestBodyVelocities:
         assert (u, v, w) == pytest.approx((0.1, -0.3, 0.0), abs=1e-12)
 
     def test_norm_preserved(self, rng):
-        for _ in range(50):
-            xd, yd, psi = rng.uniform(-1, 1, 3)
+        xds, yds, psis = rng.uniform(-1, 1, (3, 50))
+        us, vs, _ = body_velocities(xds, yds, np.pi * psis)
+        for xd, yd, psi, ua, va in zip(xds, yds, np.pi * psis, us, vs):
             u, v, _ = body_velocities(xd, yd, psi)
             assert u * u + v * v == pytest.approx(xd * xd + yd * yd, abs=1e-12)
+            # the array path gives the scalar path's bits
+            assert np.array([u, v]).tobytes() == np.array([ua, va]).tobytes()
 
     def test_matches_explicit_matrix_product(self, rng):
         xd, yd, psi = 0.4, -0.2, 1.1
@@ -173,6 +176,10 @@ class TestAngles:
     )
     def test_wrap_angle(self, raw, expected):
         assert wrap_angle(raw) == pytest.approx(expected, abs=1e-12)
+        # the array path gives the scalar path's bits, element by element
+        raws = raw + np.linspace(-20.0, 20.0, 41)
+        scalar = np.array([wrap_angle(float(a)) for a in raws])
+        assert wrap_angle(raws).tobytes() == scalar.tobytes()
 
 
 def test_is_rotation_rejects_reflection():

@@ -12,13 +12,12 @@ from tanklab.metrics import (
     MetricsError,
     TruthSeries,
     circle_fit,
-    compute_metrics,
     count_reversals,
     count_sign_changes,
     path_length,
     truth_in_estimate_frame,
 )
-from tanklab.runner import recompute_metrics, run_scenario
+from tanklab.runner import recompute_metrics, run_scenario, score_run
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -29,7 +28,7 @@ from tanklab.scenarios import (
     load_vehicle_params,
     parse_command,
 )
-from tanklab.tracking import KinematicState
+from tanklab.tracking import state_series
 
 
 class TestCircleFit:
@@ -108,12 +107,23 @@ class TestAlignment:
         assert out["y"][0] == pytest.approx(1.0, abs=1e-12)
 
 
+def constant_states(times, **channels):
+    """A state series on ``times``; each channel a constant or an array."""
+    return state_series(times, *(np.broadcast_to(channels.get(name, 0.0), times.shape)
+                                 for name in ("x", "y", "psi", "u", "v", "r")))
+
+
+def score_one(truth, states, window=12, rate=30.0):
+    """Score one segment seen in the truth frame."""
+    return score_run(truth, [states], [FrameAlignment.identity()], window, rate,
+                     n_detections=0, n_frames=0)
+
+
 class TestComputeMetrics:
     def test_perfect_estimates_zero_rmse(self):
         truth = flat_truth(u=0.4, x=np.arange(2401) / 240 * 0.4)
         times = np.arange(0, 8, 1 / 30)
-        est = [KinematicState(t, 0.4 * t, 0.0, 0.0, 0.4, 0.0, 0.0) for t in times]
-        m = compute_metrics(truth, est)
+        m = score_one(truth, constant_states(times, x=0.4 * times, u=0.4))
         assert m["rmse_xy"] == pytest.approx(0.0, abs=1e-12)
         assert m["rmse_u"] == pytest.approx(0.0, abs=1e-12)
         assert m["mean_v"] == 0.0
@@ -126,26 +136,22 @@ class TestComputeMetrics:
         truth = flat_truth(u=0.1 * t240)
         lag = (window - 1) / 2.0 / rate
         times = np.arange(1, 7, 1 / 30)
-        est = [KinematicState(t, 0.0, 0.0, 0.0, 0.1 * (t - lag), 0.0, 0.0) for t in times]
-        m = compute_metrics(truth, est, smoothing_window=window, output_rate=rate)
+        m = score_one(truth, constant_states(times, u=0.1 * (times - lag)), window, rate)
         assert m["rmse_u"] == pytest.approx(0.0, abs=1e-12)
 
     def test_known_bias(self):
         truth = flat_truth(u=0.4)
         times = np.arange(0, 8, 1 / 30)
-        est = [KinematicState(t, 0.0, 0.0, 0.0, 0.45, 0.02, 0.0) for t in times]
-        m = compute_metrics(truth, est)
+        m = score_one(truth, constant_states(times, u=0.45, v=0.02))
         assert m["rmse_u"] == pytest.approx(0.05, abs=1e-12)
         assert m["mean_v"] == pytest.approx(0.02, abs=1e-12)
 
     def test_edge_samples_excluded(self):
         truth = flat_truth(u=0.4)
         times = np.arange(0, 8, 1 / 30)
-        est = []
-        for i, t in enumerate(times):
-            u = 99.0 if i < 12 or i >= len(times) - 12 else 0.4
-            est.append(KinematicState(t, 0.0, 0.0, 0.0, u, 0.0, 0.0))
-        m = compute_metrics(truth, est)
+        u = np.full(times.shape, 0.4)
+        u[:12] = u[-12:] = 99.0
+        m = score_one(truth, constant_states(times, u=u))
         assert m["rmse_u"] == pytest.approx(0.0, abs=1e-12)
         assert m["n_compared"] == len(times) - 24
 
@@ -352,12 +358,16 @@ class TestRunner:
                      "depth.csv", "ir.csv"):
             assert (out / "plotdata" / name).exists(), name
 
-    def test_recompute_metrics_matches(self, tmp_path):
+    @pytest.mark.parametrize("name", ["line", "circle", "zigzag", "pump_test"])
+    def test_recompute_metrics_matches(self, name, tmp_path):
         out = tmp_path / "run"
-        art = run_scenario(tiny_line(), out_dir=str(out))
+        run_scenario(get_scenario(name), out_dir=str(out))
+        rows = np.loadtxt(out / "metrics.csv", delimiter=",", skiprows=1, dtype=str)
+        written = {key: float(value) for key, value in rows}
         again = recompute_metrics(str(out))
-        for key in ("rmse_xy", "rmse_u", "rmse_v", "mean_v", "path_length_truth"):
-            assert again[key] == pytest.approx(art.metrics[key], abs=1e-9), key
+        assert set(again) == set(written)
+        for key, value in written.items():
+            assert again[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
 
     def test_paper_plot_frame_flips_yaw(self, tmp_path):
         s = tiny_line()

@@ -11,7 +11,6 @@ from tanklab.tracking import (
     NonMonotoneTimestamps,
     PipelineConfig,
     SegmentTooShort,
-    TooShort,
     TrackingError,
     WindowTooLarge,
     finite_difference,
@@ -56,7 +55,7 @@ class TestFiniteDifference:
         np.testing.assert_allclose(d[1:-1], 2.0 * t[1:-1], atol=1e-12)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(SegmentTooShort):
             finite_difference([1.0], 0.1)
 
 
