@@ -50,7 +50,6 @@ class CameraConfig:
 @dataclass
 class TagConfig:
     tag_id: int = 0
-    size: float = 0.07112                      # m (2.8 in)
     mount_offset: Pose = field(default_factory=Pose.identity)  # body frame
 
 

@@ -225,6 +225,8 @@ class ChannelConfig:
             raise LinkError("require 0 <= d0 < d1")
         if not (0.0 <= self.base_loss <= 1.0):
             raise LinkError("base_loss must be in [0, 1]")
+        if not (self.latency >= 0.0):
+            raise LinkError("latency must be >= 0")
 
 
 def delivery_probability(depth: float, cfg: ChannelConfig) -> float:

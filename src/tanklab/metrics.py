@@ -45,20 +45,19 @@ def circle_fit(points: Sequence[Sequence[float]]) -> tuple[tuple[float, float], 
     return (float(cx), float(cy)), float(math.sqrt(rad2))
 
 
-@dataclass(frozen=True)
-class TruthSeries:
-    """Ground-truth trajectory sampled on the simulation grid."""
+# One record per simulation step of ground truth; psi is continuous (unwrapped).
+TRUTH_DTYPE = np.dtype(
+    [(name, float) for name in ("t", "x", "y", "z", "psi", "u", "v", "w", "r", "fill")]
+)
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    psi: np.ndarray          # continuous (unwrapped)
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
-    fill: np.ndarray
+
+def truth_series(table) -> np.recarray:
+    """Ground truth on the simulation grid: an ``(n, 10)`` table, columns in
+    ``TRUTH_DTYPE`` order, viewed (not copied) as a record array read by
+    column (``truth.u``).  The syringe fill is ``truth["fill"]``, since
+    ``truth.fill`` is ``ndarray.fill``."""
+    table = np.ascontiguousarray(table, dtype=float)
+    return table.view(TRUTH_DTYPE).reshape(-1).view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,15 @@ class FrameAlignment:
         return FrameAlignment(np.eye(3), np.zeros(3))
 
 
-def _interp_truth(truth: TruthSeries, times: np.ndarray) -> dict[str, np.ndarray]:
+def _interp_truth(truth: np.recarray, times: np.ndarray) -> dict[str, np.ndarray]:
     return {
-        name: np.interp(times, truth.t, getattr(truth, name))
+        name: np.interp(times, truth.t, truth[name])
         for name in ("x", "y", "z", "psi", "u", "v", "r")
     }
 
 
 def truth_in_estimate_frame(
-    truth: TruthSeries, times: np.ndarray, align: FrameAlignment
+    truth: np.recarray, times: np.ndarray, align: FrameAlignment
 ) -> dict[str, np.ndarray]:
     """Truth kinematics at ``times``, expressed in the estimate's frame.
 
@@ -119,7 +118,7 @@ def truth_in_estimate_frame(
 
 
 def residuals(
-    truth: TruthSeries,
+    truth: np.recarray,
     estimates: np.recarray,
     alignment: FrameAlignment | None = None,
     smoothing_window: int = 12,

@@ -27,16 +27,18 @@ from .link import (
     encode,
 )
 from .metrics import (
+    TRUTH_DTYPE,
     FrameAlignment,
-    TruthSeries,
     count_reversals,
     count_sign_changes,
     metrics_from_residuals,
     path_length,
     residuals,
+    truth_series,
 )
 from .scenarios import Scenario
-from .tracking import STATE_DTYPE, PipelineDiagnostics, TagDetection, fmt, write_rows
+from .tracking import (STATE_DTYPE, PipelineDiagnostics, TagDetection, fmt, read_table,
+                       write_rows, write_table)
 from .vehicle import (
     ActuatorCommand,
     NoSignal,
@@ -71,7 +73,7 @@ class CommandLogEntry:
 @dataclass
 class RunArtifacts:
     scenario: Scenario
-    truth: TruthSeries
+    truth: np.recarray                     # TRUTH_DTYPE, one record per step
     detections: list[TagDetection]
     estimate_segments: list[np.recarray]   # one state series per segment
     alignments: list[FrameAlignment]
@@ -104,9 +106,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     uplink = Channel(s.channel, rng_up)
 
     params = s.vehicle_params
-    state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi)
+    state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
+                         syringe_fill=params.neutral_fill)
 
-    script = sorted(s.command_script, key=lambda item: item[0])
+    script = s.command_script  # validate() has checked the order
     script_idx = 0
 
     started = False
@@ -209,7 +212,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     for entry in inflight.values():
         entry.status = "lost"  # still in the air when the run ended
 
-    truth = _build_truth(truth_rows)
+    truth = truth_series(truth_rows)
 
     segments = tracking.segment_stream(detections, s.pipeline) if detections else []
     estimate_segments: list[np.recarray] = []
@@ -244,27 +247,19 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     return artifacts
 
 
-def _build_truth(rows) -> TruthSeries:
-    arr = np.array(rows, dtype=float)
-    return TruthSeries(
-        t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], z=arr[:, 3], psi=arr[:, 4],
-        u=arr[:, 5], v=arr[:, 6], w=arr[:, 7], r=arr[:, 8], fill=arr[:, 9],
-    )
-
-
 def _alignment(
-    truth: TruthSeries, diag: PipelineDiagnostics, cam_rotation: np.ndarray
+    truth: np.recarray, diag: PipelineDiagnostics, cam_rotation: np.ndarray
 ) -> FrameAlignment:
     rot = diag.rotation @ cam_rotation.T
     t0 = diag.first_timestamp
     origin = np.array(
-        [np.interp(t0, truth.t, getattr(truth, name)) for name in ("x", "y", "z")]
+        [np.interp(t0, truth.t, truth[name]) for name in ("x", "y", "z")]
     )
     return FrameAlignment(rotation=rot, origin_xyz=origin)
 
 
 def score_run(
-    truth: TruthSeries,
+    truth: np.recarray,
     segments: list[np.recarray],
     alignments: list[FrameAlignment],
     smoothing_window: int,
@@ -308,32 +303,35 @@ def score_run(
 # ---------------------------------------------------------------------------
 # artifact persistence
 
-_TRUTH_HEADER = ["t", "x", "y", "z", "psi", "u", "v", "w", "r", "fill"]
-_ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
-                     "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
+ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
+                    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
+TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
+                    "fill_est_tenth_ml", "flags"]
+
+
+def _table(rows, header) -> np.ndarray:
+    """Rows of numbers as an ``(n, len(header))`` array, also when empty."""
+    return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    plot_dir = os.path.join(out_dir, "plotdata")
-    os.makedirs(plot_dir, exist_ok=True)
+    def path(*names):
+        return os.path.join(out_dir, *names)
+
+    os.makedirs(path("plotdata"), exist_ok=True)
     truth = art.truth
     estimates = art.estimates
 
+    write_table(path("truth.csv"), TRUTH_DTYPE.names,
+                (truth[name] for name in TRUTH_DTYPE.names))
+    tracking.write_detections_csv(path("detections.csv"), art.detections)
+    tracking.write_states_csv(path("estimates.csv"), estimates)
     write_rows(
-        os.path.join(out_dir, "truth.csv"), _TRUTH_HEADER,
-        ([fmt(v) for v in row] for row in zip(
-            truth.t, truth.x, truth.y, truth.z, truth.psi,
-            truth.u, truth.v, truth.w, truth.r, truth.fill)),
-    )
-    tracking.write_detections_csv(os.path.join(out_dir, "detections.csv"), art.detections)
-    tracking.write_states_csv(os.path.join(out_dir, "estimates.csv"), estimates)
-    write_rows(
-        os.path.join(out_dir, "metrics.csv"), ["name", "value"],
+        path("metrics.csv"), ["name", "value"],
         ([name, fmt(val)] for name, val in sorted(art.metrics.items())),
     )
     write_rows(
-        os.path.join(out_dir, "meta.csv"), ["key", "value"],
+        path("meta.csv"), ["key", "value"],
         [
             ["scenario", art.scenario.name],
             ["seed", str(art.scenario.seed)],
@@ -344,15 +342,15 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
-    align_rows = []
-    for i, (states, align) in enumerate(zip(art.estimate_segments, art.alignments)):
-        row = [str(i), fmt(states.timestamp[0]), fmt(states.timestamp[-1])]
-        row += [fmt(v) for v in align.origin_xyz]
-        row += [fmt(v) for v in align.rotation.reshape(-1)]
-        align_rows.append(row)
-    write_rows(os.path.join(out_dir, "alignments.csv"), _ALIGNMENT_HEADER, align_rows)
+    alignments = _table(
+        [[i, states.timestamp[0], states.timestamp[-1], *align.origin_xyz,
+          *align.rotation.reshape(-1)]
+         for i, (states, align) in enumerate(zip(art.estimate_segments, art.alignments))],
+        ALIGNMENT_HEADER,
+    )
+    write_table(path("alignments.csv"), ALIGNMENT_HEADER, alignments.T)
     write_rows(
-        os.path.join(out_dir, "command_log.csv"),
+        path("command_log.csv"),
         ["t_sent", "message", "status", "t_applied", "depth_at_send"],
         (
             [fmt(e.t_sent), repr(e.message), e.status,
@@ -360,37 +358,25 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             for e in art.command_log
         ),
     )
-    write_rows(
-        os.path.join(out_dir, "telemetry.csv"),
-        ["t", "depth_mm", *("ir%d" % i for i in range(9)), "fill_est_tenth_ml", "flags"],
-        (
-            [fmt(t), str(msg.depth_mm), *(str(c) for c in msg.ir),
-             str(msg.fill_est_tenth_ml), str(msg.flags)]
-            for t, msg in art.telemetry_log
-        ),
+    telemetry = _table(
+        [[t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags]
+         for t, msg in art.telemetry_log],
+        TELEMETRY_HEADER,
     )
+    write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry.T)
 
     sign = -1.0 if art.scenario.plot_frame == "paper" else 1.0
-    t_est = [fmt(t) for t in estimates.timestamp.tolist()]
     for name in ("u", "v", "psi", "r"):
         factor = sign if name in ("psi", "r") else 1.0
-        write_rows(
-            os.path.join(plot_dir, "%s.csv" % name), ["t", name],
-            ([t, fmt(v)] for t, v in zip(t_est, (factor * estimates[name]).tolist())),
-        )
-    write_rows(
-        os.path.join(plot_dir, "track_xy.csv"), ["x", "y"],
-        ([fmt(x), fmt(y)] for x, y in zip(estimates.x.tolist(), estimates.y.tolist())),
-    )
-    write_rows(
-        os.path.join(plot_dir, "depth.csv"), ["t", "depth_m"],
-        ([fmt(t), fmt(msg.depth_mm / 1000.0)] for t, msg in art.telemetry_log),
-    )
-    write_rows(
-        os.path.join(plot_dir, "ir.csv"),
-        ["t", *("ch%d" % i for i in range(9))],
-        ([fmt(t), *(fmt(c / 255.0) for c in msg.ir)] for t, msg in art.telemetry_log),
-    )
+        write_table(path("plotdata", "%s.csv" % name), ["t", name],
+                    [estimates.timestamp, factor * estimates[name]])
+    write_table(path("plotdata", "track_xy.csv"), ["x", "y"],
+                [estimates.x, estimates.y])
+    t_tel = telemetry[:, 0]
+    write_table(path("plotdata", "depth.csv"), ["t", "depth_m"],
+                [t_tel, telemetry[:, 1] / 1000.0])
+    write_table(path("plotdata", "ir.csv"), ["t", *("ch%d" % i for i in range(9))],
+                [t_tel, *(telemetry[:, 2:11] / 255.0).T])
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:
@@ -404,12 +390,9 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
 
     with open(path("meta.csv"), newline="") as fh:
         meta = dict(list(csv.reader(fh))[1:])
-    with open(path("detections.csv")) as fh:
-        n_detections = sum(1 for _ in fh) - 1
-    with open(path("alignments.csv"), newline="") as fh:
-        rows = np.array(list(csv.reader(fh))[1:], dtype=float)
-    rows = rows.reshape(-1, len(_ALIGNMENT_HEADER))
-    truth = _build_truth(np.loadtxt(path("truth.csv"), delimiter=",", skiprows=1))
+    n_detections = len(read_table(path("detections.csv"), tracking.DETECTION_CSV_HEADER))
+    rows = read_table(path("alignments.csv"), ALIGNMENT_HEADER)
+    truth = truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names))
     estimates = tracking.read_states_csv(path("estimates.csv"))
 
     ends = np.searchsorted(estimates.timestamp, rows[:, 2], side="right")

@@ -24,13 +24,12 @@ from .link import (
     PUMP_MODE_OFF,
 )
 from .tracking import PipelineConfig
-from .vehicle import VehicleParams
+from .vehicle import MAX_DT, VehicleParams
 
 FT = 0.3048
 IN = 0.0254
 
 TANK_SIDE = 13.5 * FT    # 4.1148 m
-TANK_DEPTH = 4.5 * FT    # 1.3716 m
 
 
 class ConfigError(ValueError):
@@ -68,8 +67,16 @@ class Scenario:
     def validate(self) -> None:
         if self.duration <= 0:
             raise ConfigError("duration", "must be > 0")
-        if self.sim_rate <= 0:
-            raise ConfigError("sim_rate", "must be > 0")
+        if not (self.sim_rate > 0 and 1.0 / self.sim_rate <= MAX_DT):
+            raise ConfigError("sim_rate", "must be >= %g Hz (plant steps of at most %g s)"
+                              % (1.0 / MAX_DT, MAX_DT))
+        if not (self.telemetry_rate > 0):
+            raise ConfigError("telemetry_rate", "must be > 0")
+        if not (self.depth_noise_sigma >= 0):
+            raise ConfigError("depth_noise_sigma", "must be >= 0")
+        if self.camera.frame_rate > self.sim_rate:
+            raise ConfigError("camera.frame_rate", "must not exceed sim_rate (%g Hz)"
+                              % self.sim_rate)
         if self.plot_frame not in ("ned", "paper"):
             raise ConfigError("plot_frame", "must be 'ned' or 'paper'")
         last = -math.inf
@@ -79,13 +86,11 @@ class Scenario:
             if not (0.0 <= t <= self.duration):
                 raise ConfigError("command_script", "time %g outside [0, duration]" % t)
             last = t
-        try:
-            self.vehicle_params.validate()
-            self.camera.validate()
-            self.channel.validate()
-            self.pipeline.validate()
-        except ValueError as exc:
-            raise ConfigError("config", str(exc)) from exc
+        for section in ("vehicle", "camera", "channel", "pipeline"):
+            try:
+                getattr(self, _SUBCONFIGS[section]).validate()
+            except ValueError as exc:
+                raise ConfigError(section, str(exc)) from exc
 
     def build_camera(self) -> CameraConfig:
         """Camera config with the pose assembled from height and tilt."""
@@ -96,13 +101,9 @@ class Scenario:
         return replace(self.camera, pose=pose)
 
 
-def _base(name: str, duration: float, **kw) -> Scenario:
-    return Scenario(name=name, duration=duration, **kw)
-
-
 def line_scenario() -> Scenario:
     """Straight surface run sized to cover roughly 10 ft."""
-    s = _base("line", 8.35, initial_x=0.5, initial_y=2.05, initial_psi=0.0, seed=11)
+    s = Scenario("line", 8.35, initial_x=0.5, initial_y=2.05, initial_psi=0.0, seed=11)
     s.command_script = [
         (0.2, StartSequence(1)),
         (0.3, SetMotors(50, 50)),
@@ -112,8 +113,8 @@ def line_scenario() -> Scenario:
 
 def circle_scenario() -> Scenario:
     """Constant differential producing a turn radius of about 6 ft."""
-    s = _base("circle", 22.0, initial_x=TANK_SIDE / 2, initial_y=0.23,
-              initial_psi=0.0, seed=12)
+    s = Scenario("circle", 22.0, initial_x=TANK_SIDE / 2, initial_y=0.23,
+                 initial_psi=0.0, seed=12)
     s.command_script = [
         (0.2, StartSequence(1)),
         (0.3, SetMotors(40, 60)),
@@ -123,8 +124,8 @@ def circle_scenario() -> Scenario:
 
 def zigzag_scenario() -> Scenario:
     """Two zig-zag maneuvers: five alternating differential phases."""
-    s = _base("zigzag", 13.5, initial_x=0.6, initial_y=0.6,
-              initial_psi=math.pi / 4, seed=13)
+    s = Scenario("zigzag", 13.5, initial_x=0.6, initial_y=0.6,
+                 initial_psi=math.pi / 4, seed=13)
     script: list[tuple[float, Message]] = [(0.2, StartSequence(1))]
     phase = 2.5
     for i in range(5):
@@ -140,8 +141,8 @@ def pump_test_scenario() -> Scenario:
     Commands sent while the vehicle is deep are frequently lost, so pump
     commands are retried; the schedule is tuned for the default seed.
     """
-    s = _base("pump_test", 64.0, initial_x=TANK_SIDE / 2, initial_y=TANK_SIDE / 2,
-              seed=14)
+    s = Scenario("pump_test", 64.0, initial_x=TANK_SIDE / 2, initial_y=TANK_SIDE / 2,
+                 seed=14)
     script: list[tuple[float, Message]] = [
         (0.2, StartSequence(1)),
         (0.4, StartSequence(1)),
@@ -238,7 +239,7 @@ def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:
     else:
         target, attr = scenario, key
     attr, value_str = _apply_unit(attr, value_str, key)
-    if not hasattr(target, attr) or attr.startswith("_"):
+    if attr not in vars(target):  # dataclass fields only, not derived properties
         raise ConfigError(key, "unknown setting")
     current = getattr(target, attr)
     setattr(target, attr, _coerce(current, value_str, key))
@@ -268,25 +269,6 @@ def load_scenario_file(path) -> Scenario:
     scenario.command_script.sort(key=lambda item: item[0])
     scenario.validate()
     return scenario
-
-
-def load_vehicle_params(path) -> VehicleParams:
-    """Flat ``name = value`` parameter file, SI units (mL for the syringe)."""
-    params = VehicleParams()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("line %d" % lineno, "expected 'name = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key, factor_value = _apply_unit(key, value, key)
-            if not hasattr(params, key):
-                raise ConfigError(key, "unknown vehicle parameter")
-            setattr(params, key, _coerce(getattr(params, key), factor_value, key))
-    params.validate()
-    return params
 
 
 def get_scenario(name_or_path: str) -> Scenario:

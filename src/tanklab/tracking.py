@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -269,54 +269,60 @@ def fmt(x: float) -> str:
 
 
 def write_rows(path, header, rows) -> None:
-    """Write a header and already formatted rows as CSV with Unix line endings."""
+    """Write a header and already formatted rows as CSV with Unix line endings;
+    ``write_table`` writes the numeric tables through it."""
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
 
-def write_detections_csv(path, detections: Iterable[TagDetection]) -> None:
-    write_rows(
-        path, DETECTION_CSV_HEADER,
-        (
-            [fmt(d.timestamp), d.tag_id]
-            + [fmt(v) for v in d.pose.translation]
-            + [fmt(v) for v in d.pose.rotation.reshape(-1)]
-            for d in detections
-        ),
-    )
+def write_table(path, header, columns) -> None:
+    """Write equal-length numeric columns under one header line, every value
+    through ``fmt``.  Rows are formatted one at a time, never whole columns."""
+    write_rows(path, header, (map(fmt, row) for row in zip(*columns)))
+
+
+def read_table(path, header) -> np.ndarray:
+    """Read a ``write_table`` file back as an ``(n, len(header))`` float array.
+
+    Raises ``TrackingError`` when the header differs.  A header-only file
+    gives ``n == 0``.
+    """
+    with open(path, newline="") as fh:
+        found = fh.readline().rstrip("\r\n").split(",")
+        if found != list(header):
+            raise TrackingError("%s: unexpected header %r" % (path, found))
+        start = fh.tell()
+        if not fh.read(1):
+            return np.empty((0, len(header)))
+        fh.seek(start)
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if table.shape[1] != len(header):
+        raise TrackingError("%s: %d columns under a %d-column header"
+                            % (path, table.shape[1], len(header)))
+    return table
+
+
+def write_detections_csv(path, detections: Sequence[TagDetection]) -> None:
+    table = np.array(
+        [[d.timestamp, d.tag_id, *d.pose.translation, *d.pose.rotation.reshape(-1)]
+         for d in detections]
+    ).reshape(-1, len(DETECTION_CSV_HEADER))
+    write_table(path, DETECTION_CSV_HEADER, table.T)
 
 
 def read_detections_csv(path) -> list[TagDetection]:
-    out = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != DETECTION_CSV_HEADER:
-            raise TrackingError("unexpected detection CSV header: %r" % header)
-        for row in rd:
-            vals = [float(v) for v in row]
-            rot = np.array(vals[5:14]).reshape(3, 3)
-            out.append(
-                TagDetection(
-                    timestamp=vals[0],
-                    tag_id=int(vals[1]),
-                    pose=Pose(np.array(vals[2:5]), rot),
-                )
-            )
-    return out
+    return [
+        TagDetection(timestamp=float(row[0]), tag_id=int(row[1]),
+                     pose=Pose(row[2:5], row[5:14].reshape(3, 3)))
+        for row in read_table(path, DETECTION_CSV_HEADER)
+    ]
 
 
 def write_states_csv(path, states: np.recarray) -> None:
-    write_rows(path, STATE_CSV_HEADER, ([fmt(v) for v in row] for row in states.tolist()))
+    write_table(path, STATE_CSV_HEADER, (states[name] for name in STATE_DTYPE.names))
 
 
 def read_states_csv(path) -> np.recarray:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != STATE_CSV_HEADER:
-            raise TrackingError("unexpected state CSV header: %r" % header)
-        table = np.array(list(rd), dtype=float).reshape(-1, len(STATE_CSV_HEADER))
-    return state_series(*table.T)
+    return state_series(*read_table(path, STATE_CSV_HEADER).T)

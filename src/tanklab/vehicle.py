@@ -18,6 +18,7 @@ GRAVITY = 9.80665          # m/s^2
 WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
+MAX_DT = 0.05              # s, longest step the explicit integrator accepts
 
 PUMP_OFF = "off"
 PUMP_INTAKE = "intake"
@@ -49,7 +50,6 @@ class VehicleParams:
     drag_yaw: float = 0.08               # N m s^2/rad^2
     yaw_inertia: float = 0.02            # kg m^2
     syringe_capacity: float = 25.0       # mL
-    neutral_fill: float = 12.5           # mL
     pump_max_rate: float = 100.0         # mL/min
     tank_depth: float = 1.3716           # m
 
@@ -57,8 +57,11 @@ class VehicleParams:
         for name, value in vars(self).items():
             if not (value > 0):
                 raise VehicleError("%s must be positive, got %r" % (name, value))
-        if abs(self.neutral_fill - self.syringe_capacity / 2) > 1e-9:
-            raise VehicleError("neutral_fill must equal syringe_capacity/2")
+
+    @property
+    def neutral_fill(self) -> float:
+        """Fill (mL) at which the hull is neutrally buoyant: half the syringe."""
+        return self.syringe_capacity / 2
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,8 @@ def step(
     contact (surface float / bottom rest).
     """
     p = params or VehicleParams()
-    if not (0.0 < dt <= 0.05):
-        raise InvalidDt("dt must be in (0, 0.05], got %r" % dt)
+    if not (0.0 < dt <= MAX_DT):
+        raise InvalidDt("dt must be in (0, %g], got %r" % (MAX_DT, dt))
 
     target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
     target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion against the current library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    # demos write under runs/ relative to the working directory
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

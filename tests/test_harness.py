@@ -10,12 +10,12 @@ from tanklab.metrics import (
     Collinear,
     FrameAlignment,
     MetricsError,
-    TruthSeries,
     circle_fit,
     count_reversals,
     count_sign_changes,
     path_length,
     truth_in_estimate_frame,
+    truth_series,
 )
 from tanklab.runner import recompute_metrics, run_scenario, score_run
 from tanklab.scenarios import (
@@ -25,7 +25,6 @@ from tanklab.scenarios import (
     apply_setting,
     get_scenario,
     load_scenario_file,
-    load_vehicle_params,
     parse_command,
 )
 from tanklab.tracking import state_series
@@ -69,9 +68,9 @@ def flat_truth(duration=10.0, rate=240.0, **channels):
     def get(name, default=0.0):
         val = channels.get(name, default)
         return val if isinstance(val, np.ndarray) else np.full_like(t, val)
-    return TruthSeries(t=t, x=get("x"), y=get("y"), z=get("z"), psi=get("psi"),
-                       u=get("u"), v=get("v"), w=get("w"), r=get("r"),
-                       fill=get("fill", 12.5))
+    return truth_series(np.column_stack([
+        t, get("x"), get("y"), get("z"), get("psi"),
+        get("u"), get("v"), get("w"), get("r"), get("fill", 12.5)]))
 
 
 class TestAlignment:
@@ -238,6 +237,10 @@ class TestScenarios:
             apply_setting(s, "warp_factor", "9")
         with pytest.raises(ConfigError):
             apply_setting(s, "engine.thrust", "1")
+        # derived or unread values are not settings
+        for key in ("vehicle.neutral_fill", "tag.size"):
+            with pytest.raises(ConfigError):
+                apply_setting(s, key, "1")
 
     def test_scenario_file_round_trip(self, tmp_path):
         path = tmp_path / "custom.scenario"
@@ -261,12 +264,6 @@ class TestScenarios:
         path.write_text("duration 4.0\n")
         with pytest.raises(ConfigError):
             load_scenario_file(path)
-
-    def test_vehicle_params_file(self, tmp_path):
-        path = tmp_path / "veh.params"
-        path.write_text("mass = 3.0\nsyringe_capacity_ml = 30\nneutral_fill_ml = 15\n")
-        p = load_vehicle_params(path)
-        assert p.mass == 3.0 and p.syringe_capacity == 30.0
 
     def test_validate_rejects_bad_script_time(self):
         s = Scenario(name="t", duration=5.0,
@@ -358,16 +355,31 @@ class TestRunner:
                      "depth.csv", "ir.csv"):
             assert (out / "plotdata" / name).exists(), name
 
-    @pytest.mark.parametrize("name", ["line", "circle", "zigzag", "pump_test"])
-    def test_recompute_metrics_matches(self, name, tmp_path):
+    @pytest.mark.parametrize("name, settings", [
+        *(pytest.param(name, {}, id=name) for name in ["line", "circle", "zigzag", "pump_test"]),
+        # no detections: detections, estimates and alignments are header-only
+        pytest.param("line", {"camera.dropout_prob": "1.0"}, id="line_blind"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_recompute_metrics_matches(self, name, settings, tmp_path):
         out = tmp_path / "run"
-        run_scenario(get_scenario(name), out_dir=str(out))
+        s = get_scenario(name)
+        for key, value in settings.items():
+            apply_setting(s, key, value)
+        run_scenario(s, out_dir=str(out))
         rows = np.loadtxt(out / "metrics.csv", delimiter=",", skiprows=1, dtype=str)
         written = {key: float(value) for key, value in rows}
         again = recompute_metrics(str(out))
         assert set(again) == set(written)
         for key, value in written.items():
             assert again[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+
+    def test_neutral_fill_follows_capacity(self):
+        s = tiny_line()
+        apply_setting(s, "vehicle.syringe_capacity", "30")
+        art = run_scenario(s)
+        assert np.all(art.truth["fill"] == 15.0)
+        assert np.all(art.truth.z == 0.0) and np.all(art.truth.w == 0.0)
 
     def test_paper_plot_frame_flips_yaw(self, tmp_path):
         s = tiny_line()
@@ -411,10 +423,19 @@ class TestCli:
                        "--set", "bogus_key=1"])
         assert rc == 2
 
-    def test_bad_override_value_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("override", [
+        "duration=-5",
+        "telemetry_rate=0",
+        "sim_rate=10",
+        "depth_noise_sigma=-1",
+        "channel.latency=-1",
+        "camera.frame_rate=1000",
+    ])
+    def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
-                       "--set", "duration=-5"])
+                       "--set", override])
         assert rc == 2
+        assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err
 
     def test_metrics_missing_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["metrics", str(tmp_path / "missing")]) == 2

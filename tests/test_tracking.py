@@ -5,7 +5,12 @@ import pytest
 
 from conftest import camera_pose, make_detection, synthetic_detections
 from tanklab.frames import rot_x, rot_z
+from tanklab.metrics import TRUTH_DTYPE
+from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
+from tanklab.scenarios import get_scenario
 from tanklab.tracking import (
+    DETECTION_CSV_HEADER,
+    STATE_CSV_HEADER,
     EmptyInput,
     DetectionSegment,
     NonMonotoneTimestamps,
@@ -17,6 +22,7 @@ from tanklab.tracking import (
     moving_average,
     read_detections_csv,
     read_states_csv,
+    read_table,
     resample_uniform,
     run_pipeline,
     run_pipeline_detailed,
@@ -24,7 +30,15 @@ from tanklab.tracking import (
     unwrap_angles,
     write_detections_csv,
     write_states_csv,
+    write_table,
 )
+
+
+@pytest.fixture(scope="module")
+def line_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("line")
+    run_scenario(get_scenario("line"), out_dir=str(out))
+    return out
 
 
 class TestUnwrap:
@@ -291,11 +305,30 @@ class TestCsvRoundTrip:
         write_states_csv(p2, states)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("name, header", [
+        ("truth", TRUTH_DTYPE.names),
+        ("detections", DETECTION_CSV_HEADER),
+        ("estimates", STATE_CSV_HEADER),
+        ("alignments", ALIGNMENT_HEADER),
+        ("telemetry", TELEMETRY_HEADER),
+    ])
+    def test_run_dir_table_bytes(self, line_run_dir, tmp_path, name, header):
+        original = line_run_dir / ("%s.csv" % name)
+        table = read_table(original, header)
+        assert table.shape[0] > 0
+        again = tmp_path / "again.csv"
+        write_table(again, header, table.T)
+        assert again.read_bytes() == original.read_bytes()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(TrackingError):
             read_states_csv(path)
+        # a well-formed state table is not a truth table
+        path.write_text(",".join(STATE_CSV_HEADER) + "\n" + ",".join("0" * 7) + "\n")
+        with pytest.raises(TrackingError):
+            read_table(path, TRUTH_DTYPE.names)
 
 
 def test_config_validation():

@@ -42,11 +42,6 @@ class TestParams:
         with pytest.raises(VehicleError):
             p.validate()
 
-    def test_neutral_must_be_half_capacity(self):
-        p = VehicleParams(neutral_fill=10.0)
-        with pytest.raises(VehicleError):
-            p.validate()
-
 
 class TestPump:
     def test_rate(self):
