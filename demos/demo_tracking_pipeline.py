@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from tanklab.frames import Pose, rot_x, rot_z, vec3
-from tanklab.tracking import DetectionSegment, TagDetection, run_pipeline
+from tanklab.tracking import Detections, run_pipeline
 
 
 def main():
@@ -21,17 +21,18 @@ def main():
 
     rng = np.random.default_rng(0)
     times = np.sort(np.arange(0, 12.0, 1 / 30) + rng.normal(0, 0.002, 360))
-    dets = []
+    rows = []
     for t in times:
         x = 2.0 + radius * math.sin(omega * t)
         y = 2.0 - radius * math.cos(omega * t)
         psi = omega * t
         p = vec3(x, y, 0.0)
-        dets.append(TagDetection(float(t), 0, Pose(
-            cam.rotation.T @ (p - cam.translation),
-            cam.rotation.T @ rot_z(psi))))
+        # one row per frame: time, tag id, camera-frame translation, rotation
+        rows.append((t, 0, *(cam.rotation.T @ (p - cam.translation)),
+                     *(cam.rotation.T @ rot_z(psi)).flat))
+    dets = Detections.from_rows(rows)
 
-    states = run_pipeline(DetectionSegment(tuple(dets)))
+    states = run_pipeline(dets)
     mid = states[len(states) // 3 : -len(states) // 3]
     u, v, r = np.mean(mid.u), np.mean(mid.v), np.mean(mid.r)
 

@@ -11,9 +11,8 @@ from .frames import PlaneCoefficients, Pose, body_velocities, extract_yaw, fit_p
 from .runner import RunArtifacts, run_scenario
 from .scenarios import BUILTIN_SCENARIOS, Scenario
 from .tracking import (
-    DetectionSegment,
+    Detections,
     PipelineConfig,
-    TagDetection,
     run_pipeline,
     segment_stream,
     state_series,
@@ -23,13 +22,12 @@ from .vehicle import ActuatorCommand, VehicleParams, VehicleState
 __all__ = [
     "ActuatorCommand",
     "BUILTIN_SCENARIOS",
-    "DetectionSegment",
+    "Detections",
     "PipelineConfig",
     "PlaneCoefficients",
     "Pose",
     "RunArtifacts",
     "Scenario",
-    "TagDetection",
     "VehicleParams",
     "VehicleState",
     "body_velocities",

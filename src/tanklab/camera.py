@@ -1,4 +1,4 @@
-"""Overhead observation model: ground-truth state -> tag detections.
+"""Overhead observation model: ground-truth state -> camera-frame tag pose.
 
 Detection is pose-level: the tag's world pose is composed with the camera
 extrinsics, then perturbed with translation/rotation noise, dropouts
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import Pose, axis_angle, rot_z
-from .tracking import TagDetection
 from .vehicle import VehicleState
 
 
@@ -57,13 +56,13 @@ def observe(
     state: VehicleState,
     cam: CameraConfig,
     tag: TagConfig,
-    t: float,
     rng: np.random.Generator,
-) -> TagDetection | None:
-    """One camera frame; returns None on dropout or when the tag is submerged.
+) -> Pose | None:
+    """One camera frame: the tag's noisy pose in the camera frame, or None on
+    dropout or when the tag is submerged.
 
-    ``t`` is taken as the capture time (jitter is applied by
-    :func:`frame_clock`, not here, so timing noise is not double counted).
+    The frame's capture time comes from :func:`frame_clock`, so timing noise
+    is applied there and not here.
     """
     if state.z > cam.visibility_depth:
         return None
@@ -90,7 +89,7 @@ def observe(
     if cam.spurious_z_prob > 0.0 and rng.random() < cam.spurious_z_prob:
         q = q + np.array([0.0, 0.0, cam.spurious_z_offset])
 
-    return TagDetection(timestamp=t, tag_id=tag.tag_id, pose=Pose(q, r_bc))
+    return Pose(q, r_bc)
 
 
 def frame_clock(

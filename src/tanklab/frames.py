@@ -101,10 +101,6 @@ class PlaneCoefficients:
     def normal(self) -> np.ndarray:
         return np.array([self.a, self.b, -1.0])
 
-    def height(self, x: float, y: float) -> float:
-        """z on the plane at (x, y)."""
-        return self.a * x + self.b * y + self.d
-
 
 @dataclass(frozen=True)
 class Pose:

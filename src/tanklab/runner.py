@@ -37,11 +37,10 @@ from .metrics import (
     truth_series,
 )
 from .scenarios import Scenario
-from .tracking import (STATE_DTYPE, PipelineDiagnostics, TagDetection, fmt, read_table,
-                       write_rows, write_table)
+from .tracking import (STATE_DTYPE, Detections, PipelineDiagnostics, fmt, read_table,
+                       rows_table, write_rows, write_table)
 from .vehicle import (
     ActuatorCommand,
-    NoSignal,
     PUMP_OFF,
     PUMP_EXPEL,
     PUMP_INTAKE,
@@ -74,7 +73,7 @@ class CommandLogEntry:
 class RunArtifacts:
     scenario: Scenario
     truth: np.recarray                     # TRUTH_DTYPE, one record per step
-    detections: list[TagDetection]
+    detections: Detections
     estimate_segments: list[np.recarray]   # one state series per segment
     alignments: list[FrameAlignment]
     metrics: dict[str, float]
@@ -120,7 +119,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
     command_log: list[CommandLogEntry] = []
     telemetry_log: list[tuple[float, Telemetry]] = []
-    detections: list[TagDetection] = []
+    detection_rows: list[tuple] = []
     truth_rows: list[tuple] = []
     frame_idx = 0
     telemetry_period = 1.0 / s.telemetry_rate
@@ -139,9 +138,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
         # overhead camera frames due at this step
         while frame_idx < len(frame_times) and frame_times[frame_idx] <= t + 0.5 * dt:
-            det = observe(state, cam, s.tag, float(frame_times[frame_idx]), rng_camera)
-            if det is not None:
-                detections.append(det)
+            pose = observe(state, cam, s.tag, rng_camera)
+            if pose is not None:
+                detection_rows.append((frame_times[frame_idx], s.tag.tag_id,
+                                       *pose.translation, *pose.rotation.flat))
             frame_idx += 1
 
         # ground station sends scripted commands
@@ -185,12 +185,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             fill_tenth = 0
             quality = signal_quality(reading)
             if quality != "none":
-                try:
-                    est = estimate_plunger(reading, params)
-                    fill_tenth = max(0, min(255, round(est * 10)))
-                    flags |= link.FLAG_FILL_VALID
-                except NoSignal:
-                    quality = "none"
+                est = estimate_plunger(reading, params)
+                fill_tenth = max(0, min(255, round(est * 10)))
+                flags |= link.FLAG_FILL_VALID
             if quality == "degraded":
                 flags |= link.FLAG_IR_DEGRADED
             depth = depth_reading(state, s.depth_noise_sigma, rng_vehicle)
@@ -213,6 +210,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         entry.status = "lost"  # still in the air when the run ended
 
     truth = truth_series(truth_rows)
+    detections = Detections.from_rows(detection_rows)
 
     segments = tracking.segment_stream(detections, s.pipeline) if detections else []
     estimate_segments: list[np.recarray] = []
@@ -309,11 +307,6 @@ TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
                     "fill_est_tenth_ml", "flags"]
 
 
-def _table(rows, header) -> np.ndarray:
-    """Rows of numbers as an ``(n, len(header))`` array, also when empty."""
-    return np.array(rows, dtype=float).reshape(-1, len(header))
-
-
 def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
     def path(*names):
         return os.path.join(out_dir, *names)
@@ -342,7 +335,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
-    alignments = _table(
+    alignments = rows_table(
         [[i, states.timestamp[0], states.timestamp[-1], *align.origin_xyz,
           *align.rotation.reshape(-1)]
          for i, (states, align) in enumerate(zip(art.estimate_segments, art.alignments))],
@@ -358,7 +351,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             for e in art.command_log
         ),
     )
-    telemetry = _table(
+    telemetry = rows_table(
         [[t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags]
          for t, msg in art.telemetry_log],
         TELEMETRY_HEADER,

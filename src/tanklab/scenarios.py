@@ -22,6 +22,7 @@ from .link import (
     PUMP_MODE_EXPEL,
     PUMP_MODE_INTAKE,
     PUMP_MODE_OFF,
+    encode,
 )
 from .tracking import PipelineConfig
 from .vehicle import MAX_DT, VehicleParams
@@ -91,6 +92,13 @@ class Scenario:
                 getattr(self, _SUBCONFIGS[section]).validate()
             except ValueError as exc:
                 raise ConfigError(section, str(exc)) from exc
+        # a segment needs 2 * window resampled states; the longest possible
+        # one, a whole run, has floor(duration * rate) + 1
+        window, rate = self.pipeline.smoothing_window, self.pipeline.output_rate
+        if 2 * window > math.floor(self.duration * rate) + 1:
+            raise ConfigError("pipeline.smoothing_window",
+                              "%d needs %g s of uninterrupted detections, run is %g s"
+                              % (window, (2 * window - 1) / rate, self.duration))
 
     def build_camera(self) -> CameraConfig:
         """Camera config with the pose assembled from height and tilt."""
@@ -175,6 +183,9 @@ _LENGTH_SUFFIXES = {"_ft": FT, "_in": IN, "_ml": 1.0, "_mL": 1.0}
 
 _PUMP_MODES = {"off": PUMP_MODE_OFF, "intake": PUMP_MODE_INTAKE, "expel": PUMP_MODE_EXPEL}
 
+_COMMAND_FORMS = ("'<time> start [seq_id]', '<time> set_motors <left> <right>'"
+                  " or '<time> pump <off|intake|expel> <duration_ms>'")
+
 _SUBCONFIGS = {
     "vehicle": "vehicle_params",
     "camera": "camera",
@@ -203,25 +214,24 @@ def _coerce(target, value_str: str, field_name: str):
 
 
 def parse_command(text: str) -> tuple[float, Message]:
-    parts = text.split()
-    if len(parts) < 2:
-        raise ConfigError("command", "expected '<time> <type> [args...]'")
+    """One command line as a timed message.  A value the protocol cannot
+    carry fails ``encode``'s range checks (``LinkError``, a ``ValueError``)
+    and, like any unparsable line, is a ``ConfigError``."""
     try:
-        t = float(parts[0])
+        time, kind, *args = text.split()
+        t = float(time)
+        if kind == "start" and len(args) <= 1:
+            msg = StartSequence(int(args[0]) if args else 1)
+        elif kind == "set_motors" and len(args) == 2:
+            msg = SetMotors(int(args[0]), int(args[1]))
+        elif kind == "pump" and len(args) == 2 and args[0] in _PUMP_MODES:
+            msg = Pump(_PUMP_MODES[args[0]], int(args[1]))
+        else:
+            raise ValueError("expected " + _COMMAND_FORMS)
+        encode(msg)
     except ValueError as exc:
-        raise ConfigError("command", "bad time %r" % parts[0]) from exc
-    kind, args = parts[1], parts[2:]
-    if kind == "start":
-        return t, StartSequence(int(args[0]) if args else 1)
-    if kind == "set_motors":
-        if len(args) != 2:
-            raise ConfigError("command", "set_motors needs <left> <right>")
-        return t, SetMotors(int(args[0]), int(args[1]))
-    if kind == "pump":
-        if len(args) != 2 or args[0] not in _PUMP_MODES:
-            raise ConfigError("command", "pump needs <off|intake|expel> <duration_ms>")
-        return t, Pump(_PUMP_MODES[args[0]], int(args[1]))
-    raise ConfigError("command", "unknown command type %r" % kind)
+        raise ConfigError("command", "%r: %s" % (text, exc)) from exc
+    return t, msg
 
 
 def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import frames
-from .frames import Pose, PlaneCoefficients
+from .frames import PlaneCoefficients
 
 
 class TrackingError(ValueError):
@@ -38,23 +38,47 @@ class NonMonotoneTimestamps(TrackingError):
     pass
 
 
-@dataclass(frozen=True)
-class TagDetection:
-    """One timestamped camera-frame observation of the vehicle tag."""
-
-    timestamp: float
-    tag_id: int
-    pose: Pose
+DETECTION_CSV_HEADER = [
+    "t", "tag_id", "tx", "ty", "tz",
+    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
+]
 
 
-@dataclass(frozen=True)
-class DetectionSegment:
-    """Contiguous run of detections with bounded inter-frame gaps."""
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """A tag-detection stream, or one gap-bounded segment of it.
 
-    detections: tuple[TagDetection, ...]
+    ``table`` holds one row per detected camera frame, columns in
+    ``DETECTION_CSV_HEADER`` order: capture time, tag id, camera-frame tag
+    translation, row-major tag rotation.  ``t``, ``q`` (``(n, 3)``) and
+    ``rot`` (``(n, 3, 3)``) are views of it; a slice or a boolean mask gives
+    another ``Detections``.
+    """
+
+    table: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> Detections:
+        """Rows of 14 numbers in ``DETECTION_CSV_HEADER`` order, also none."""
+        return cls(rows_table(rows, DETECTION_CSV_HEADER))
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.table[:, 2:5]
+
+    @property
+    def rot(self) -> np.ndarray:
+        return self.table[:, 5:14].reshape(-1, 3, 3)
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.table)
+
+    def __getitem__(self, index) -> Detections:
+        return Detections(self.table[index])
 
 
 @dataclass
@@ -151,8 +175,8 @@ def _uniform_grid(t0: float, t1: float, rate: float) -> np.ndarray:
 
 
 def segment_stream(
-    detections: Sequence[TagDetection], config: PipelineConfig | None = None
-) -> list[DetectionSegment]:
+    detections: Detections, config: PipelineConfig | None = None
+) -> list[Detections]:
     """Split a detection stream into gap-bounded segments.
 
     Rejects spurious detections whose camera-frame z jumps more than
@@ -164,43 +188,31 @@ def segment_stream(
     cfg.validate()
     if len(detections) == 0:
         raise EmptyInput("no detections")
-    times = [d.timestamp for d in detections]
-    if any(b < a for a, b in zip(times, times[1:])):
+    if np.any(np.diff(detections.t) < 0):
         raise TrackingError("detections must be sorted by timestamp")
 
-    kept: list[TagDetection] = []
+    keep = np.zeros(len(detections), dtype=bool)
     recent_z: list[float] = []
-    for det in detections:
-        z = float(det.pose.translation[2])
-        if recent_z:
-            med = statistics.median(recent_z[-5:])
-            if abs(z - med) > cfg.outlier_z_jump:
-                continue
-        kept.append(det)
+    for i, z in enumerate(detections.q[:, 2].tolist()):
+        if recent_z and abs(z - statistics.median(recent_z[-5:])) > cfg.outlier_z_jump:
+            continue
+        keep[i] = True
         recent_z.append(z)
 
-    segments: list[DetectionSegment] = []
-    run: list[TagDetection] = []
-    for det in kept:
-        if run and det.timestamp - run[-1].timestamp > cfg.max_gap:
-            if len(run) >= 2:
-                segments.append(DetectionSegment(tuple(run)))
-            run = []
-        run.append(det)
-    if len(run) >= 2:
-        segments.append(DetectionSegment(tuple(run)))
-    return segments
+    kept = detections[keep]
+    cuts = [0, *(np.flatnonzero(np.diff(kept.t) > cfg.max_gap) + 1), len(kept)]
+    return [kept[a:b] for a, b in zip(cuts, cuts[1:]) if b - a >= 2]
 
 
 def run_pipeline(
-    segment: DetectionSegment, config: PipelineConfig | None = None
+    segment: Detections, config: PipelineConfig | None = None
 ) -> np.recarray:
     states, _ = run_pipeline_detailed(segment, config)
     return states
 
 
 def run_pipeline_detailed(
-    segment: DetectionSegment, config: PipelineConfig | None = None
+    segment: Detections, config: PipelineConfig | None = None
 ) -> tuple[np.recarray, PipelineDiagnostics]:
     """Full estimation pipeline over one detection segment.
 
@@ -213,12 +225,10 @@ def run_pipeline_detailed(
     """
     cfg = config or PipelineConfig()
     cfg.validate()
-    dets = segment.detections
-    if len(dets) < 2:
+    if len(segment) < 2:
         raise SegmentTooShort("segment has fewer than 2 detections")
 
-    q = np.array([d.pose.translation for d in dets], dtype=float)
-    t = np.array([d.timestamp for d in dets], dtype=float)
+    q, t = segment.q, segment.t
 
     try:
         plane = frames.fit_plane(q)
@@ -229,7 +239,7 @@ def run_pipeline_detailed(
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
     world = (q - origin) @ r_oc.T
-    yaw = unwrap_angles([frames.extract_yaw(r_oc @ d.pose.rotation) for d in dets])
+    yaw = unwrap_angles([frames.extract_yaw(r_oc @ rot) for rot in segment.rot])
 
     rate = cfg.output_rate
     grid, x = resample_uniform(t, world[:, 0], rate)
@@ -256,10 +266,6 @@ def run_pipeline_detailed(
     return states, diag
 
 
-DETECTION_CSV_HEADER = [
-    "t", "tag_id", "tx", "ty", "tz",
-    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
-]
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
 
 
@@ -275,6 +281,11 @@ def write_rows(path, header, rows) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def rows_table(rows, header) -> np.ndarray:
+    """Rows of numbers as an ``(n, len(header))`` array, also when empty."""
+    return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def write_table(path, header, columns) -> None:
@@ -304,20 +315,12 @@ def read_table(path, header) -> np.ndarray:
     return table
 
 
-def write_detections_csv(path, detections: Sequence[TagDetection]) -> None:
-    table = np.array(
-        [[d.timestamp, d.tag_id, *d.pose.translation, *d.pose.rotation.reshape(-1)]
-         for d in detections]
-    ).reshape(-1, len(DETECTION_CSV_HEADER))
-    write_table(path, DETECTION_CSV_HEADER, table.T)
+def write_detections_csv(path, detections: Detections) -> None:
+    write_table(path, DETECTION_CSV_HEADER, detections.table.T)
 
 
-def read_detections_csv(path) -> list[TagDetection]:
-    return [
-        TagDetection(timestamp=float(row[0]), tag_id=int(row[1]),
-                     pose=Pose(row[2:5], row[5:14].reshape(3, 3)))
-        for row in read_table(path, DETECTION_CSV_HEADER)
-    ]
+def read_detections_csv(path) -> Detections:
+    return Detections(read_table(path, DETECTION_CSV_HEADER))
 
 
 def write_states_csv(path, states: np.recarray) -> None:

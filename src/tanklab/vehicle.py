@@ -10,7 +10,7 @@ z is depth, positive down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class VehicleState:
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0          # depth, positive down
-    phi: float = 0.0
-    theta: float = 0.0
     psi: float = 0.0
     u: float = 0.0
     v: float = 0.0
@@ -159,8 +157,7 @@ def step(
     elif z > p.tank_depth:
         z, w = p.tank_depth, 0.0
 
-    return replace(
-        state,
+    return VehicleState(
         x=x, y=y, z=z, psi=psi,
         u=u, v=v, w=w, r=r,
         syringe_fill=fill,

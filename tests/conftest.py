@@ -1,13 +1,24 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tanklab.frames import Pose, rot_x, rot_z, vec3
-from tanklab.tracking import TagDetection
+from tanklab.tracking import Detections
 
 
-def make_detection(t, translation, rotation, tag_id=0):
-    return TagDetection(timestamp=float(t), tag_id=tag_id,
-                        pose=Pose(np.asarray(translation, float), np.asarray(rotation, float)))
+def detection_row(t, translation, rotation, tag_id=0):
+    """One ``Detections`` table row: time, tag id, translation, rotation."""
+    return (float(t), tag_id, *np.ravel(translation), *np.ravel(rotation))
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of local modules when it collects a
+    # @given test; keep that cache in a temporary directory, not .hypothesis/
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def camera_pose(height=2.4, tilt_x=0.0, cx=2.0, cy=2.0):
@@ -23,14 +34,14 @@ def synthetic_detections(times, traj, cam_pose=None, tag_id=0):
     """
     cam = cam_pose or camera_pose()
     rc = cam.rotation
-    out = []
+    rows = []
     for t in times:
         x, y, psi = traj(t)
         p = vec3(x, y, 0.0)
         q = rc.T @ (p - cam.translation)
         r_bc = rc.T @ rot_z(psi)
-        out.append(make_detection(t, q, r_bc, tag_id))
-    return out
+        rows.append(detection_row(t, q, r_bc, tag_id))
+    return Detections.from_rows(rows)
 
 
 @pytest.fixture(scope="session")

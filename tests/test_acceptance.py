@@ -16,7 +16,7 @@ from tanklab import frames, link, scenarios, tracking, vehicle
 from tanklab.frames import PlaneCoefficients, wrap_angle
 from tanklab.metrics import circle_fit
 from tanklab.runner import run_scenario
-from tanklab.tracking import DetectionSegment, PipelineConfig, moving_average, resample_uniform
+from tanklab.tracking import PipelineConfig, moving_average, resample_uniform
 from tanklab.vehicle import estimate_plunger, ir_response, pump_step, signal_quality
 
 
@@ -68,14 +68,8 @@ def test_pipeline_oracle_equivalence():
     times = np.arange(20) / 30.0
     dets = synthetic_detections(times, traj, camera_pose(tilt_x=math.radians(2.5)))
     window, rate = 6, 30.0
-    states = tracking.run_pipeline(
-        DetectionSegment(tuple(dets)), PipelineConfig(smoothing_window=window))
-    oracle = bf.bf_pipeline(
-        [d.timestamp for d in dets],
-        [d.pose.translation for d in dets],
-        [d.pose.rotation for d in dets],
-        window, rate,
-    )
+    states = tracking.run_pipeline(dets, PipelineConfig(smoothing_window=window))
+    oracle = bf.bf_pipeline(dets.t, dets.q, dets.rot, window, rate)
     worst = 0.0
     for i, s in enumerate(states):
         worst = max(
@@ -100,7 +94,7 @@ def test_tilt_correction():
 
     times = np.arange(0, 4.0, 1 / 30)
     dets = synthetic_detections(times, traj, camera_pose(tilt_x=tilt))
-    q = np.array([d.pose.translation for d in dets])
+    q = dets.q
     plane = frames.fit_plane(q)
     normal = plane.normal / np.linalg.norm(plane.normal)
     angle_err = abs(math.acos(abs(normal[2])) - tilt)

@@ -23,43 +23,41 @@ def fresh_rng():
 class TestObserve:
     def test_noiseless_geometry_level(self):
         cam = overhead_config()
-        det = observe(VehicleState(x=2.5, y=1.0, psi=0.3), cam, TagConfig(), 1.25, fresh_rng())
-        assert det is not None
-        assert det.timestamp == 1.25
-        assert det.tag_id == 0
+        pose = observe(VehicleState(x=2.5, y=1.0, psi=0.3), cam, TagConfig(), fresh_rng())
+        assert isinstance(pose, Pose)
         # camera z looks down (+z world is down in NED), so range is +2.4
-        np.testing.assert_allclose(det.pose.translation, [0.5, -1.0, 2.4], atol=1e-12)
-        assert extract_yaw(det.pose.rotation) == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_allclose(pose.translation, [0.5, -1.0, 2.4], atol=1e-12)
+        assert extract_yaw(pose.rotation) == pytest.approx(0.3, abs=1e-12)
 
     def test_recoverable_under_tilt(self):
         # tilted camera: projecting back through the extrinsics recovers truth
         tilt = math.radians(2.5)
         cam = overhead_config(tilt_x=tilt)
         truth = VehicleState(x=1.2, y=3.0, psi=-0.7)
-        det = observe(truth, cam, TagConfig(), 0.0, fresh_rng())
-        world = cam.pose.rotation @ det.pose.translation + cam.pose.translation
+        pose = observe(truth, cam, TagConfig(), fresh_rng())
+        world = cam.pose.rotation @ pose.translation + cam.pose.translation
         np.testing.assert_allclose(world, [1.2, 3.0, 0.0], atol=1e-12)
-        r_world = cam.pose.rotation @ det.pose.rotation
+        r_world = cam.pose.rotation @ pose.rotation
         assert extract_yaw(r_world) == pytest.approx(-0.7, abs=1e-12)
 
     def test_mount_offset_applied(self):
         cam = overhead_config()
         tag = TagConfig(mount_offset=Pose(vec3(0.1, 0.0, 0.0), np.eye(3)))
-        det = observe(VehicleState(x=2.0, y=2.0, psi=math.pi / 2), cam, tag, 0.0, fresh_rng())
+        pose = observe(VehicleState(x=2.0, y=2.0, psi=math.pi / 2), cam, tag, fresh_rng())
         # offset points along body x, which is world +y at psi = pi/2;
         # camera frame swaps and negates per the level extrinsics
-        np.testing.assert_allclose(det.pose.translation, [0.0, 0.1, 2.4], atol=1e-12)
+        np.testing.assert_allclose(pose.translation, [0.0, 0.1, 2.4], atol=1e-12)
 
     def test_submerged_invisible(self):
         cam = overhead_config()
-        assert observe(VehicleState(z=0.2), cam, TagConfig(), 0.0, fresh_rng()) is None
-        assert observe(VehicleState(z=0.04), cam, TagConfig(), 0.0, fresh_rng()) is not None
+        assert observe(VehicleState(z=0.2), cam, TagConfig(), fresh_rng()) is None
+        assert observe(VehicleState(z=0.04), cam, TagConfig(), fresh_rng()) is not None
 
     def test_dropout_rate(self):
         cam = overhead_config(dropout_prob=0.3)
         rng = fresh_rng()
         n = sum(
-            observe(VehicleState(x=2, y=2), cam, TagConfig(), 0.0, rng) is not None
+            observe(VehicleState(x=2, y=2), cam, TagConfig(), rng) is not None
             for _ in range(5000)
         )
         assert n / 5000 == pytest.approx(0.7, abs=0.02)
@@ -68,16 +66,16 @@ class TestObserve:
         glare = GlareRegion(x=1.0, y=1.0, radius=0.3, dropout_prob=1.0)
         cam = overhead_config(glare_regions=(glare,))
         rng = fresh_rng()
-        assert observe(VehicleState(x=1.0, y=1.1), cam, TagConfig(), 0.0, rng) is None
-        assert observe(VehicleState(x=2.0, y=2.0), cam, TagConfig(), 0.0, rng) is not None
+        assert observe(VehicleState(x=1.0, y=1.1), cam, TagConfig(), rng) is None
+        assert observe(VehicleState(x=2.0, y=2.0), cam, TagConfig(), rng) is not None
 
     def test_translation_noise_statistics(self):
         cam = overhead_config(translation_noise_sigma=0.003)
         rng = fresh_rng()
         errs = []
         for _ in range(3000):
-            det = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), 0.0, rng)
-            errs.append(det.pose.translation - [0.5, -1.0, 2.4])
+            pose = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), rng)
+            errs.append(pose.translation - [0.5, -1.0, 2.4])
         errs = np.array(errs)
         assert np.abs(np.mean(errs, axis=0)).max() < 3e-4
         np.testing.assert_allclose(np.std(errs, axis=0), 0.003, atol=3e-4)
@@ -85,23 +83,23 @@ class TestObserve:
     def test_rotation_noise_keeps_rotation_valid(self):
         cam = overhead_config(rotation_noise_sigma=0.01)
         rng = fresh_rng()
-        det = observe(VehicleState(x=2.5, y=1.0, psi=0.4), cam, TagConfig(), 0.0, rng)
-        r = det.pose.rotation
+        pose = observe(VehicleState(x=2.5, y=1.0, psi=0.4), cam, TagConfig(), rng)
+        r = pose.rotation
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_spurious_z_outlier(self):
         cam = overhead_config(spurious_z_prob=1.0, spurious_z_offset=0.2)
-        det = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), 0.0, fresh_rng())
-        assert det.pose.translation[2] == pytest.approx(2.6, abs=1e-12)
+        pose = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), fresh_rng())
+        assert pose.translation[2] == pytest.approx(2.6, abs=1e-12)
 
     def test_deterministic_given_seed(self):
         cam = overhead_config(translation_noise_sigma=0.003, rotation_noise_sigma=0.01,
                               dropout_prob=0.02)
-        a = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), 0.0, fresh_rng())
-        b = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), 0.0, fresh_rng())
-        np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
-        np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
+        a = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), fresh_rng())
+        b = observe(VehicleState(x=2.5, y=1.0), cam, TagConfig(), fresh_rng())
+        np.testing.assert_array_equal(a.translation, b.translation)
+        np.testing.assert_array_equal(a.rotation, b.rotation)
 
 
 class TestFrameClock:

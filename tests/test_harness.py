@@ -289,6 +289,16 @@ class TestRunner:
         assert len(art.estimates) > 0
         assert art.metrics["rmse_u"] < 0.05
 
+    def test_detections_table(self):
+        # one row per detected frame, in capture order, with the configured tag id
+        s = tiny_line()
+        s.tag.tag_id = 5
+        art = run_scenario(s)
+        t = art.detections.t
+        assert 0 < len(art.detections) <= art.n_frames
+        assert np.all(np.diff(t) > 0) and t[0] >= 0.0 and t[-1] < s.duration
+        np.testing.assert_array_equal(art.detections.table[:, 1], 5)
+
     def test_start_sequence_gates_actuation(self):
         s = tiny_line()
         s.command_script = [(0.3, SetMotors(50, 50))]  # no StartSequence
@@ -341,9 +351,7 @@ class TestRunner:
     def test_seed_changes_noise(self):
         a = run_scenario(tiny_line(seed=1))
         b = run_scenario(tiny_line(seed=2))
-        ta = [d.timestamp for d in a.detections]
-        tb = [d.timestamp for d in b.detections]
-        assert ta != tb
+        assert a.detections.t.tolist() != b.detections.t.tolist()
 
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "run"
@@ -430,6 +438,14 @@ class TestCli:
         "depth_noise_sigma=-1",
         "channel.latency=-1",
         "camera.frame_rate=1000",
+        # command values the protocol cannot encode, or that do not parse
+        "command=1 start x",
+        "command=1 set_motors a b",
+        "command=1 set_motors 500 0",
+        "command=1 pump intake 99999999",
+        "command=1 start 300",
+        # a window no segment of an 8.35 s run can fill
+        "pipeline.smoothing_window=500",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),

@@ -8,19 +8,13 @@ import pytest
 import brute_force as bf
 from conftest import camera_pose, synthetic_detections
 from tanklab.frames import wrap_angle
-from tanklab.tracking import DetectionSegment, PipelineConfig, run_pipeline
+from tanklab.tracking import PipelineConfig, run_pipeline
 
 
 def check_against_oracle(dets, window=6, rate=30.0, tol=1e-9):
     cfg = PipelineConfig(smoothing_window=window, output_rate=rate)
-    states = run_pipeline(DetectionSegment(tuple(dets)), cfg)
-    oracle = bf.bf_pipeline(
-        [d.timestamp for d in dets],
-        [d.pose.translation for d in dets],
-        [d.pose.rotation for d in dets],
-        window,
-        rate,
-    )
+    states = run_pipeline(dets, cfg)
+    oracle = bf.bf_pipeline(dets.t, dets.q, dets.rot, window, rate)
     assert len(states) == len(oracle["t"])
     for i, s in enumerate(states):
         assert s.timestamp == pytest.approx(oracle["t"][i], abs=tol)

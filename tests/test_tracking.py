@@ -1,9 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from conftest import camera_pose, make_detection, synthetic_detections
+from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import rot_x, rot_z
 from tanklab.metrics import TRUTH_DTYPE
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
@@ -11,8 +12,8 @@ from tanklab.scenarios import get_scenario
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
+    Detections,
     EmptyInput,
-    DetectionSegment,
     NonMonotoneTimestamps,
     PipelineConfig,
     SegmentTooShort,
@@ -128,43 +129,101 @@ class TestResample:
             resample_uniform([0.0, 0.5, 0.5], [1, 2, 3], 30.0)
 
 
+def level_detections(times, xs=None):
+    """Identity-rotation detections 2.4 m below the camera, x from ``xs``
+    (default: the time)."""
+    xs = times if xs is None else xs
+    return Detections.from_rows(
+        [detection_row(t, [x, 0, 2.4], np.eye(3)) for t, x in zip(times, xs)])
+
+
+class TestDetections:
+    def test_views(self):
+        dets = synthetic_detections(np.arange(5) / 30, line_traj(psi=0.3), tag_id=7)
+        assert dets.table.shape == (5, len(DETECTION_CSV_HEADER))
+        assert len(dets) == 5
+        np.testing.assert_array_equal(dets.t, np.arange(5) / 30)
+        np.testing.assert_array_equal(dets.table[:, 1], 7)
+        assert dets.q.shape == (5, 3) and dets.rot.shape == (5, 3, 3)
+        np.testing.assert_array_equal(dets.rot[2].reshape(-1), dets.table[2, 5:])
+        for view in (dets.t, dets.q, dets.rot):
+            assert np.shares_memory(view, dets.table)
+
+    def test_slice_and_mask(self):
+        dets = level_detections(np.arange(6) / 30)
+        head = dets[:4]
+        assert isinstance(head, Detections) and len(head) == 4
+        odd = dets[np.arange(6) % 2 == 1]
+        np.testing.assert_array_equal(odd.t, dets.t[1::2])
+
+    def test_empty(self):
+        dets = Detections.from_rows([])
+        assert len(dets) == 0 and not dets
+        assert dets.q.shape == (0, 3) and dets.rot.shape == (0, 3, 3)
+
+
 class TestSegmentStream:
     def test_single_segment(self):
-        dets = [make_detection(i / 30, [i * 0.01, 0, 2.4], np.eye(3)) for i in range(30)]
+        dets = level_detections(np.arange(30) / 30, np.arange(30) * 0.01)
         segs = segment_stream(dets)
         assert len(segs) == 1
         assert len(segs[0]) == 30
+        assert isinstance(segs[0], Detections)
 
     def test_split_on_gap(self):
-        dets = [make_detection(t, [t, 0, 2.4], np.eye(3))
-                for t in [0.0, 0.05, 0.1, 0.5, 0.55, 0.6]]
-        segs = segment_stream(dets)
+        segs = segment_stream(level_detections([0.0, 0.05, 0.1, 0.5, 0.55, 0.6]))
         assert [len(s) for s in segs] == [3, 3]
+        np.testing.assert_array_equal(segs[1].t, [0.5, 0.55, 0.6])
 
     def test_drops_short_runs(self):
-        dets = [make_detection(t, [t, 0, 2.4], np.eye(3))
-                for t in [0.0, 0.05, 1.0, 2.0, 2.05]]
-        segs = segment_stream(dets)
+        segs = segment_stream(level_detections([0.0, 0.05, 1.0, 2.0, 2.05]))
         assert [len(s) for s in segs] == [2, 2]
 
     def test_rejects_spurious_z(self):
-        dets = [make_detection(i / 30, [i * 0.01, 0, 2.4], np.eye(3)) for i in range(20)]
-        bad = make_detection(10.5 / 30, [0.105, 0, 2.6], np.eye(3))
-        mixed = sorted(dets + [bad], key=lambda d: d.timestamp)
+        rows = [detection_row(i / 30, [i * 0.01, 0, 2.4], np.eye(3)) for i in range(20)]
+        bad = detection_row(10.5 / 30, [0.105, 0, 2.6], np.eye(3))
+        mixed = Detections.from_rows(sorted(rows + [bad]))
         segs = segment_stream(mixed)
         assert len(segs) == 1
         assert len(segs[0]) == 20
-        assert all(abs(d.pose.translation[2] - 2.4) < 0.01 for d in segs[0].detections)
+        assert np.all(np.abs(segs[0].q[:, 2] - 2.4) < 0.01)
+
+    def test_matches_loop_reference(self):
+        # a stream with gaps and z outliers, against the per-detection loop:
+        # running-median z gate, then a new run wherever the gap exceeds max_gap
+        cfg = PipelineConfig()
+        rng = np.random.default_rng(4)
+        n = 400
+        t = np.cumsum(rng.choice([1 / 30, 0.2, 0.3, 1.0], size=n, p=[0.9, 0.04, 0.04, 0.02]))
+        outlier = rng.choice([0.0, 0.2, -0.1], size=n, p=[0.9, 0.05, 0.05])
+        outlier[0] = 0.0  # a first-detection outlier would gate out the rest
+        z = 2.4 + outlier + rng.normal(0, 0.005, n)
+        dets = Detections.from_rows(
+            [detection_row(ti, [ti, 0, zi], np.eye(3)) for ti, zi in zip(t, z)])
+
+        kept, recent_z = [], []
+        for ti, zi in zip(t.tolist(), z.tolist()):
+            if recent_z and abs(zi - statistics.median(recent_z[-5:])) > cfg.outlier_z_jump:
+                continue
+            kept.append(ti)
+            recent_z.append(zi)
+        runs = [[kept[0]]]
+        for prev, ti in zip(kept, kept[1:]):
+            if ti - prev > cfg.max_gap:
+                runs.append([])
+            runs[-1].append(ti)
+        expected = [run for run in runs if len(run) >= 2]
+
+        assert n - 60 < len(kept) < n and len(expected) > 3
+        assert [seg.t.tolist() for seg in segment_stream(dets, cfg)] == expected
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            segment_stream([])
+            segment_stream(Detections.from_rows([]))
 
     def test_unsorted_raises(self):
-        dets = [make_detection(1.0, [0, 0, 2.4], np.eye(3)),
-                make_detection(0.5, [0, 0, 2.4], np.eye(3))]
         with pytest.raises(TrackingError):
-            segment_stream(dets)
+            segment_stream(level_detections([1.0, 0.5]))
 
 
 def line_traj(speed=0.4, psi=0.0):
@@ -186,7 +245,7 @@ class TestPipeline:
 
         times = np.arange(0, 4.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         mid = states[len(states) // 3 : -len(states) // 3]
         for s in mid:
             assert s.u == pytest.approx(speed, abs=0.01)
@@ -196,7 +255,7 @@ class TestPipeline:
     def test_first_sample_at_origin(self):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         assert states[0].timestamp == pytest.approx(times[0], abs=1e-12)
         assert states[0].x == pytest.approx(0.0, abs=1e-12)
         assert states[0].y == pytest.approx(0.0, abs=1e-12)
@@ -211,8 +270,8 @@ class TestPipeline:
 
         level = synthetic_detections(times, traj, camera_pose(tilt_x=0.0))
         tilted = synthetic_detections(times, traj, camera_pose(tilt_x=math.radians(4.0)))
-        s_level = run_pipeline(DetectionSegment(tuple(level)))
-        s_tilt = run_pipeline(DetectionSegment(tuple(tilted)))
+        s_level = run_pipeline(level)
+        s_tilt = run_pipeline(tilted)
         for a, b in zip(s_level, s_tilt):
             assert math.hypot(a.u, a.v) == pytest.approx(math.hypot(b.u, b.v), abs=1e-6)
 
@@ -227,15 +286,16 @@ class TestPipeline:
 
         times = np.arange(0, 10.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         mid = states[len(states) // 3 : -len(states) // 3]
         for s in mid:
             assert abs(abs(s.r) - omega) < 0.01
             assert abs(s.u) == pytest.approx(omega * radius, abs=0.01)
 
     def test_stationary_stream_zero_velocity(self):
-        dets = [make_detection(i / 30, [0.5, 0.5, 2.4], rot_z(0.3)) for i in range(40)]
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        dets = Detections.from_rows(
+            [detection_row(i / 30, [0.5, 0.5, 2.4], rot_z(0.3)) for i in range(40)])
+        states = run_pipeline(dets)
         for s in states:
             assert abs(s.u) < 1e-9 and abs(s.v) < 1e-9 and abs(s.r) < 1e-9
 
@@ -247,16 +307,16 @@ class TestPipeline:
             return 1.0 + 0.3 * t, 1.0 + 0.05 * math.sin(2 * t), 0.0
 
         dets = synthetic_detections(times, traj, camera_pose(tilt_x=tilt))
-        _, diag = run_pipeline_detailed(DetectionSegment(tuple(dets)))
+        _, diag = run_pipeline_detailed(dets)
         normal = diag.plane.normal / np.linalg.norm(diag.plane.normal)
         angle = math.acos(abs(normal[2]))
         assert angle == pytest.approx(tilt, abs=1e-9)
         assert diag.first_timestamp == times[0]
 
     def test_segment_too_short(self):
-        dets = [make_detection(i / 30, [i * 0.01, 0, 2.4], np.eye(3)) for i in range(10)]
+        dets = level_detections(np.arange(10) / 30, np.arange(10) * 0.01)
         with pytest.raises(SegmentTooShort):
-            run_pipeline(DetectionSegment(tuple(dets)))
+            run_pipeline(dets)
 
     def test_psi_wrapped(self):
         def traj(t):
@@ -264,31 +324,29 @@ class TestPipeline:
 
         times = np.arange(0, 12.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         assert all(-math.pi < s.psi <= math.pi for s in states)
 
 
 class TestCsvRoundTrip:
     def test_detections(self, tmp_path, rng):
-        dets = [
-            make_detection(i / 30 + rng.normal(0, 1e-4), rng.normal(size=3),
-                           rot_z(rng.uniform(-3, 3)) @ rot_x(0.05), tag_id=3)
+        dets = Detections.from_rows([
+            detection_row(i / 30 + rng.normal(0, 1e-4), rng.normal(size=3),
+                          rot_z(rng.uniform(-3, 3)) @ rot_x(0.05), tag_id=3)
             for i in range(10)
-        ]
+        ])
         path = tmp_path / "d.csv"
         write_detections_csv(path, dets)
         back = read_detections_csv(path)
-        assert len(back) == len(dets)
-        for a, b in zip(dets, back):
-            assert b.timestamp == pytest.approx(a.timestamp, abs=1e-10)
-            assert b.tag_id == a.tag_id
-            np.testing.assert_allclose(b.pose.translation, a.pose.translation, atol=1e-10)
-            np.testing.assert_allclose(b.pose.rotation, a.pose.rotation, atol=1e-10)
+        assert isinstance(back, Detections)
+        assert back.table.shape == dets.table.shape
+        np.testing.assert_array_equal(back.table[:, 1], 3)
+        np.testing.assert_allclose(back.table, dets.table, atol=1e-10)
 
     def test_states(self, tmp_path):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         path = tmp_path / "s.csv"
         write_states_csv(path, states)
         back = read_states_csv(path)
@@ -299,7 +357,7 @@ class TestCsvRoundTrip:
     def test_states_byte_stable(self, tmp_path):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(DetectionSegment(tuple(dets)))
+        states = run_pipeline(dets)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_states_csv(p1, states)
         write_states_csv(p2, states)
