@@ -8,11 +8,9 @@ position.
 
 import math
 
+from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     ActuatorCommand,
-    PUMP_EXPEL,
-    PUMP_INTAKE,
-    PUMP_OFF,
     VehicleParams,
     VehicleState,
     estimate_plunger,
@@ -39,14 +37,15 @@ def main():
     # buoyancy cycle: fill the syringe, sink, expel, rise
     state = VehicleState()
     t = 0.0
-    phase = [(PUMP_INTAKE, 8.0), (PUMP_OFF, 12.0), (PUMP_EXPEL, 15.0), (PUMP_OFF, 20.0)]
+    phase = [("intake", PUMP_MODE_INTAKE, 8.0), ("off", PUMP_MODE_OFF, 12.0),
+             ("expel", PUMP_MODE_EXPEL, 15.0), ("off", PUMP_MODE_OFF, 20.0)]
     print("\nbuoyancy cycle (pump at %.0f mL/min):" % p.pump_max_rate)
-    for pump, duration in phase:
+    for name, pump, duration in phase:
         for _ in range(int(duration / DT)):
             state = step(state, ActuatorCommand(pump=pump), DT, p)
             t += duration and DT
         print("  t=%5.1f s  pump=%-6s  fill=%5.2f mL  depth=%.3f m"
-              % (t, pump, state.syringe_fill, state.z))
+              % (t, name, state.syringe_fill, state.z))
 
     # IR plunger feedback
     print("\nIR plunger estimate (ambient 0.05):")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import link, metrics as metrics_mod, tracking, vehicle as vehicle_mod
 from .camera import frame_clock, observe
 from .link import (
+    PUMP_MODE_OFF,
     Channel,
     Pump,
     SetMotors,
@@ -37,13 +39,10 @@ from .metrics import (
     truth_series,
 )
 from .scenarios import Scenario
-from .tracking import (STATE_DTYPE, Detections, PipelineDiagnostics, fmt, read_table,
-                       rows_table, write_rows, write_table)
+from .tracking import (DETECTION_CSV_HEADER, STATE_DTYPE, Detections, PipelineDiagnostics,
+                       fmt, read_table, rows_table, write_rows, write_table)
 from .vehicle import (
     ActuatorCommand,
-    PUMP_OFF,
-    PUMP_EXPEL,
-    PUMP_INTAKE,
     VehicleState,
     depth_reading,
     estimate_plunger,
@@ -51,13 +50,15 @@ from .vehicle import (
     signal_quality,
 )
 
-_PUMP_MODE_NAMES = {
-    link.PUMP_MODE_OFF: PUMP_OFF,
-    link.PUMP_MODE_INTAKE: PUMP_INTAKE,
-    link.PUMP_MODE_EXPEL: PUMP_EXPEL,
-}
-
 R_HYSTERESIS = 0.05  # rad/s, for zig-zag turn counting
+
+# One row per scored pipeline segment: index, first and last estimate time,
+# then the segment's FrameAlignment (truth origin, row-major rotation).
+ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
+                    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
+# One row per telemetry frame received: arrival time, then the message fields.
+TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
+                    "fill_est_tenth_ml", "flags"]
 
 
 @dataclass
@@ -71,21 +72,17 @@ class CommandLogEntry:
 
 @dataclass
 class RunArtifacts:
+    """A run's record.  Each numeric field is the table its CSV holds."""
+
     scenario: Scenario
-    truth: np.recarray                     # TRUTH_DTYPE, one record per step
+    truth: np.recarray        # TRUTH_DTYPE, one record per step
     detections: Detections
-    estimate_segments: list[np.recarray]   # one state series per segment
-    alignments: list[FrameAlignment]
+    estimates: np.recarray    # STATE_DTYPE, every segment's states in time order
+    alignments: np.ndarray    # (n, 15), ALIGNMENT_HEADER, one row per segment
+    telemetry: np.ndarray     # (n, 13), TELEMETRY_HEADER, one row per frame received
     metrics: dict[str, float]
     command_log: list[CommandLogEntry]
-    telemetry_log: list[tuple[float, Telemetry]]
     n_frames: int
-
-    @property
-    def estimates(self) -> np.recarray:
-        """Every segment's states, in time order, as one state series."""
-        empty = np.empty(0, dtype=STATE_DTYPE)
-        return np.concatenate([empty, *self.estimate_segments]).view(np.recarray)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts:
@@ -114,18 +111,18 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     started = False
     motor_left = 0.0
     motor_right = 0.0
-    pump_mode = PUMP_OFF
+    pump_mode = PUMP_MODE_OFF
     pump_until = -1.0
 
     command_log: list[CommandLogEntry] = []
-    telemetry_log: list[tuple[float, Telemetry]] = []
+    # the downlink's latency is constant, so frames arrive in the order sent
+    in_flight: deque[CommandLogEntry] = deque()
     detection_rows: list[tuple] = []
+    telemetry_rows: list[tuple] = []
     truth_rows: list[tuple] = []
     frame_idx = 0
     telemetry_period = 1.0 / s.telemetry_rate
     next_telemetry = 0.0
-    seq = 0
-    inflight: dict[int, CommandLogEntry] = {}
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -146,22 +143,19 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
         # ground station sends scripted commands
         while script_idx < len(script) and script[script_idx][0] <= t:
-            t_cmd, msg = script[script_idx]
+            msg = script[script_idx][1]
             script_idx += 1
             entry = CommandLogEntry(t_sent=t, message=msg, status="lost",
                                     depth_at_send=state.z)
-            frame = encode(msg) + seq.to_bytes(4, "big")  # trailer tags the log entry
-            if downlink.send(frame, t, state.z):
+            if downlink.send(encode(msg), t, state.z):
                 entry.status = "pending"
-                inflight[seq] = entry
+                in_flight.append(entry)
             command_log.append(entry)
-            seq += 1
 
         # commands arriving at the vehicle
         for frame in downlink.poll(t):
-            tag_id = int.from_bytes(frame[-4:], "big")
-            msg = decode(frame[:-4])
-            entry = inflight.pop(tag_id, None)
+            msg = decode(frame)
+            entry = in_flight.popleft()
             applied = True
             if isinstance(msg, StartSequence):
                 started = True
@@ -171,11 +165,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
                 motor_left = msg.left / 100.0
                 motor_right = msg.right / 100.0
             elif isinstance(msg, Pump):
-                pump_mode = _PUMP_MODE_NAMES[msg.mode]
+                pump_mode = msg.mode
                 pump_until = t + msg.duration_ms / 1000.0
-            if entry is not None:
-                entry.status = "applied" if applied else "ignored"
-                entry.t_applied = t if applied else None
+            entry.status = "applied" if applied else "ignored"
+            entry.t_applied = t if applied else None
 
         # vehicle telemetry uplink
         if t + 1e-12 >= next_telemetry:
@@ -199,45 +192,47 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             )
             uplink.send(encode(msg), t, state.z)
         for frame in uplink.poll(t):
-            telemetry_log.append((t, decode(frame)))
+            msg = decode(frame)
+            telemetry_rows.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
 
-        if pump_mode != PUMP_OFF and t >= pump_until:
-            pump_mode = PUMP_OFF
+        if pump_mode != PUMP_MODE_OFF and t >= pump_until:
+            pump_mode = PUMP_MODE_OFF
         cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
         state = vehicle_mod.step(state, cmd, dt, params)
 
-    for entry in inflight.values():
+    for entry in in_flight:
         entry.status = "lost"  # still in the air when the run ended
 
     truth = truth_series(truth_rows)
     detections = Detections.from_rows(detection_rows)
 
     segments = tracking.segment_stream(detections, s.pipeline) if detections else []
-    estimate_segments: list[np.recarray] = []
-    alignments: list[FrameAlignment] = []
+    segment_states = [np.empty(0, dtype=STATE_DTYPE)]
+    alignment_rows: list[list[float]] = []
     for seg in segments:
         try:
             states, diag = tracking.run_pipeline_detailed(seg, s.pipeline)
         except tracking.SegmentTooShort:
             continue
-        estimate_segments.append(states)
-        alignments.append(_alignment(truth, diag, cam.pose.rotation))
-
-    run_metrics = score_run(
-        truth, estimate_segments, alignments,
-        s.pipeline.smoothing_window, s.pipeline.output_rate,
-        len(detections), len(frame_times),
-    )
+        segment_states.append(states)
+        alignment_rows.append(
+            _alignment(len(alignment_rows), states, truth, diag, cam.pose.rotation))
+    estimates = np.concatenate(segment_states).view(np.recarray)
+    alignments = rows_table(alignment_rows, ALIGNMENT_HEADER)
 
     artifacts = RunArtifacts(
         scenario=s,
         truth=truth,
         detections=detections,
-        estimate_segments=estimate_segments,
+        estimates=estimates,
         alignments=alignments,
-        metrics=run_metrics,
+        telemetry=rows_table(telemetry_rows, TELEMETRY_HEADER),
+        metrics=score_run(
+            truth, estimates, alignments,
+            s.pipeline.smoothing_window, s.pipeline.output_rate,
+            len(detections), len(frame_times),
+        ),
         command_log=command_log,
-        telemetry_log=telemetry_log,
         n_frames=len(frame_times),
     )
     if out_dir is not None:
@@ -246,20 +241,25 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
 
 def _alignment(
-    truth: np.recarray, diag: PipelineDiagnostics, cam_rotation: np.ndarray
-) -> FrameAlignment:
+    index: int,
+    states: np.recarray,
+    truth: np.recarray,
+    diag: PipelineDiagnostics,
+    cam_rotation: np.ndarray,
+) -> list[float]:
+    """The ``ALIGNMENT_HEADER`` row of one segment's states: truth at its
+    first detection is the origin, and the fitted camera-to-world basis
+    composed with the camera extrinsics is the rotation."""
     rot = diag.rotation @ cam_rotation.T
     t0 = diag.first_timestamp
-    origin = np.array(
-        [np.interp(t0, truth.t, truth[name]) for name in ("x", "y", "z")]
-    )
-    return FrameAlignment(rotation=rot, origin_xyz=origin)
+    origin = [np.interp(t0, truth.t, truth[name]) for name in ("x", "y", "z")]
+    return [index, states.timestamp[0], states.timestamp[-1], *origin, *rot.reshape(-1)]
 
 
 def score_run(
     truth: np.recarray,
-    segments: list[np.recarray],
-    alignments: list[FrameAlignment],
+    estimates: np.recarray,
+    alignments: np.ndarray,
     smoothing_window: int,
     output_rate: float,
     n_detections: int,
@@ -267,14 +267,18 @@ def score_run(
 ) -> dict[str, float]:
     """Score a run: RMSE over every segment's residuals, pooled, plus counters.
 
-    ``segments`` are the pipeline's state series, one per detection segment,
-    and ``alignments`` map truth into each one's frame.  ``run_scenario``
-    scores its in-memory segments here and ``recompute_metrics`` the ones
-    it loads from a run directory, so both give the same keys.
+    ``estimates`` holds every segment's states in time order and
+    ``alignments`` one ``ALIGNMENT_HEADER`` row per segment; the states are
+    split after each row's ``t_end``, and the row maps truth into that
+    segment's frame.  ``run_scenario`` scores its tables here and
+    ``recompute_metrics`` the same tables read from a run directory.
     """
+    ends = np.searchsorted(estimates.timestamp, alignments[:, 2], side="right")
     out: dict[str, float] = {}
     pooled: dict[str, list[np.ndarray]] = {}
-    for states, align in zip(segments, alignments):
+    for a, b, row in zip([0, *ends], ends, alignments):
+        states = estimates[a:b]
+        align = FrameAlignment(row[6:15].reshape(3, 3), row[3:6])
         try:
             res = residuals(truth, states, align, smoothing_window, output_rate)
         except metrics_mod.NoOverlap:
@@ -285,26 +289,20 @@ def score_run(
         merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
         out.update(metrics_from_residuals(merged))
 
-    out["n_segments"] = float(len(segments))
+    out["n_segments"] = float(len(alignments))
     out["n_detections"] = float(n_detections)
     out["n_frames"] = float(n_frames)
     out["detection_coverage"] = n_detections / n_frames if n_frames else 0.0
     out["path_length_truth"] = path_length(truth.x, truth.y)
     out["max_depth_truth"] = float(np.max(truth.z))
     out["depth_reversals_truth"] = float(count_reversals(truth.z))
-    if segments:
-        r = np.concatenate([states.r for states in segments])
-        out["r_sign_changes_est"] = float(count_sign_changes(r.tolist(), R_HYSTERESIS))
+    if len(alignments):
+        out["r_sign_changes_est"] = float(count_sign_changes(estimates.r.tolist(), R_HYSTERESIS))
     return out
 
 
 # ---------------------------------------------------------------------------
 # artifact persistence
-
-ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
-                    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
-TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
-                    "fill_est_tenth_ml", "flags"]
 
 
 def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
@@ -312,8 +310,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
         return os.path.join(out_dir, *names)
 
     os.makedirs(path("plotdata"), exist_ok=True)
-    truth = art.truth
-    estimates = art.estimates
+    truth, estimates, telemetry = art.truth, art.estimates, art.telemetry
 
     write_table(path("truth.csv"), TRUTH_DTYPE.names,
                 (truth[name] for name in TRUTH_DTYPE.names))
@@ -335,13 +332,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
-    alignments = rows_table(
-        [[i, states.timestamp[0], states.timestamp[-1], *align.origin_xyz,
-          *align.rotation.reshape(-1)]
-         for i, (states, align) in enumerate(zip(art.estimate_segments, art.alignments))],
-        ALIGNMENT_HEADER,
-    )
-    write_table(path("alignments.csv"), ALIGNMENT_HEADER, alignments.T)
+    write_table(path("alignments.csv"), ALIGNMENT_HEADER, art.alignments.T)
     write_rows(
         path("command_log.csv"),
         ["t_sent", "message", "status", "t_applied", "depth_at_send"],
@@ -350,11 +341,6 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
              "" if e.t_applied is None else fmt(e.t_applied), fmt(e.depth_at_send)]
             for e in art.command_log
         ),
-    )
-    telemetry = rows_table(
-        [[t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags]
-         for t, msg in art.telemetry_log],
-        TELEMETRY_HEADER,
     )
     write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry.T)
 
@@ -373,26 +359,17 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:
-    """Re-score a run directory's CSV artifacts with ``score_run``.
-
-    ``estimates.csv`` holds every segment's states in time order; it is
-    split after each segment's ``t_end`` in ``alignments.csv``.
-    """
+    """Re-score a run directory: ``score_run`` on the tables it holds."""
     def path(name):
         return os.path.join(run_dir, name)
 
     with open(path("meta.csv"), newline="") as fh:
         meta = dict(list(csv.reader(fh))[1:])
-    n_detections = len(read_table(path("detections.csv"), tracking.DETECTION_CSV_HEADER))
-    rows = read_table(path("alignments.csv"), ALIGNMENT_HEADER)
-    truth = truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names))
-    estimates = tracking.read_states_csv(path("estimates.csv"))
-
-    ends = np.searchsorted(estimates.timestamp, rows[:, 2], side="right")
-    segments = [estimates[a:b] for a, b in zip([0, *ends], ends)]
-    alignments = [FrameAlignment(row[6:15].reshape(3, 3), row[3:6]) for row in rows]
     return score_run(
-        truth, segments, alignments,
+        truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names)),
+        tracking.read_states_csv(path("estimates.csv")),
+        read_table(path("alignments.csv"), ALIGNMENT_HEADER),
         int(meta["smoothing_window"]), float(meta["output_rate"]),
-        n_detections, int(meta["n_frames"]),
+        len(read_table(path("detections.csv"), DETECTION_CSV_HEADER)),
+        int(meta["n_frames"]),
     )

@@ -182,7 +182,10 @@ def segment_stream(
     Rejects spurious detections whose camera-frame z jumps more than
     ``outlier_z_jump`` from the running median of the previous five kept
     detections, then splits wherever the inter-detection gap exceeds
-    ``max_gap``.  Segments shorter than two detections are dropped.
+    ``max_gap``.  Until a detection is kept, the reference is the median z
+    of the first five detections, so a spurious first detection is rejected
+    rather than kept as the reference for every later one.  Segments
+    shorter than two detections are dropped.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
@@ -192,9 +195,11 @@ def segment_stream(
         raise TrackingError("detections must be sorted by timestamp")
 
     keep = np.zeros(len(detections), dtype=bool)
+    zs = detections.q[:, 2].tolist()
     recent_z: list[float] = []
-    for i, z in enumerate(detections.q[:, 2].tolist()):
-        if recent_z and abs(z - statistics.median(recent_z[-5:])) > cfg.outlier_z_jump:
+    for i, z in enumerate(zs):
+        ref = statistics.median(recent_z[-5:] or zs[:5])
+        if abs(z - ref) > cfg.outlier_z_jump:
             continue
         keep[i] = True
         recent_z.append(z)

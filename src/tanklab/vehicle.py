@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
+
 GRAVITY = 9.80665          # m/s^2
 WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
 MAX_DT = 0.05              # s, longest step the explicit integrator accepts
-
-PUMP_OFF = "off"
-PUMP_INTAKE = "intake"
-PUMP_EXPEL = "expel"
 
 
 class VehicleError(ValueError):
@@ -87,7 +85,7 @@ class VehicleState:
 class ActuatorCommand:
     motor_left: float = 0.0              # normalized [-1, 1]
     motor_right: float = 0.0
-    pump: str = PUMP_OFF
+    pump: int = PUMP_MODE_OFF            # link.PUMP_MODE_*
 
 
 @dataclass(frozen=True)
@@ -102,14 +100,15 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def pump_step(fill: float, pump_cmd: str, dt: float, params: VehicleParams) -> float:
-    """Advance syringe fill by one step; saturates at the syringe limits."""
+def pump_step(fill: float, pump_cmd: int, dt: float, params: VehicleParams) -> float:
+    """Advance syringe fill by one step under a ``link.PUMP_MODE_*`` code;
+    saturates at the syringe limits."""
     rate = params.pump_max_rate / 60.0   # mL/s
-    if pump_cmd == PUMP_INTAKE:
+    if pump_cmd == PUMP_MODE_INTAKE:
         fill += rate * dt
-    elif pump_cmd == PUMP_EXPEL:
+    elif pump_cmd == PUMP_MODE_EXPEL:
         fill -= rate * dt
-    elif pump_cmd != PUMP_OFF:
+    elif pump_cmd != PUMP_MODE_OFF:
         raise VehicleError("unknown pump command %r" % pump_cmd)
     return _clamp(fill, 0.0, params.syringe_capacity)
 

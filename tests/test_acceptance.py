@@ -153,7 +153,7 @@ def test_buoyancy():
     dt = 1.0 / 240.0
     fill, steps = 0.0, 0
     while fill < params.syringe_capacity:
-        fill = pump_step(fill, vehicle.PUMP_INTAKE, dt, params)
+        fill = pump_step(fill, link.PUMP_MODE_INTAKE, dt, params)
         steps += 1
     fill_time_ok = abs(steps * dt - 15.0) <= dt + 1e-12
 

@@ -1,11 +1,12 @@
-"""Property tests on the two parsers that take outside input: the radio
-frame scanner and the scenario-file settings.
+"""Property tests on the two parsers that take outside input, the radio
+frame scanner and the scenario-file settings, and on the radio channel.
 
 Derandomized and without an example database, so every run draws the same
 examples (``conftest.py`` keeps Hypothesis's constants cache out of the
 tree as well).
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
@@ -88,3 +89,34 @@ def test_parse_command_raises_only_config_error(text):
     except ConfigError:
         return
     link.encode(msg)  # whatever parses, the protocol can carry
+
+
+# each send: gap since the previous send (s), vehicle depth (m, across the
+# attenuation band), and whether the receiver polls right after it
+sends = st.lists(
+    st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.5), st.booleans()), max_size=40)
+
+
+@FUZZ
+@given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), sends)
+def test_channel_delivers_accepted_frames_in_send_order(latency, seed, sends):
+    channel = link.Channel(link.ChannelConfig(latency=latency), np.random.default_rng(seed))
+    t = 0.0
+    accepted: dict[bytes, float] = {}  # frame -> send time, in send order
+    delivered: list[tuple[bytes, float]] = []  # frame, poll time
+
+    def poll(at):
+        delivered.extend((frame, at) for frame in channel.poll(at))
+
+    for i, (gap, depth, poll_now) in enumerate(sends):
+        t += gap
+        frame = i.to_bytes(2, "big")
+        if channel.send(frame, t, depth):
+            accepted[frame] = t
+        if poll_now:
+            poll(t)
+    poll(t + latency)
+
+    # every accepted frame once, in send order, and no rejected frame
+    assert [frame for frame, _ in delivered] == list(accepted)
+    assert all(at >= accepted[frame] + latency for frame, at in delivered)

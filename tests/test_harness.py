@@ -17,7 +17,7 @@ from tanklab.metrics import (
     truth_in_estimate_frame,
     truth_series,
 )
-from tanklab.runner import recompute_metrics, run_scenario, score_run
+from tanklab.runner import TELEMETRY_HEADER, recompute_metrics, run_scenario, score_run
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -113,8 +113,10 @@ def constant_states(times, **channels):
 
 
 def score_one(truth, states, window=12, rate=30.0):
-    """Score one segment seen in the truth frame."""
-    return score_run(truth, [states], [FrameAlignment.identity()], window, rate,
+    """Score one segment seen in the truth frame: one identity alignment row."""
+    t = states.timestamp
+    alignment = [[0, t[0], t[-1], 0.0, 0.0, 0.0, *np.eye(3).flat]]
+    return score_run(truth, states, np.array(alignment), window, rate,
                      n_detections=0, n_frames=0)
 
 
@@ -336,17 +338,17 @@ class TestRunner:
 
     def test_telemetry_flags(self):
         art = run_scenario(tiny_line())
-        assert art.telemetry_log, "expected telemetry on the surface"
-        t0, msg = art.telemetry_log[0]
-        assert msg.flags & 0x01  # fill estimate valid at low ambient
-        assert abs(msg.fill_est_tenth_ml / 10.0 - 12.5) < 0.5
+        assert len(art.telemetry), "expected telemetry on the surface"
+        first = dict(zip(TELEMETRY_HEADER, art.telemetry[0]))
+        assert int(first["flags"]) & 0x01  # fill estimate valid at low ambient
+        assert abs(first["fill_est_tenth_ml"] / 10.0 - 12.5) < 0.5
 
     def test_telemetry_degraded_under_glare(self):
         s = tiny_line()
         s.ambient_ir = 0.95
         art = run_scenario(s)
-        for _, msg in art.telemetry_log:
-            assert not (msg.flags & 0x01) or (msg.flags & 0x02)
+        for flags in art.telemetry[:, TELEMETRY_HEADER.index("flags")].astype(int):
+            assert not (flags & 0x01) or (flags & 0x02)
 
     def test_seed_changes_noise(self):
         a = run_scenario(tiny_line(seed=1))

@@ -188,6 +188,17 @@ class TestSegmentStream:
         assert len(segs[0]) == 20
         assert np.all(np.abs(segs[0].q[:, 2] - 2.4) < 0.01)
 
+    def test_first_detection_outlier(self):
+        # a spurious first detection must not become the gate's reference
+        rng = np.random.default_rng(11)
+        t = np.arange(60) / 30
+        z = 2.4 + rng.normal(0, 0.005, 60)
+        z[0] += 0.2
+        dets = Detections.from_rows(
+            [detection_row(ti, [ti, 0, zi], np.eye(3)) for ti, zi in zip(t, z)])
+        segs = segment_stream(dets)
+        assert [seg.t.tolist() for seg in segs] == [t[1:].tolist()]
+
     def test_matches_loop_reference(self):
         # a stream with gaps and z outliers, against the per-detection loop:
         # running-median z gate, then a new run wherever the gap exceeds max_gap

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     GRAVITY,
-    PUMP_EXPEL,
-    PUMP_INTAKE,
-    PUMP_OFF,
     WATER_DENSITY,
     ActuatorCommand,
     InvalidDt,
@@ -46,7 +44,7 @@ class TestParams:
 class TestPump:
     def test_rate(self):
         # 100 mL/min -> exactly 1/6 mL per 0.1 s
-        fill = pump_step(12.5, PUMP_INTAKE, 0.1, VehicleParams())
+        fill = pump_step(12.5, PUMP_MODE_INTAKE, 0.1, VehicleParams())
         assert fill == pytest.approx(12.5 + 100.0 / 600.0, abs=1e-12)
 
     def test_full_stroke_duration(self):
@@ -54,21 +52,21 @@ class TestPump:
         p = VehicleParams()
         fill, t = 0.0, 0.0
         while fill < p.syringe_capacity:
-            fill = pump_step(fill, PUMP_INTAKE, DT, p)
+            fill = pump_step(fill, PUMP_MODE_INTAKE, DT, p)
             t += DT
         assert t == pytest.approx(15.0, abs=2 * DT)
 
     def test_saturation(self):
         p = VehicleParams()
-        assert pump_step(24.999, PUMP_INTAKE, 1.0, p) == 25.0
-        assert pump_step(0.001, PUMP_EXPEL, 1.0, p) == 0.0
+        assert pump_step(24.999, PUMP_MODE_INTAKE, 1.0, p) == 25.0
+        assert pump_step(0.001, PUMP_MODE_EXPEL, 1.0, p) == 0.0
 
     def test_off_is_identity(self):
-        assert pump_step(7.0, PUMP_OFF, 1.0, VehicleParams()) == 7.0
+        assert pump_step(7.0, PUMP_MODE_OFF, 1.0, VehicleParams()) == 7.0
 
     def test_unknown_command(self):
         with pytest.raises(VehicleError):
-            pump_step(7.0, "purge", DT, VehicleParams())
+            pump_step(7.0, 3, DT, VehicleParams())  # not a PUMP_MODE_* code
 
 
 class TestStep:
