@@ -11,15 +11,14 @@ between ``d0`` (full delivery) and ``d1`` (radio blackout).
 
 from __future__ import annotations
 
-import heapq
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 SYNC = b"\xaa\x55"
-MAX_PAYLOAD = 64
 
 MSG_SET_MOTORS = 0x01
 MSG_PUMP = 0x02
@@ -35,10 +34,6 @@ FLAG_IR_DEGRADED = 0x02
 
 
 class LinkError(ValueError):
-    pass
-
-
-class PayloadTooLong(LinkError):
     pass
 
 
@@ -137,8 +132,6 @@ def _payload(msg: Message) -> tuple[int, bytes]:
 
 def encode(msg: Message) -> bytes:
     msg_type, payload = _payload(msg)
-    if len(payload) > MAX_PAYLOAD:
-        raise PayloadTooLong("payload of %d bytes exceeds %d" % (len(payload), MAX_PAYLOAD))
     body = bytes([msg_type, len(payload)]) + payload
     return SYNC + body + struct.pack(">H", crc16(body))
 
@@ -248,26 +241,30 @@ def deliver(
 
 
 class Channel:
-    """Latency queue over the lossy link; single-threaded."""
+    """Latency queue over the lossy link; single-threaded.  Latency is
+    constant and send times may not decrease, so items arrive in send order."""
 
     def __init__(self, cfg: ChannelConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
-        self._queue: list[tuple[float, int, bytes]] = []
-        self._seq = 0
+        self._queue: deque[tuple[float, object]] = deque()
+        self._last_send = float("-inf")
 
-    def send(self, frame: bytes, t: float, vehicle_depth: float) -> bool:
-        """Submit a frame at time t; returns False when lost in transit."""
-        if deliver(frame, vehicle_depth, self.cfg, self.rng) is None:
+    def send(self, item, t: float, vehicle_depth: float) -> bool:
+        """Submit an item (a frame, or a tuple holding one) at time t;
+        returns False when lost in transit."""
+        if t < self._last_send:
+            raise LinkError("send at t=%r after a send at t=%r" % (t, self._last_send))
+        self._last_send = t
+        if deliver(item, vehicle_depth, self.cfg, self.rng) is None:
             return False
-        heapq.heappush(self._queue, (t + self.cfg.latency, self._seq, frame))
-        self._seq += 1
+        self._queue.append((t + self.cfg.latency, item))
         return True
 
-    def poll(self, t: float) -> list[bytes]:
-        """Frames whose delivery time has elapsed, in arrival order."""
+    def poll(self, t: float) -> list:
+        """Items whose delivery time has elapsed, in send order."""
         out = []
         while self._queue and self._queue[0][0] <= t:
-            out.append(heapq.heappop(self._queue)[2])
+            out.append(self._queue.popleft()[1])
         return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,8 @@ from .metrics import (
     truth_series,
 )
 from .scenarios import Scenario
-from .tracking import (DETECTION_CSV_HEADER, STATE_DTYPE, Detections, PipelineDiagnostics,
-                       fmt, read_table, rows_table, write_rows, write_table)
+from .tracking import (STATE_DTYPE, Detections, PipelineDiagnostics, fmt, read_table,
+                       rows_table, write_rows, write_table)
 from .vehicle import (
     ActuatorCommand,
     VehicleState,
@@ -65,7 +64,7 @@ TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
 class CommandLogEntry:
     t_sent: float
     message: object
-    status: str           # 'applied', 'lost', or 'ignored'
+    status: str           # 'lost' until it arrives, then 'applied' or 'ignored'
     t_applied: float | None = None
     depth_at_send: float = 0.0
 
@@ -115,8 +114,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     pump_until = -1.0
 
     command_log: list[CommandLogEntry] = []
-    # the downlink's latency is constant, so frames arrive in the order sent
-    in_flight: deque[CommandLogEntry] = deque()
     detection_rows: list[tuple] = []
     telemetry_rows: list[tuple] = []
     truth_rows: list[tuple] = []
@@ -147,28 +144,24 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             script_idx += 1
             entry = CommandLogEntry(t_sent=t, message=msg, status="lost",
                                     depth_at_send=state.z)
-            if downlink.send(encode(msg), t, state.z):
-                entry.status = "pending"
-                in_flight.append(entry)
+            downlink.send((encode(msg), entry), t, state.z)
             command_log.append(entry)
 
-        # commands arriving at the vehicle
-        for frame in downlink.poll(t):
+        # commands arriving at the vehicle, each with its log entry
+        for frame, entry in downlink.poll(t):
             msg = decode(frame)
-            entry = in_flight.popleft()
-            applied = True
+            if not (started or isinstance(msg, StartSequence)):
+                entry.status = "ignored"
+                continue
+            entry.status, entry.t_applied = "applied", t
             if isinstance(msg, StartSequence):
                 started = True
-            elif not started:
-                applied = False
             elif isinstance(msg, SetMotors):
                 motor_left = msg.left / 100.0
                 motor_right = msg.right / 100.0
             elif isinstance(msg, Pump):
                 pump_mode = msg.mode
                 pump_until = t + msg.duration_ms / 1000.0
-            entry.status = "applied" if applied else "ignored"
-            entry.t_applied = t if applied else None
 
         # vehicle telemetry uplink
         if t + 1e-12 >= next_telemetry:
@@ -199,9 +192,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             pump_mode = PUMP_MODE_OFF
         cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
         state = vehicle_mod.step(state, cmd, dt, params)
-
-    for entry in in_flight:
-        entry.status = "lost"  # still in the air when the run ended
 
     truth = truth_series(truth_rows)
     detections = Detections.from_rows(detection_rows)
@@ -276,15 +266,18 @@ def score_run(
     ends = np.searchsorted(estimates.timestamp, alignments[:, 2], side="right")
     out: dict[str, float] = {}
     pooled: dict[str, list[np.ndarray]] = {}
+    turns = 0
+    w = smoothing_window
     for a, b, row in zip([0, *ends], ends, alignments):
-        states = estimates[a:b]
         align = FrameAlignment(row[6:15].reshape(3, 3), row[3:6])
         try:
-            res = residuals(truth, states, align, smoothing_window, output_rate)
+            res = residuals(truth, estimates[a:b], align, w, output_rate)
         except metrics_mod.NoOverlap:
             continue
         for key, val in res.items():
             pooled.setdefault(key, []).append(val)
+        # yaw-rate turns over the samples compared, never across a segment gap
+        turns += count_sign_changes(estimates.r[a + w : b - w].tolist(), R_HYSTERESIS)
     if pooled:
         merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
         out.update(metrics_from_residuals(merged))
@@ -297,7 +290,7 @@ def score_run(
     out["max_depth_truth"] = float(np.max(truth.z))
     out["depth_reversals_truth"] = float(count_reversals(truth.z))
     if len(alignments):
-        out["r_sign_changes_est"] = float(count_sign_changes(estimates.r.tolist(), R_HYSTERESIS))
+        out["r_sign_changes_est"] = float(turns)
     return out
 
 
@@ -310,10 +303,9 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
         return os.path.join(out_dir, *names)
 
     os.makedirs(path("plotdata"), exist_ok=True)
-    truth, estimates, telemetry = art.truth, art.estimates, art.telemetry
+    estimates, telemetry = art.estimates, art.telemetry
 
-    write_table(path("truth.csv"), TRUTH_DTYPE.names,
-                (truth[name] for name in TRUTH_DTYPE.names))
+    write_table(path("truth.csv"), TRUTH_DTYPE.names, art.truth)
     tracking.write_detections_csv(path("detections.csv"), art.detections)
     tracking.write_states_csv(path("estimates.csv"), estimates)
     write_rows(
@@ -327,12 +319,13 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["seed", str(art.scenario.seed)],
             ["duration", fmt(art.scenario.duration)],
             ["n_frames", str(art.n_frames)],
+            ["n_detections", str(len(art.detections))],
             ["smoothing_window", str(art.scenario.pipeline.smoothing_window)],
             ["output_rate", fmt(art.scenario.pipeline.output_rate)],
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
-    write_table(path("alignments.csv"), ALIGNMENT_HEADER, art.alignments.T)
+    write_table(path("alignments.csv"), ALIGNMENT_HEADER, art.alignments)
     write_rows(
         path("command_log.csv"),
         ["t_sent", "message", "status", "t_applied", "depth_at_send"],
@@ -342,20 +335,19 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             for e in art.command_log
         ),
     )
-    write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry.T)
+    write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry)
 
     sign = -1.0 if art.scenario.plot_frame == "paper" else 1.0
     for name in ("u", "v", "psi", "r"):
         factor = sign if name in ("psi", "r") else 1.0
         write_table(path("plotdata", "%s.csv" % name), ["t", name],
-                    [estimates.timestamp, factor * estimates[name]])
+                    np.column_stack([estimates.timestamp, factor * estimates[name]]))
     write_table(path("plotdata", "track_xy.csv"), ["x", "y"],
-                [estimates.x, estimates.y])
-    t_tel = telemetry[:, 0]
+                np.column_stack([estimates.x, estimates.y]))
     write_table(path("plotdata", "depth.csv"), ["t", "depth_m"],
-                [t_tel, telemetry[:, 1] / 1000.0])
+                np.column_stack([telemetry[:, 0], telemetry[:, 1] / 1000.0]))
     write_table(path("plotdata", "ir.csv"), ["t", *("ch%d" % i for i in range(9))],
-                [t_tel, *(telemetry[:, 2:11] / 255.0).T])
+                np.column_stack([telemetry[:, 0], telemetry[:, 2:11] / 255.0]))
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:
@@ -370,6 +362,5 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
         tracking.read_states_csv(path("estimates.csv")),
         read_table(path("alignments.csv"), ALIGNMENT_HEADER),
         int(meta["smoothing_window"]), float(meta["output_rate"]),
-        len(read_table(path("detections.csv"), DETECTION_CSV_HEADER)),
-        int(meta["n_frames"]),
+        int(meta["n_detections"]), int(meta["n_frames"]),
     )

@@ -237,9 +237,9 @@ def run_pipeline_detailed(
 
     try:
         plane = frames.fit_plane(q)
-    except frames.DegenerateConfiguration:
-        # stationary or perfectly collinear track: no tilt observable, so
-        # assume a level plane at the mean detection height
+    except (frames.DegenerateConfiguration, frames.InsufficientPoints):
+        # stationary or collinear track (two points always are): no tilt
+        # observable, so assume a level plane at the mean detection height
         plane = PlaneCoefficients(0.0, 0.0, float(np.mean(q[:, 2])))
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
@@ -272,16 +272,16 @@ def run_pipeline_detailed(
 
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
+NUMBER_FORMAT = "%.12g"  # the one number format of every CSV artifact
 
 
 def fmt(x: float) -> str:
-    """The one number format of every CSV artifact."""
-    return "%.12g" % x
+    return NUMBER_FORMAT % x
 
 
 def write_rows(path, header, rows) -> None:
-    """Write a header and already formatted rows as CSV with Unix line endings;
-    ``write_table`` writes the numeric tables through it."""
+    """Write a header and already formatted text rows as CSV with Unix line
+    endings; for the text tables, whose cells may need quoting."""
     with open(path, "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -293,10 +293,18 @@ def rows_table(rows, header) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
-def write_table(path, header, columns) -> None:
-    """Write equal-length numeric columns under one header line, every value
-    through ``fmt``.  Rows are formatted one at a time, never whole columns."""
-    write_rows(path, header, (map(fmt, row) for row in zip(*columns)))
+def write_table(path, header, table) -> None:
+    """Write an ``(n, len(header))`` float table, or a record series of
+    float fields, as ``read_table`` reads it: one ``%`` per row."""
+    if table.dtype.names:
+        table = np.asarray(table).view((float, len(table.dtype.names)))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise TrackingError("%s: a %s table under a %d-column header"
+                            % (path, table.shape, len(header)))
+    line = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in table)
 
 
 def read_table(path, header) -> np.ndarray:
@@ -321,7 +329,7 @@ def read_table(path, header) -> np.ndarray:
 
 
 def write_detections_csv(path, detections: Detections) -> None:
-    write_table(path, DETECTION_CSV_HEADER, detections.table.T)
+    write_table(path, DETECTION_CSV_HEADER, detections.table)
 
 
 def read_detections_csv(path) -> Detections:
@@ -329,7 +337,7 @@ def read_detections_csv(path) -> Detections:
 
 
 def write_states_csv(path, states: np.recarray) -> None:
-    write_table(path, STATE_CSV_HEADER, (states[name] for name in STATE_DTYPE.names))
+    write_table(path, STATE_CSV_HEADER, states)
 
 
 def read_states_csv(path) -> np.recarray:

@@ -14,8 +14,8 @@ import brute_force as bf
 from conftest import camera_pose, synthetic_detections
 from tanklab import frames, link, scenarios, tracking, vehicle
 from tanklab.frames import PlaneCoefficients, wrap_angle
-from tanklab.metrics import circle_fit
-from tanklab.runner import run_scenario
+from tanklab.metrics import circle_fit, count_sign_changes
+from tanklab.runner import R_HYSTERESIS, run_scenario
 from tanklab.tracking import PipelineConfig, moving_average, resample_uniform
 from tanklab.vehicle import estimate_plunger, ir_response, pump_step, signal_quality
 
@@ -146,6 +146,26 @@ def test_zigzag():
     art = cached_run("zigzag")
     changes = int(art.metrics["r_sign_changes_est"])
     report("zigzag", changes == 4, "%d sign changes of estimated r" % changes)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_zigzag_turns_match_truth(seed):
+    # compared with truth's count, not with 4: at seed 14 the link drops the
+    # first SetMotors and the vehicle turns 3 times
+    s = scenarios.get_scenario("zigzag")
+    s.seed = seed
+    art = run_scenario(s)
+    assert art.metrics["r_sign_changes_est"] == count_sign_changes(art.truth.r, R_HYSTERESIS)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_line_high_dropout_completes(seed):
+    # sparse detections leave 2-detection segments, which are skipped
+    s = scenarios.get_scenario("line")
+    s.seed = seed
+    scenarios.apply_setting(s, "camera.dropout_prob", "0.9")
+    art = run_scenario(s)
+    assert art.metrics["n_detections"] == len(art.detections)
 
 
 def test_buoyancy():

@@ -191,6 +191,14 @@ class TestChannel:
         assert ch.poll(0.065) == [b"b"]
         assert ch.poll(1.0) == []
 
+    def test_send_before_previous_send(self):
+        ch = Channel(ChannelConfig(base_loss=0.0), np.random.default_rng(1))
+        assert ch.send(b"a", 0.10, 0.0)
+        assert ch.send(b"b", 0.10, 0.0)  # the same time is in order
+        with pytest.raises(LinkError, match="0.05"):
+            ch.send(b"c", 0.05, 0.0)
+        assert ch.poll(1.0) == [b"a", b"b"]
+
     def test_blackout_below_d1(self):
         ch = Channel(ChannelConfig(), np.random.default_rng(1))
         assert not ch.send(b"x", 0.0, 1.25)

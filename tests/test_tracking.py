@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -263,6 +264,18 @@ class TestPipeline:
             assert abs(s.v) < 0.005
             assert abs(s.r) < 0.02
 
+    def test_two_detections(self):
+        # two points fix no plane: the level-plane fallback applies, and the
+        # window check then rejects the short segment
+        dets = synthetic_detections([0.0, 0.2], line_traj())
+        with pytest.raises(SegmentTooShort):
+            run_pipeline_detailed(dets)
+        states, diag = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
+        assert (diag.plane.a, diag.plane.b) == (0.0, 0.0)
+        assert diag.plane.d == pytest.approx(float(np.mean(dets.q[:, 2])))
+        assert len(states) == 7
+        assert states.u == pytest.approx(0.4, abs=1e-6)
+
     def test_first_sample_at_origin(self):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
@@ -386,8 +399,24 @@ class TestCsvRoundTrip:
         table = read_table(original, header)
         assert table.shape[0] > 0
         again = tmp_path / "again.csv"
-        write_table(again, header, table.T)
+        write_table(again, header, table)
         assert again.read_bytes() == original.read_bytes()
+
+    def test_number_format(self, tmp_path):
+        # %.12g: 12 significant digits, no trailing ".0", two-digit exponents
+        path = tmp_path / "n.csv"
+        write_table(path, ["a", "b", "c"], np.array([
+            [0.1 + 0.2, 1e-20, -0.0],
+            [123456789012345.0, 2.5e-7, 3.0],
+        ]))
+        assert path.read_bytes() == b"a,b,c\n0.3,1e-20,-0\n1.23456789012e+14,2.5e-07,3\n"
+
+    @pytest.mark.parametrize("table", [np.zeros((2, 3)), np.zeros(4), np.zeros((0, 1)),
+                                       np.zeros(2, dtype=[("a", float), ("b", float)])])
+    def test_width_must_match_header(self, tmp_path, table):
+        path = tmp_path / "w.csv"
+        with pytest.raises(TrackingError, match=re.escape(str(path))):
+            write_table(path, ["a", "b", "c", "d"], table)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
