@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import Pose, axis_angle, rot_z
-from .vehicle import VehicleState
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,14 @@ class TagConfig:
 
 
 def observe(
-    state: VehicleState,
+    state,
     cam: CameraConfig,
     tag: TagConfig,
     rng: np.random.Generator,
 ) -> Pose | None:
     """One camera frame: the tag's noisy pose in the camera frame, or None on
-    dropout or when the tag is submerged.
+    dropout or when the tag is submerged.  ``state`` is the vehicle's pose,
+    read as ``x``, ``y``, ``z`` (depth) and ``psi``; a ``VehicleState`` is one.
 
     The frame's capture time comes from :func:`frame_clock`, so timing noise
     is applied there and not here.
@@ -74,7 +74,7 @@ def observe(
     if dropout > 0.0 and rng.random() < dropout:
         return None
 
-    body = Pose(state.position, rot_z(state.psi))
+    body = Pose(np.array([state.x, state.y, state.z]), rot_z(state.psi))
     tag_world = body.compose(tag.mount_offset)
     rc = cam.pose.rotation
     q = rc.T @ (tag_world.translation - cam.pose.translation)

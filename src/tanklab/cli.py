@@ -80,10 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "list-scenarios":
             return _cmd_list()
         return _cmd_metrics(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure, distinct exit code

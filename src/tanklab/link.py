@@ -262,6 +262,10 @@ class Channel:
         self._queue.append((t + self.cfg.latency, item))
         return True
 
+    def next_due(self) -> float | None:
+        """Delivery time of the next item in the queue, or None when empty."""
+        return self._queue[0][0] if self._queue else None
+
     def poll(self, t: float) -> list:
         """Items whose delivery time has elapsed, in send order."""
         out = []

@@ -1,10 +1,10 @@
 """Deterministic scenario execution: vehicle + camera + link + tracking.
 
-One scenario is a single-threaded fixed-step loop.  Ground-station
-commands travel through the lossy downlink (a submerged vehicle can miss
-them), telemetry returns over the uplink, the overhead camera samples on
-its own jittered clock, and the detection stream is run through the
-tracking pipeline after the loop finishes.
+One scenario is a single-threaded fixed-step loop over what feeds back
+into the plant: ground-station commands travel through the lossy downlink
+(a submerged vehicle can miss them).  After the loop, the overhead camera
+(on its own jittered clock) and the telemetry uplink sample the truth
+table, and the detection stream is run through the tracking pipeline.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     cam = s.build_camera()
     frame_times = frame_clock(cam, s.duration, rng_clock)
     downlink = Channel(s.channel, rng_down)
-    uplink = Channel(s.channel, rng_up)
 
     params = s.vehicle_params
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
@@ -114,12 +113,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     pump_until = -1.0
 
     command_log: list[CommandLogEntry] = []
-    detection_rows: list[tuple] = []
-    telemetry_rows: list[tuple] = []
     truth_rows: list[tuple] = []
-    frame_idx = 0
-    telemetry_period = 1.0 / s.telemetry_rate
-    next_telemetry = 0.0
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -129,14 +123,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         )
         if k == n_steps:
             break
-
-        # overhead camera frames due at this step
-        while frame_idx < len(frame_times) and frame_times[frame_idx] <= t + 0.5 * dt:
-            pose = observe(state, cam, s.tag, rng_camera)
-            if pose is not None:
-                detection_rows.append((frame_times[frame_idx], s.tag.tag_id,
-                                       *pose.translation, *pose.rotation.flat))
-            frame_idx += 1
 
         # ground station sends scripted commands
         while script_idx < len(script) and script[script_idx][0] <= t:
@@ -163,38 +149,63 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
                 pump_mode = msg.mode
                 pump_until = t + msg.duration_ms / 1000.0
 
-        # vehicle telemetry uplink
-        if t + 1e-12 >= next_telemetry:
-            next_telemetry += telemetry_period
-            reading = ir_response(state.syringe_fill, s.ambient_ir, params)
-            flags = 0
-            fill_tenth = 0
-            quality = signal_quality(reading)
-            if quality != "none":
-                est = estimate_plunger(reading, params)
-                fill_tenth = max(0, min(255, round(est * 10)))
-                flags |= link.FLAG_FILL_VALID
-            if quality == "degraded":
-                flags |= link.FLAG_IR_DEGRADED
-            depth = depth_reading(state, s.depth_noise_sigma, rng_vehicle)
-            msg = Telemetry(
-                depth_mm=max(0, min(0xFFFF, round(depth * 1000))),
-                ir=tuple(max(0, min(255, round(c * 255))) for c in reading.channels),
-                fill_est_tenth_ml=fill_tenth,
-                flags=flags,
-            )
-            uplink.send(encode(msg), t, state.z)
-        for frame in uplink.poll(t):
-            msg = decode(frame)
-            telemetry_rows.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
-
         if pump_mode != PUMP_MODE_OFF and t >= pump_until:
             pump_mode = PUMP_MODE_OFF
         cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
         state = vehicle_mod.step(state, cmd, dt, params)
 
     truth = truth_series(truth_rows)
+    step_t = truth.t[:-1]
+
+    # Nothing in the loop reacts to the camera or the uplink, so both sample
+    # the truth table here, at the step where a per-step check would run them.
+    # Frame time f: the first step k with f <= t_k + dt/2, or none past the end.
+    steps = np.searchsorted(step_t + 0.5 * dt, frame_times)
+    steps = steps[steps < n_steps]  # frame times increase, so a prefix
+    detection_rows = []
+    for f, x, y, z, psi in zip(frame_times.tolist(),
+                               *(truth[c][steps].tolist() for c in ("x", "y", "z", "psi"))):
+        pose = observe(VehicleState(x, y, z, psi), cam, s.tag, rng_camera)
+        if pose is not None:
+            detection_rows.append((f, s.tag.tag_id, *pose.translation, *pose.rotation.flat))
     detections = Detections.from_rows(detection_rows)
+
+    # Telemetry tick j, due at j periods (accumulated): the first step after
+    # tick j - 1 with t_k + 1e-12 >= due.
+    after = step_t + 1e-12
+    ticks, k, due, period = [], -1, 0.0, 1.0 / s.telemetry_rate
+    while (k := max(k + 1, int(np.searchsorted(after, due)))) < n_steps:
+        ticks.append(k)
+        due += period
+    uplink = Channel(s.channel, rng_up)
+    for t, z, fill in zip(*(truth[c][ticks].tolist() for c in ("t", "z", "fill"))):
+        reading = ir_response(fill, s.ambient_ir, params)
+        flags = 0
+        fill_tenth = 0
+        quality = signal_quality(reading)
+        if quality != "none":
+            est = estimate_plunger(reading, params)
+            fill_tenth = max(0, min(255, round(est * 10)))
+            flags |= link.FLAG_FILL_VALID
+        if quality == "degraded":
+            flags |= link.FLAG_IR_DEGRADED
+        depth = depth_reading(z, s.depth_noise_sigma, rng_vehicle)
+        msg = Telemetry(
+            depth_mm=max(0, min(0xFFFF, round(depth * 1000))),
+            ir=tuple(max(0, min(255, round(c * 255))) for c in reading),
+            fill_est_tenth_ml=fill_tenth,
+            flags=flags,
+        )
+        uplink.send(encode(msg), t, z)
+    # each frame arrives at the first step with t_k >= its delivery time
+    telemetry_rows = []
+    while (arrival := uplink.next_due()) is not None:
+        if (k := int(np.searchsorted(step_t, arrival))) == n_steps:
+            break  # delivered after the run ends
+        t = float(step_t[k])
+        for frame in uplink.poll(t):
+            msg = decode(frame)
+            telemetry_rows.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
 
     segments = tracking.segment_stream(detections, s.pipeline) if detections else []
     segment_states = [np.empty(0, dtype=STATE_DTYPE)]

@@ -75,9 +75,11 @@ class Scenario:
             raise ConfigError("telemetry_rate", "must be > 0")
         if not (self.depth_noise_sigma >= 0):
             raise ConfigError("depth_noise_sigma", "must be >= 0")
-        if self.camera.frame_rate > self.sim_rate:
-            raise ConfigError("camera.frame_rate", "must not exceed sim_rate (%g Hz)"
-                              % self.sim_rate)
+        # a sensor samples at most once per plant step
+        for key, rate in (("camera.frame_rate", self.camera.frame_rate),
+                          ("telemetry_rate", self.telemetry_rate)):
+            if rate > self.sim_rate:
+                raise ConfigError(key, "must not exceed sim_rate (%g Hz)" % self.sim_rate)
         if self.plot_frame not in ("ned", "paper"):
             raise ConfigError("plot_frame", "must be 'ned' or 'paper'")
         last = -math.inf
@@ -196,9 +198,7 @@ _SUBCONFIGS = {
 
 
 def _coerce(target, value_str: str, field_name: str):
-    if isinstance(target, bool):
-        return value_str.lower() in ("1", "true", "yes")
-    if isinstance(target, int) and not isinstance(target, bool):
+    if isinstance(target, int):
         try:
             return int(value_str)
         except ValueError as exc:

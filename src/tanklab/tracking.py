@@ -115,7 +115,6 @@ class PipelineDiagnostics:
 
     plane: PlaneCoefficients
     rotation: np.ndarray
-    origin: np.ndarray
     first_timestamp: float
 
 
@@ -265,10 +264,7 @@ def run_pipeline_detailed(
 
     u, v, _ = frames.body_velocities(xdot, ydot, psi)
     states = state_series(grid, x, y, frames.wrap_angle(psi), u, v, r)
-    diag = PipelineDiagnostics(
-        plane=plane, rotation=r_oc, origin=origin, first_timestamp=float(t[0])
-    )
-    return states, diag
+    return states, PipelineDiagnostics(plane, r_oc, first_timestamp=float(t[0]))
 
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]

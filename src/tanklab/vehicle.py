@@ -76,24 +76,12 @@ class VehicleState:
     motor_thrust_left: float = 0.0       # N, lag state
     motor_thrust_right: float = 0.0
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class ActuatorCommand:
     motor_left: float = 0.0              # normalized [-1, 1]
     motor_right: float = 0.0
     pump: int = PUMP_MODE_OFF            # link.PUMP_MODE_*
-
-
-@dataclass(frozen=True)
-class IrReading:
-    channels: tuple[float, ...]
-
-    def spread(self) -> float:
-        return max(self.channels) - min(self.channels)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -167,7 +155,7 @@ def step(
 
 def ir_response(
     fill: float, ambient: float, params: VehicleParams | None = None
-) -> IrReading:
+) -> tuple[float, ...]:
     """Nine-channel reflectance response to the plunger position.
 
     Each sensor sits at normalized travel k/8 and sees a Gaussian falloff
@@ -181,40 +169,40 @@ def ir_response(
         pk = k / 8.0
         c = math.exp(-((pk - pos) ** 2) / (2.0 * IR_SIGMA**2)) + ambient
         channels.append(_clamp(c, 0.0, 1.0))
-    return IrReading(tuple(channels))
+    return tuple(channels)
 
 
 def estimate_plunger(
-    reading: IrReading, params: VehicleParams | None = None
+    reading: tuple[float, ...], params: VehicleParams | None = None
 ) -> float:
     """Syringe fill (mL) from a background-subtracted channel centroid."""
     p = params or VehicleParams()
-    if reading.spread() < IR_NOISE_FLOOR:
+    floor = min(reading)
+    if max(reading) - floor < IR_NOISE_FLOOR:
         raise NoSignal("all IR channels within %.2f of each other" % IR_NOISE_FLOOR)
-    floor = min(reading.channels)
     num = 0.0
     den = 0.0
-    for k, c in enumerate(reading.channels):
+    for k, c in enumerate(reading):
         w = c - floor
         num += (k / 8.0) * w
         den += w
     return p.syringe_capacity * num / den
 
 
-def signal_quality(reading: IrReading) -> str:
+def signal_quality(reading: tuple[float, ...]) -> str:
     """'ok', 'degraded' (ambient floor washing out contrast), or 'none'."""
-    if reading.spread() < IR_NOISE_FLOOR:
+    floor = min(reading)
+    if max(reading) - floor < IR_NOISE_FLOOR:
         return "none"
-    if min(reading.channels) > 0.5 or sum(c >= 0.999 for c in reading.channels) >= 3:
+    if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
         return "degraded"
     return "ok"
 
 
 def depth_reading(
-    state: VehicleState, noise_sigma: float, rng: np.random.Generator | None = None
+    z: float, noise_sigma: float, rng: np.random.Generator | None = None
 ) -> float:
-    """Pressure-sensor depth: Gaussian noise, quantized to 1 mm."""
-    z = state.z
+    """Pressure-sensor reading of depth ``z``: Gaussian noise, quantized to 1 mm."""
     if noise_sigma > 0.0:
         if rng is None:
             raise VehicleError("rng required when noise_sigma > 0")

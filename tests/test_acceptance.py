@@ -168,6 +168,24 @@ def test_line_high_dropout_completes(seed):
     assert art.metrics["n_detections"] == len(art.detections)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_pump_test_depth_across_seeds(seed):
+    s = scenarios.get_scenario("pump_test")
+    s.seed = seed
+    art = run_scenario(s)
+    assert abs(art.metrics["max_depth_truth"] - 1.0) <= 0.15
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_line_rmse_u_across_seeds(seed):
+    # test_end_to_end_line's bound at the default seed, 3% of the steady
+    # surge (0.01337 m/s), rounded up
+    s = scenarios.get_scenario("line")
+    s.seed = seed
+    art = run_scenario(s)
+    assert art.metrics["rmse_u"] < 0.0134
+
+
 def test_buoyancy():
     params = vehicle.VehicleParams()
     dt = 1.0 / 240.0

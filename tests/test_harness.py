@@ -391,6 +391,33 @@ class TestRunner:
         assert np.all(art.truth["fill"] == 15.0)
         assert np.all(art.truth.z == 0.0) and np.all(art.truth.w == 0.0)
 
+    def test_sensors_sample_truth_at_their_steps(self):
+        # noiseless sensors and an instant link: frame time f sees the truth
+        # of the first step k with f <= t_k + dt/2, and a telemetry row at
+        # t_k reports the truth depth of step k
+        s = get_scenario("pump_test")
+        s.duration = 20.0
+        s.command_script = [c for c in s.command_script if c[0] <= s.duration]
+        for key in ("camera.translation_noise_sigma", "camera.rotation_noise_sigma",
+                    "camera.timestamp_jitter_sigma", "camera.dropout_prob",
+                    "depth_noise_sigma", "channel.latency"):
+            apply_setting(s, key, "0")
+        art = run_scenario(s)
+        truth, dt = art.truth, 1.0 / s.sim_rate
+        step_t = truth.t[:-1]
+
+        steps = np.searchsorted(step_t + 0.5 * dt, art.detections.t)
+        cam = s.build_camera().pose
+        position = np.column_stack([truth.x, truth.y, truth.z])[steps]
+        expected = np.array([cam.rotation.T @ (p - cam.translation) for p in position])
+        assert len(art.detections) > 0
+        np.testing.assert_array_equal(art.detections.q, expected)
+
+        rows = np.searchsorted(step_t, art.telemetry[:, 0])
+        np.testing.assert_array_equal(step_t[rows], art.telemetry[:, 0])
+        assert len(rows) > 0
+        np.testing.assert_array_equal(art.telemetry[:, 1], np.round(truth.z[rows] * 1000))
+
     def test_paper_plot_frame_flips_yaw(self, tmp_path):
         s = tiny_line()
         out_ned = tmp_path / "ned"
@@ -440,6 +467,7 @@ class TestCli:
         "depth_noise_sigma=-1",
         "channel.latency=-1",
         "camera.frame_rate=1000",
+        "telemetry_rate=1000",
         # command values the protocol cannot encode, or that do not parse
         "command=1 start x",
         "command=1 set_motors a b",

@@ -9,7 +9,6 @@ from tanklab.vehicle import (
     WATER_DENSITY,
     ActuatorCommand,
     InvalidDt,
-    IrReading,
     NoSignal,
     VehicleError,
     VehicleParams,
@@ -169,13 +168,13 @@ class TestStep:
 class TestIr:
     def test_nine_channels_clamped(self):
         r = ir_response(12.5, 0.0)
-        assert len(r.channels) == 9
-        assert all(0.0 <= c <= 1.0 for c in r.channels)
+        assert len(r) == 9
+        assert all(0.0 <= c <= 1.0 for c in r)
 
     def test_peak_tracks_plunger(self):
         for fill in (0.0, 6.25, 12.5, 18.75, 25.0):
             r = ir_response(fill, 0.0)
-            peak = int(np.argmax(r.channels))
+            peak = int(np.argmax(r))
             assert peak == round(8 * fill / 25.0)
 
     def test_round_trip_accuracy(self):
@@ -187,14 +186,14 @@ class TestIr:
     def test_centroid_oracle(self):
         # independent centroid computation
         r = ir_response(9.0, 0.05)
-        floor = min(r.channels)
-        w = np.array(r.channels) - floor
+        floor = min(r)
+        w = np.array(r) - floor
         oracle = 25.0 * np.dot(np.arange(9) / 8.0, w) / np.sum(w)
         assert estimate_plunger(r) == pytest.approx(oracle, abs=1e-12)
 
     def test_flat_reading_no_signal(self):
         with pytest.raises(NoSignal):
-            estimate_plunger(IrReading((0.5,) * 9))
+            estimate_plunger((0.5,) * 9)
 
     def test_high_ambient_degrades(self):
         # strong surface light: the estimate must degrade or report no signal
@@ -207,18 +206,18 @@ class TestIr:
         assert signal_quality(ir_response(12.5, 0.05)) == "ok"
 
     def test_quality_none_when_flat(self):
-        assert signal_quality(IrReading((0.7,) * 9)) == "none"
+        assert signal_quality((0.7,) * 9) == "none"
 
 
 class TestDepthReading:
     def test_noiseless_quantized(self):
-        assert depth_reading(VehicleState(z=0.51234), 0.0) == 0.512
+        assert depth_reading(0.51234, 0.0) == 0.512
 
     def test_noise_requires_rng(self):
         with pytest.raises(VehicleError):
-            depth_reading(VehicleState(z=0.5), 0.002)
+            depth_reading(0.5, 0.002)
 
     def test_noise_statistics(self, rng):
-        vals = [depth_reading(VehicleState(z=0.5), 0.002, rng) for _ in range(2000)]
+        vals = [depth_reading(0.5, 0.002, rng) for _ in range(2000)]
         assert np.mean(vals) == pytest.approx(0.5, abs=0.001)
         assert np.std(vals) == pytest.approx(0.002, abs=0.0005)

@@ -1,10 +1,13 @@
-"""Write the 12 reference run directories into OUT.
+"""Write the reference and edge run directories into OUT.
 
 The reference runs are the four built-in scenarios (line, circle, zigzag,
 pump_test), each at its own default seed and at seeds 3 and 101, written to
-``OUT/<scenario>_<seed>/``.  The ``tanklab`` imported is whichever is first
-on ``PYTHONPATH``, so two trees from two source checkouts compare with
-``diff -r``:
+``OUT/<scenario>_<seed>/``.  The edge runs are ``line`` and ``pump_test`` at
+their default seeds under one override each, written to
+``OUT/<scenario>_<override>/``; each override moves a sensor sample, a link
+delivery or the step grid onto a step boundary.  The ``tanklab`` imported is
+whichever is first on ``PYTHONPATH``, so two trees from two source checkouts
+compare with ``diff -r``:
 
     PYTHONPATH=<old>/src python tools/run_tree.py /tmp/old
     PYTHONPATH=src python tools/run_tree.py /tmp/new
@@ -17,9 +20,18 @@ import os
 import sys
 
 from tanklab.runner import run_scenario
-from tanklab.scenarios import BUILTIN_SCENARIOS, get_scenario
+from tanklab.scenarios import BUILTIN_SCENARIOS, apply_setting, get_scenario
 
 SEEDS = (None, 3, 101)  # None keeps the scenario's own seed
+EDGE_SCENARIOS = ("line", "pump_test")
+EDGE_OVERRIDES = (
+    "channel.latency=0",
+    "channel.latency=0.5",
+    "camera.frame_rate=240",
+    "telemetry_rate=240",
+    "sim_rate=37",
+    "camera.timestamp_jitter_sigma=0.05",
+)
 
 
 def main(argv: list[str]) -> int:
@@ -33,6 +45,11 @@ def main(argv: list[str]) -> int:
                 scenario.seed = seed
             run_scenario(scenario, out_dir=os.path.join(
                 argv[0], "%s_%s" % (name, "default" if seed is None else seed)))
+    for name in EDGE_SCENARIOS:
+        for override in EDGE_OVERRIDES:
+            scenario = get_scenario(name)
+            apply_setting(scenario, *override.split("="))
+            run_scenario(scenario, out_dir=os.path.join(argv[0], "%s_%s" % (name, override)))
     return 0
 
 
