@@ -191,6 +191,7 @@ def count_reversals(depth: Sequence[float], min_excursion: float = 0.05) -> int:
     d = np.asarray(depth, dtype=float)
     if d.size < 3:
         return 0
+    d = memoryview(d)  # indexes and iterates as Python floats, with no list built
     reversals = 0
     direction = 0
     anchor = d[0]

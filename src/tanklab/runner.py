@@ -1,8 +1,10 @@
 """Deterministic scenario execution: vehicle + camera + link + tracking.
 
-One scenario is a single-threaded fixed-step loop over what feeds back
-into the plant: ground-station commands travel through the lossy downlink
-(a submerged vehicle can miss them).  After the loop, the overhead camera
+One scenario is a single-threaded loop over what feeds back into the
+plant: ground-station commands travel through the lossy downlink (a
+submerged vehicle can miss them).  The loop runs at the steps where a
+command is sent, one arrives or the pump stops, and integrates the plant
+on its fixed step up to the next such step.  After it, the overhead camera
 (on its own jittered clock) and the telemetry uplink sample the truth
 table, and the detection stream is run through the tracking pipeline.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,16 +116,12 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     pump_until = -1.0
 
     command_log: list[CommandLogEntry] = []
-    truth_rows: list[tuple] = []
+    step_t = np.arange(n_steps + 1) * dt  # t_k, bit-equal to k * dt
+    rows = array("d")  # pre-step (x, y, z, psi, u, v, w, r, fill), appended by step
 
-    for k in range(n_steps + 1):
+    k = 0
+    while k < n_steps:
         t = k * dt
-        truth_rows.append(
-            (t, state.x, state.y, state.z, state.psi, state.u, state.v,
-             state.w, state.r, state.syringe_fill)
-        )
-        if k == n_steps:
-            break
 
         # ground station sends scripted commands
         while script_idx < len(script) and script[script_idx][0] <= t:
@@ -151,11 +150,23 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
         if pump_mode != PUMP_MODE_OFF and t >= pump_until:
             pump_mode = PUMP_MODE_OFF
-        cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
-        state = vehicle_mod.step(state, cmd, dt, params)
 
-    truth = truth_series(truth_rows)
-    step_t = truth.t[:-1]
+        # The command holds until the next event step: the first k whose t_k
+        # passes one of the three tests above, each of the form x <= t_k.
+        upcoming = [pump_until] if pump_mode != PUMP_MODE_OFF else []
+        if script_idx < len(script):
+            upcoming.append(script[script_idx][0])
+        if (due := downlink.next_due()) is not None:
+            upcoming.append(due)
+        nxt = min(int(np.searchsorted(step_t, min(upcoming))), n_steps) if upcoming else n_steps
+        cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
+        state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, rows=rows)
+        k = nxt
+
+    rows.extend((state.x, state.y, state.z, state.psi, state.u, state.v,
+                 state.w, state.r, state.syringe_fill))
+    truth = truth_series(np.column_stack([step_t, np.frombuffer(rows).reshape(-1, 9)]))
+    step_t = step_t[:-1]
 
     # Nothing in the loop reacts to the camera or the uplink, so both sample
     # the truth table here, at the step where a per-step check would run them.

@@ -88,17 +88,22 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+def _pump_delta(pump_cmd: int, dt: float, params: VehicleParams) -> float:
+    """Fill change (mL) over one step under a ``link.PUMP_MODE_*`` code."""
+    rate = params.pump_max_rate / 60.0   # mL/s
+    if pump_cmd == PUMP_MODE_INTAKE:
+        return rate * dt
+    if pump_cmd == PUMP_MODE_EXPEL:
+        return -(rate * dt)
+    if pump_cmd != PUMP_MODE_OFF:
+        raise VehicleError("unknown pump command %r" % pump_cmd)
+    return 0.0
+
+
 def pump_step(fill: float, pump_cmd: int, dt: float, params: VehicleParams) -> float:
     """Advance syringe fill by one step under a ``link.PUMP_MODE_*`` code;
     saturates at the syringe limits."""
-    rate = params.pump_max_rate / 60.0   # mL/s
-    if pump_cmd == PUMP_MODE_INTAKE:
-        fill += rate * dt
-    elif pump_cmd == PUMP_MODE_EXPEL:
-        fill -= rate * dt
-    elif pump_cmd != PUMP_MODE_OFF:
-        raise VehicleError("unknown pump command %r" % pump_cmd)
-    return _clamp(fill, 0.0, params.syringe_capacity)
+    return _clamp(fill + _pump_delta(pump_cmd, dt, params), 0.0, params.syringe_capacity)
 
 
 def step(
@@ -106,43 +111,59 @@ def step(
     cmd: ActuatorCommand,
     dt: float,
     params: VehicleParams | None = None,
+    n: int = 1,
+    rows=None,
 ) -> VehicleState:
-    """Semi-implicit Euler update over one time step.
+    """Semi-implicit Euler update over ``n`` time steps under one command.
 
     Velocities are advanced first and positions integrated with the new
     values.  Depth is clamped to [0, tank_depth] with heave zeroed at
-    contact (surface float / bottom rest).
+    contact (surface float / bottom rest).  The state is carried in plain
+    floats between steps, so ``n`` steps give the same bits as ``n`` calls.
+    When ``rows`` is given (an ``array.array("d")``), each step's pre-step
+    ``(x, y, z, psi, u, v, w, r, fill)`` is appended to it.
     """
     p = params or VehicleParams()
     if not (0.0 < dt <= MAX_DT):
         raise InvalidDt("dt must be in (0, %g], got %r" % (MAX_DT, dt))
+    dfill = _pump_delta(cmd.pump, dt, p)
 
     target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
     target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
     k = dt / p.motor_time_constant
-    tl = state.motor_thrust_left + k * (target_l - state.motor_thrust_left)
-    tr = state.motor_thrust_right + k * (target_r - state.motor_thrust_right)
+    capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
+    mass, inertia, arm = p.mass, p.yaw_inertia, p.propeller_separation
+    c_u, c_v, c_w, c_r = p.drag_surge, -p.drag_sway, p.drag_heave, p.drag_yaw
+    g_rho = GRAVITY * WATER_DENSITY
+    cos, sin = math.cos, math.sin
 
-    fill = pump_step(state.syringe_fill, cmd.pump, dt, p)
-    buoy = GRAVITY * WATER_DENSITY * (fill - p.neutral_fill) * 1e-6  # N, +down
+    x, y, z, psi = state.x, state.y, state.z, state.psi
+    u, v, w, r = state.u, state.v, state.w, state.r
+    fill, tl, tr = state.syringe_fill, state.motor_thrust_left, state.motor_thrust_right
+    for _ in range(n):
+        if rows is not None:
+            rows.extend((x, y, z, psi, u, v, w, r, fill))
+        tl = tl + k * (target_l - tl)
+        tr = tr + k * (target_r - tr)
 
-    u = state.u + dt * (tl + tr - p.drag_surge * state.u * abs(state.u)) / p.mass
-    v = state.v + dt * (-p.drag_sway * state.v * abs(state.v)) / p.mass
-    w = state.w + dt * (buoy - p.drag_heave * state.w * abs(state.w)) / p.mass
-    r = state.r + dt * (
-        (tr - tl) * p.propeller_separation / 2.0
-        - p.drag_yaw * state.r * abs(state.r)
-    ) / p.yaw_inertia
+        fill += dfill
+        fill = 0.0 if fill < 0.0 else capacity if fill > capacity else fill
+        buoy = g_rho * (fill - neutral) * 1e-6  # N, +down
 
-    psi = state.psi + dt * r
-    c, s = math.cos(psi), math.sin(psi)
-    x = state.x + dt * (u * c - v * s)
-    y = state.y + dt * (u * s + v * c)
-    z = state.z + dt * w
-    if z < 0.0:
-        z, w = 0.0, 0.0
-    elif z > p.tank_depth:
-        z, w = p.tank_depth, 0.0
+        u = u + dt * (tl + tr - c_u * u * abs(u)) / mass
+        v = v + dt * (c_v * v * abs(v)) / mass
+        w = w + dt * (buoy - c_w * w * abs(w)) / mass
+        r = r + dt * ((tr - tl) * arm / 2.0 - c_r * r * abs(r)) / inertia
+
+        psi = psi + dt * r
+        c, s = cos(psi), sin(psi)
+        x = x + dt * (u * c - v * s)
+        y = y + dt * (u * s + v * c)
+        z = z + dt * w
+        if z < 0.0:
+            z, w = 0.0, 0.0
+        elif z > depth:
+            z, w = depth, 0.0
 
     return VehicleState(
         x=x, y=y, z=z, psi=psi,

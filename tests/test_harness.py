@@ -5,7 +5,8 @@ import pytest
 
 from tanklab import cli
 from tanklab.frames import rot_z
-from tanklab.link import Pump, SetMotors, StartSequence, PUMP_MODE_INTAKE
+from tanklab.link import (PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF, Channel, Pump,
+                          SetMotors, StartSequence, decode, encode)
 from tanklab.metrics import (
     Collinear,
     FrameAlignment,
@@ -28,6 +29,7 @@ from tanklab.scenarios import (
     parse_command,
 )
 from tanklab.tracking import state_series
+from tanklab.vehicle import ActuatorCommand, VehicleState, step
 
 
 class TestCircleFit:
@@ -282,7 +284,77 @@ def tiny_line(duration=4.0, seed=3):
     return s
 
 
+def per_step_loop(s):
+    """The closed loop one plant step at a time, as a reference for the
+    runner's event schedule: the truth table and each command's
+    ``(t_sent, status, t_applied)``."""
+    dt = 1.0 / s.sim_rate
+    n_steps = int(round(s.duration * s.sim_rate))
+    rng_down = np.random.Generator(np.random.PCG64(np.random.SeedSequence(s.seed).spawn(5)[3]))
+    downlink = Channel(s.channel, rng_down)
+    state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
+                         syringe_fill=s.vehicle_params.neutral_fill)
+    script = list(s.command_script)
+    started, left, right, pump, pump_until = False, 0.0, 0.0, PUMP_MODE_OFF, -1.0
+    log, rows = [], []
+    for k in range(n_steps + 1):
+        t = k * dt
+        rows.append((t, state.x, state.y, state.z, state.psi, state.u, state.v,
+                     state.w, state.r, state.syringe_fill))
+        if k == n_steps:
+            break
+        while script and script[0][0] <= t:
+            log.append([t, "lost", None])
+            downlink.send((encode(script.pop(0)[1]), log[-1]), t, state.z)
+        for frame, entry in downlink.poll(t):
+            msg = decode(frame)
+            if not (started or isinstance(msg, StartSequence)):
+                entry[1] = "ignored"
+                continue
+            entry[1:] = "applied", t
+            if isinstance(msg, StartSequence):
+                started = True
+            elif isinstance(msg, SetMotors):
+                left, right = msg.left / 100.0, msg.right / 100.0
+            elif isinstance(msg, Pump):
+                pump, pump_until = msg.mode, t + msg.duration_ms / 1000.0
+        if pump != PUMP_MODE_OFF and t >= pump_until:
+            pump = PUMP_MODE_OFF
+        state = step(state, ActuatorCommand(left, right, pump), dt, s.vehicle_params, n=1)
+    return np.array(rows), [tuple(entry) for entry in log]
+
+
+def pump_pulses():
+    """``pump_test`` with pump runs that end before the syringe saturates, so
+    each cut-off shows in the truth table (``pump_test``'s own runs saturate)."""
+    s = get_scenario("pump_test")
+    s.duration = 12.0
+    s.command_script = [(0.2, StartSequence(1)), (0.5, Pump(PUMP_MODE_INTAKE, 3000)),
+                        (6.0, Pump(PUMP_MODE_EXPEL, 1234)), (9.0, Pump(PUMP_MODE_INTAKE, 1))]
+    return s
+
+
 class TestRunner:
+    @pytest.mark.parametrize("name, override", [
+        ("line", None),
+        ("pump_test", None),
+        ("pump_test", "channel.latency=0"),
+        ("pump_test", "channel.latency=0.004166666666666667"),  # one plant step
+        ("pump_test", "channel.d1=0.4"),  # commands lost at depth
+        ("pump_pulses", None),
+        ("pump_pulses", "channel.latency=0"),
+    ])
+    def test_event_schedule_matches_per_step_loop(self, name, override):
+        s = pump_pulses() if name == "pump_pulses" else get_scenario(name)
+        if override is not None:
+            apply_setting(s, *override.split("="))
+        truth, log = per_step_loop(s)
+        art = run_scenario(s)
+        assert np.array_equal(
+            np.column_stack([art.truth[c] for c in art.truth.dtype.names]), truth)
+        assert [(e.t_sent, e.status, e.t_applied) for e in art.command_log] == log
+        assert "applied" in {status for _, status, _ in log}
+
     def test_line_run_basics(self):
         art = run_scenario(tiny_line())
         assert art.truth.t.size == int(4.0 * 240) + 1

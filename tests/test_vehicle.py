@@ -1,4 +1,6 @@
 import math
+from array import array
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -164,6 +166,85 @@ class TestStep:
         s = run_steps(s0, ActuatorCommand(), 240 * 10)
         assert 0 < s.u < 0.1 and 0 <= s.v < 0.05 and 0 < s.r < 0.1
 
+
+
+TANK = VehicleParams().tank_depth
+ROW = ("x", "y", "z", "psi", "u", "v", "w", "r", "fill")  # the columns of step's rows
+
+
+def reference_step(state, cmd, dt, p):
+    """One plant step written out on the dataclass fields, as the reference
+    for the float expressions ``step`` carries over its ``n`` steps."""
+    def clamp(x, lo, hi):
+        return lo if x < lo else hi if x > hi else x
+
+    target_l = clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
+    target_r = clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
+    k = dt / p.motor_time_constant
+    tl = state.motor_thrust_left + k * (target_l - state.motor_thrust_left)
+    tr = state.motor_thrust_right + k * (target_r - state.motor_thrust_right)
+    fill = pump_step(state.syringe_fill, cmd.pump, dt, p)
+    buoy = GRAVITY * WATER_DENSITY * (fill - p.neutral_fill) * 1e-6
+    u = state.u + dt * (tl + tr - p.drag_surge * state.u * abs(state.u)) / p.mass
+    v = state.v + dt * (-p.drag_sway * state.v * abs(state.v)) / p.mass
+    w = state.w + dt * (buoy - p.drag_heave * state.w * abs(state.w)) / p.mass
+    r = state.r + dt * ((tr - tl) * p.propeller_separation / 2.0
+                        - p.drag_yaw * state.r * abs(state.r)) / p.yaw_inertia
+    psi = state.psi + dt * r
+    x = state.x + dt * (u * math.cos(psi) - v * math.sin(psi))
+    y = state.y + dt * (u * math.sin(psi) + v * math.cos(psi))
+    z = state.z + dt * w
+    if z < 0.0:
+        z, w = 0.0, 0.0
+    elif z > p.tank_depth:
+        z, w = p.tank_depth, 0.0
+    return VehicleState(x, y, z, psi, u, v, w, r, fill, tl, tr)
+
+
+class TestStepN:
+    """``step(..., n=N, rows=rows)`` is ``N`` single calls, bit for bit."""
+
+    @pytest.mark.parametrize("pump, start, contact", [
+        # empty syringe rising onto the surface
+        (PUMP_MODE_OFF, VehicleState(z=0.02, w=-0.1, syringe_fill=0.0), ("z", 0.0)),
+        # filling to capacity while sinking onto the bottom
+        (PUMP_MODE_INTAKE, VehicleState(z=TANK - 0.02, w=0.1, syringe_fill=24.0),
+         ("z", TANK)),
+        (PUMP_MODE_INTAKE, VehicleState(z=0.5, syringe_fill=24.0), ("fill", 25.0)),
+        # emptying while rising to the surface
+        (PUMP_MODE_EXPEL, VehicleState(z=0.05, w=-0.05, syringe_fill=1.0), ("fill", 0.0)),
+        (PUMP_MODE_EXPEL, VehicleState(z=0.05, w=-0.05, syringe_fill=1.0), ("z", 0.0)),
+    ])
+    def test_n_steps_equal_n_calls(self, pump, start, contact):
+        p = VehicleParams()
+        cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
+        n = 600
+        rows = array("d")
+        got = step(start, cmd, DT, p, n=n, rows=rows)
+
+        s, ref, expected = start, start, []
+        for _ in range(n):
+            expected.extend((s.x, s.y, s.z, s.psi, s.u, s.v, s.w, s.r, s.syringe_fill))
+            s = step(s, cmd, DT, p)
+            ref = reference_step(ref, cmd, DT, p)
+        assert astuple(got) == astuple(s) == astuple(ref)
+        assert rows.tolist() == expected
+
+        column, value = contact
+        col = rows.tolist()[ROW.index(column) :: 9]
+        assert value in col[1:] and col[0] != value  # reached during the run
+
+    def test_rows_optional(self):
+        cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)
+        assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
+
+    def test_errors_leave_rows_unchanged(self):
+        rows = array("d", [1.0, 2.0])
+        with pytest.raises(InvalidDt):
+            step(VehicleState(), ActuatorCommand(), 0.1, n=5, rows=rows)
+        with pytest.raises(VehicleError):
+            step(VehicleState(), ActuatorCommand(pump=3), DT, n=5, rows=rows)
+        assert rows.tolist() == [1.0, 2.0]
 
 class TestIr:
     def test_nine_channels_clamped(self):

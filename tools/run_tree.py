@@ -5,7 +5,8 @@ pump_test), each at its own default seed and at seeds 3 and 101, written to
 ``OUT/<scenario>_<seed>/``.  The edge runs are ``line`` and ``pump_test`` at
 their default seeds under one override each, written to
 ``OUT/<scenario>_<override>/``; each override moves a sensor sample, a link
-delivery or the step grid onto a step boundary.  The ``tanklab`` imported is
+delivery or the step grid onto a step boundary, or loses commands on the
+downlink.  The ``tanklab`` imported is
 whichever is first on ``PYTHONPATH``, so two trees from two source checkouts
 compare with ``diff -r``:
 
@@ -31,6 +32,9 @@ EDGE_OVERRIDES = (
     "telemetry_rate=240",
     "sim_rate=37",
     "camera.timestamp_jitter_sigma=0.05",
+    "channel.latency=0.004166666666666667",  # one plant step at 240 Hz
+    "channel.d1=0.4",  # commands lost at depth
+    "channel.base_loss=0.5",
 )
 
 
