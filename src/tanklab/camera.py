@@ -52,29 +52,32 @@ class TagConfig:
 
 
 def observe(
-    state,
+    x: float,
+    y: float,
+    z: float,
+    psi: float,
     cam: CameraConfig,
     tag: TagConfig,
     rng: np.random.Generator,
 ) -> Pose | None:
     """One camera frame: the tag's noisy pose in the camera frame, or None on
-    dropout or when the tag is submerged.  ``state`` is the vehicle's pose,
-    read as ``x``, ``y``, ``z`` (depth) and ``psi``; a ``VehicleState`` is one.
+    dropout or when the tag is submerged.  ``x``, ``y``, ``z`` (depth) and
+    ``psi`` are the vehicle's pose.
 
     The frame's capture time comes from :func:`frame_clock`, so timing noise
     is applied there and not here.
     """
-    if state.z > cam.visibility_depth:
+    if z > cam.visibility_depth:
         return None
 
     dropout = cam.dropout_prob
     for g in cam.glare_regions:
-        if math.hypot(state.x - g.x, state.y - g.y) <= g.radius:
+        if math.hypot(x - g.x, y - g.y) <= g.radius:
             dropout = max(dropout, g.dropout_prob)
     if dropout > 0.0 and rng.random() < dropout:
         return None
 
-    body = Pose(np.array([state.x, state.y, state.z]), rot_z(state.psi))
+    body = Pose(np.array([x, y, z]), rot_z(psi))
     tag_world = body.compose(tag.mount_offset)
     rc = cam.pose.rotation
     q = rc.T @ (tag_world.translation - cam.pose.translation)

@@ -166,6 +166,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     rows.extend((state.x, state.y, state.z, state.psi, state.u, state.v,
                  state.w, state.r, state.syringe_fill))
     truth = truth_series(np.column_stack([step_t, np.frombuffer(rows).reshape(-1, 9)]))
+    del rows  # a copy of truth: free it before the camera, pipeline and writers run
     step_t = step_t[:-1]
 
     # Nothing in the loop reacts to the camera or the uplink, so both sample
@@ -176,7 +177,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     detection_rows = []
     for f, x, y, z, psi in zip(frame_times.tolist(),
                                *(truth[c][steps].tolist() for c in ("x", "y", "z", "psi"))):
-        pose = observe(VehicleState(x, y, z, psi), cam, s.tag, rng_camera)
+        pose = observe(x, y, z, psi, cam, s.tag, rng_camera)
         if pose is not None:
             detection_rows.append((f, s.tag.tag_id, *pose.translation, *pose.rotation.flat))
     detections = Detections.from_rows(detection_rows)

@@ -269,6 +269,7 @@ def run_pipeline_detailed(
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
 NUMBER_FORMAT = "%.12g"  # the one number format of every CSV artifact
+TABLE_CHUNK = 128  # rows formatted by one ``%`` in write_table
 
 
 def fmt(x: float) -> str:
@@ -291,16 +292,27 @@ def rows_table(rows, header) -> np.ndarray:
 
 def write_table(path, header, table) -> None:
     """Write an ``(n, len(header))`` float table, or a record series of
-    float fields, as ``read_table`` reads it: one ``%`` per row."""
+    float fields, as ``read_table`` reads it.
+
+    A column whose values are bit for bit the same in every row is formatted
+    once, into the row template; the other columns fill it, one ``%`` per
+    chunk of ``TABLE_CHUNK`` rows."""
     if table.dtype.names:
         table = np.asarray(table).view((float, len(table.dtype.names)))
     if table.ndim != 2 or table.shape[1] != len(header):
         raise TrackingError("%s: a %s table under a %d-column header"
                             % (path, table.shape, len(header)))
-    line = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
+    table = np.asarray(table, dtype=float)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row.tolist()) for row in table)
+        if not len(table):
+            return
+        varying = [j for j, col in enumerate(table.view(np.int64).T) if (col != col[0]).any()]
+        line = ",".join(NUMBER_FORMAT if j in varying else fmt(x)
+                        for j, x in enumerate(table[0].tolist())) + "\n"
+        for start in range(0, len(table), TABLE_CHUNK):
+            chunk = table[start : start + TABLE_CHUNK, varying]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_table(path, header) -> np.ndarray:

@@ -5,11 +5,18 @@ independent heave channel driven by the syringe fill relative to neutral.
 Quadratic drag on every axis, first-order motor lag, no added mass or
 cross-coupling.  Roll and pitch are frozen at zero.  World frame is NED:
 z is depth, positive down.
+
+The two channels share no variable, so ``step`` integrates each on its
+own.  A channel at rest under the held command (heave in a surface run,
+the planar drive in a buoyancy run) is at a fixed point: one step leaves
+its state's bytes unchanged, and its later steps are repeated, not
+computed.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,11 @@ WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
 MAX_DT = 0.05              # s, longest step the explicit integrator accepts
+
+# columns of each channel in step's rows (x, y, z, psi, u, v, w, r, fill)
+PLANAR_COLUMNS = [0, 1, 3, 4, 5, 7]   # x, y, psi, u, v, r
+HEAVE_COLUMNS = [2, 6, 8]             # z, w, fill
+ROWS_BLOCK = 512  # steps per block of rows, which bounds step's buffers
 
 
 class VehicleError(ValueError):
@@ -118,8 +130,14 @@ def step(
 
     Velocities are advanced first and positions integrated with the new
     values.  Depth is clamped to [0, tank_depth] with heave zeroed at
-    contact (surface float / bottom rest).  The state is carried in plain
-    floats between steps, so ``n`` steps give the same bits as ``n`` calls.
+    contact (surface float / bottom rest).  The planar channel (motor lag,
+    ``u``, ``v``, ``r``, ``psi``, ``x``, ``y``) and the heave channel
+    (``fill``, ``w``, ``z``) share no variable, so each is integrated in
+    its own loop, in plain floats, and ``n`` steps give the same bits as
+    ``n`` calls.  The steps run in blocks of ``ROWS_BLOCK``.  A channel
+    whose first step in a block leaves its state's bytes unchanged is at a
+    fixed point under the held command: the rest of the block repeats it
+    without computing it.
     When ``rows`` is given (an ``array.array("d")``), each step's pre-step
     ``(x, y, z, psi, u, v, w, r, fill)`` is appended to it.
     """
@@ -128,43 +146,22 @@ def step(
         raise InvalidDt("dt must be in (0, %g], got %r" % (MAX_DT, dt))
     dfill = _pump_delta(cmd.pump, dt, p)
 
-    target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
-    target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
-    k = dt / p.motor_time_constant
-    capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
-    mass, inertia, arm = p.mass, p.yaw_inertia, p.propeller_separation
-    c_u, c_v, c_w, c_r = p.drag_surge, -p.drag_sway, p.drag_heave, p.drag_yaw
-    g_rho = GRAVITY * WATER_DENSITY
-    cos, sin = math.cos, math.sin
-
-    x, y, z, psi = state.x, state.y, state.z, state.psi
-    u, v, w, r = state.u, state.v, state.w, state.r
-    fill, tl, tr = state.syringe_fill, state.motor_thrust_left, state.motor_thrust_right
-    for _ in range(n):
+    planar = (state.x, state.y, state.psi, state.u, state.v, state.r,
+              state.motor_thrust_left, state.motor_thrust_right)
+    heave = (state.z, state.w, state.syringe_fill)
+    for start in range(0, n, ROWS_BLOCK):
+        m = min(ROWS_BLOCK, n - start)
+        planar_rows, heave_rows = array("d"), array("d")
+        planar = _planar_steps(planar, cmd, dt, p, m, planar_rows)
+        heave = _heave_steps(heave, dfill, dt, p, m, heave_rows)
         if rows is not None:
-            rows.extend((x, y, z, psi, u, v, w, r, fill))
-        tl = tl + k * (target_l - tl)
-        tr = tr + k * (target_r - tr)
+            block = np.empty((m, 9))
+            block[:, PLANAR_COLUMNS] = np.frombuffer(planar_rows).reshape(m, 6)
+            block[:, HEAVE_COLUMNS] = np.frombuffer(heave_rows).reshape(m, 3)
+            rows.frombytes(memoryview(block).cast("B"))
 
-        fill += dfill
-        fill = 0.0 if fill < 0.0 else capacity if fill > capacity else fill
-        buoy = g_rho * (fill - neutral) * 1e-6  # N, +down
-
-        u = u + dt * (tl + tr - c_u * u * abs(u)) / mass
-        v = v + dt * (c_v * v * abs(v)) / mass
-        w = w + dt * (buoy - c_w * w * abs(w)) / mass
-        r = r + dt * ((tr - tl) * arm / 2.0 - c_r * r * abs(r)) / inertia
-
-        psi = psi + dt * r
-        c, s = cos(psi), sin(psi)
-        x = x + dt * (u * c - v * s)
-        y = y + dt * (u * s + v * c)
-        z = z + dt * w
-        if z < 0.0:
-            z, w = 0.0, 0.0
-        elif z > depth:
-            z, w = depth, 0.0
-
+    x, y, psi, u, v, r, tl, tr = planar
+    z, w, fill = heave
     return VehicleState(
         x=x, y=y, z=z, psi=psi,
         u=u, v=v, w=w, r=r,
@@ -172,6 +169,68 @@ def step(
         motor_thrust_left=tl,
         motor_thrust_right=tr,
     )
+
+
+def _planar_steps(planar, cmd, dt, p, m, out):
+    """``m`` steps of the planar channel ``(x, y, psi, u, v, r, tl, tr)``;
+    each pre-step ``(x, y, psi, u, v, r)`` is appended to ``out``."""
+    target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
+    target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
+    k = dt / p.motor_time_constant
+    mass, inertia, arm = p.mass, p.yaw_inertia, p.propeller_separation
+    c_u, c_v, c_r = p.drag_surge, -p.drag_sway, p.drag_yaw
+    cos, sin = math.cos, math.sin
+
+    x, y, psi, u, v, r, tl, tr = planar
+    for i in range(m):
+        out.extend((x, y, psi, u, v, r))
+        tl = tl + k * (target_l - tl)
+        tr = tr + k * (target_r - tr)
+
+        u = u + dt * (tl + tr - c_u * u * abs(u)) / mass
+        v = v + dt * (c_v * v * abs(v)) / mass
+        r = r + dt * ((tr - tl) * arm / 2.0 - c_r * r * abs(r)) / inertia
+
+        psi = psi + dt * r
+        c, s = cos(psi), sin(psi)
+        x = x + dt * (u * c - v * s)
+        y = y + dt * (u * s + v * c)
+        if not i and _same_bits((x, y, psi, u, v, r, tl, tr), planar):
+            out.extend(planar[:6] * (m - 1))  # a fixed point: repeat it
+            break
+    return x, y, psi, u, v, r, tl, tr
+
+
+def _heave_steps(heave, dfill, dt, p, m, out):
+    """``m`` steps of the heave channel ``(z, w, fill)``; each pre-step
+    state is appended to ``out``."""
+    capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
+    mass, c_w = p.mass, p.drag_heave
+    g_rho = GRAVITY * WATER_DENSITY
+
+    z, w, fill = heave
+    for i in range(m):
+        out.extend((z, w, fill))
+        fill += dfill
+        fill = 0.0 if fill < 0.0 else capacity if fill > capacity else fill
+        buoy = g_rho * (fill - neutral) * 1e-6  # N, +down
+
+        w = w + dt * (buoy - c_w * w * abs(w)) / mass
+        z = z + dt * w
+        if z < 0.0:
+            z, w = 0.0, 0.0
+        elif z > depth:
+            z, w = depth, 0.0
+        if not i and _same_bits((z, w, fill), heave):
+            out.extend(heave * (m - 1))  # a fixed point: repeat it
+            break
+    return z, w, fill
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Bytewise float equality: ``-0.0`` and ``0.0`` differ (they print
+    differently), and a NaN equals its own bits."""
+    return array("d", a).tobytes() == array("d", b).tobytes()
 
 
 def ir_response(

@@ -4,6 +4,7 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import rot_x, rot_z
@@ -13,6 +14,7 @@ from tanklab.scenarios import get_scenario
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
+    TABLE_CHUNK,
     Detections,
     EmptyInput,
     NonMonotoneTimestamps,
@@ -427,6 +429,65 @@ class TestCsvRoundTrip:
         path.write_text(",".join(STATE_CSV_HEADER) + "\n" + ",".join("0" * 7) + "\n")
         with pytest.raises(TrackingError):
             read_table(path, TRUTH_DTYPE.names)
+
+
+def reference_table_bytes(header, table):
+    """``write_table``'s file written a row at a time, every number through
+    ``%.12g``: the reference for its folded, chunked formatting."""
+    if table.dtype.names:
+        table = np.asarray(table).view((float, len(table.dtype.names)))
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    return (",".join(header) + "\n"
+            + "".join(line % tuple(row.tolist()) for row in table)).encode()
+
+
+@st.composite
+def repeating_tables(draw):
+    """Float tables whose columns draw from pools of one to three values, so
+    constant columns, nearly constant ones and signed zeros are common."""
+    n = draw(st.integers(0, 2 * TABLE_CHUNK + 3))
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+    pools = draw(st.lists(st.lists(values, min_size=1, max_size=3), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([np.array(pool)[rng.integers(0, len(pool), n)] for pool in pools]).T
+
+
+class TestWriteTableBytes:
+    """``write_table`` writes the bytes of ``reference_table_bytes``."""
+
+    @pytest.mark.parametrize("table", [
+        np.full((TABLE_CHUNK + 5, 3), 0.25),                               # all constant
+        np.column_stack([np.arange(7.0), [0.0, -0.0] * 3 + [0.0]]),       # signed zeros
+        np.column_stack([np.full(4, -0.0), np.arange(4.0)]),              # constant -0.0
+        np.column_stack([np.full(5, np.nan), [np.inf, -np.inf] * 2 + [np.nan],
+                         np.full(5, -np.inf), np.arange(5.0)]),
+        np.array([[1.5, -0.0, 1e-300]]),                                  # one row
+        np.empty((0, 3)),
+        np.arange(3 * (2 * TABLE_CHUNK + 1), dtype=float).reshape(-1, 3),  # no constant
+    ], ids=["constant", "signed-zeros", "constant-minus-zero", "nan-inf", "one-row",
+            "no-rows", "chunks"])
+    def test_table(self, tmp_path, table):
+        header = ["c%d" % j for j in range(table.shape[1])]
+        path = tmp_path / "t.csv"
+        write_table(path, header, table)
+        assert path.read_bytes() == reference_table_bytes(header, table)
+
+    def test_record_series(self, tmp_path):
+        truth = np.zeros(300, dtype=TRUTH_DTYPE).view(np.recarray)
+        truth.t = np.arange(300) / 240
+        truth.fill = 12.5
+        truth.z[100:] = -0.0
+        path = tmp_path / "truth.csv"
+        write_table(path, TRUTH_DTYPE.names, truth)
+        assert path.read_bytes() == reference_table_bytes(TRUTH_DTYPE.names, truth)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(repeating_tables())
+    def test_fuzz(self, tmp_path_factory, table):
+        header = ["c%d" % j for j in range(table.shape[1])]
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        write_table(path, header, table)
+        assert path.read_bytes() == reference_table_bytes(header, table)
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     GRAVITY,
     WATER_DENSITY,
+    ROWS_BLOCK,
     ActuatorCommand,
     InvalidDt,
     NoSignal,
@@ -201,6 +202,31 @@ def reference_step(state, cmd, dt, p):
     return VehicleState(x, y, z, psi, u, v, w, r, fill, tl, tr)
 
 
+def bits(values):
+    """The bytes of a float sequence: ``-0.0`` and ``0.0`` differ."""
+    return array("d", values).tobytes()
+
+
+def assert_n_steps_equal_n_calls(start, cmd, n, p):
+    """``step(start, cmd, n=n, rows=rows)`` against ``n`` single calls and
+    ``n`` ``reference_step`` calls, bit for bit; returns the rows."""
+    rows = array("d")
+    got = step(start, cmd, DT, p, n=n, rows=rows)
+
+    s, ref, expected = start, start, []
+    for _ in range(n):
+        expected.extend((s.x, s.y, s.z, s.psi, s.u, s.v, s.w, s.r, s.syringe_fill))
+        s = step(s, cmd, DT, p)
+        ref = reference_step(ref, cmd, DT, p)
+    assert bits(astuple(got)) == bits(astuple(s)) == bits(astuple(ref))
+    assert rows.tobytes() == bits(expected)
+    return rows
+
+
+PLANAR = ("x", "y", "psi", "u", "v", "r")
+HEAVE = ("z", "w", "fill")
+
+
 class TestStepN:
     """``step(..., n=N, rows=rows)`` is ``N`` single calls, bit for bit."""
 
@@ -216,23 +242,57 @@ class TestStepN:
         (PUMP_MODE_EXPEL, VehicleState(z=0.05, w=-0.05, syringe_fill=1.0), ("z", 0.0)),
     ])
     def test_n_steps_equal_n_calls(self, pump, start, contact):
-        p = VehicleParams()
         cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
-        n = 600
-        rows = array("d")
-        got = step(start, cmd, DT, p, n=n, rows=rows)
-
-        s, ref, expected = start, start, []
-        for _ in range(n):
-            expected.extend((s.x, s.y, s.z, s.psi, s.u, s.v, s.w, s.r, s.syringe_fill))
-            s = step(s, cmd, DT, p)
-            ref = reference_step(ref, cmd, DT, p)
-        assert astuple(got) == astuple(s) == astuple(ref)
-        assert rows.tolist() == expected
-
+        rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         column, value = contact
         col = rows.tolist()[ROW.index(column) :: 9]
         assert value in col[1:] and col[0] != value  # reached during the run
+
+    @pytest.mark.parametrize("start, cmd, resting, first_rest_row", [
+        # planar at rest, heave sinking
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, syringe_fill=20.0),
+         ActuatorCommand(), PLANAR, 0),
+        # heave at rest on the surface at neutral fill, planar driven
+        (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7), HEAVE, 0),
+        # both at rest
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand(), PLANAR + HEAVE, 0),
+        # a -0.0 at rest becomes +0.0 in one step: no fixed point until step 2
+        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
+        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
+        (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7), HEAVE, 1),
+        (VehicleState(x=1.5, motor_thrust_left=-0.0),
+         ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
+        # empty syringe floating at the surface, pump still expelling
+        (VehicleState(syringe_fill=0.0), ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL),
+         HEAVE, 0),
+        # full syringe resting on the bottom, pump still taking in water
+        (VehicleState(z=TANK, syringe_fill=25.0),
+         ActuatorCommand(0.3, -0.7, PUMP_MODE_INTAKE), HEAVE, 0),
+    ])
+    def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
+        rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
+        # the case holds what it says: the resting channel's columns never
+        # move from its first row at rest, and the other channel moves
+        table = np.frombuffer(rows).reshape(-1, 9)[first_rest_row:].view(np.int64)
+        still = {name for name, col in zip(ROW, table.T) if (col == col[0]).all()}
+        assert still >= set(resting)
+        assert still != set(ROW) or len(resting) == len(ROW)
+
+    def test_motor_lag_alone_is_not_at_rest(self):
+        # thrust below the resolution of u: the first step moves only the
+        # motor lag states, and u follows steps later
+        rows = assert_n_steps_equal_n_calls(
+            VehicleState(x=1.5), ActuatorCommand(1e-320, 1e-320), 600, VehicleParams())
+        u = rows[ROW.index("u") :: 9]
+        assert u[1] == 0.0 and u[-1] > 0.0
+
+    def test_comes_to_rest_across_row_blocks(self):
+        # an empty syringe rises onto the surface and floats there: the
+        # probes after the first block of rows find the heave channel at rest
+        start = VehicleState(z=0.02, w=-0.1, syringe_fill=0.0)
+        cmd = ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL)
+        rows = assert_n_steps_equal_n_calls(start, cmd, 2 * ROWS_BLOCK + 7, VehicleParams())
+        assert rows[ROW.index("z") :: 9][-1] == 0.0
 
     def test_rows_optional(self):
         cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)

@@ -6,9 +6,12 @@ pump_test), each at its own default seed and at seeds 3 and 101, written to
 their default seeds under one override each, written to
 ``OUT/<scenario>_<override>/``; each override moves a sensor sample, a link
 delivery or the step grid onto a step boundary, or loses commands on the
-downlink.  The ``tanklab`` imported is
-whichever is first on ``PYTHONPATH``, so two trees from two source checkouts
-compare with ``diff -r``:
+downlink.  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
+under ``PULSES``: pump runs that stop mid-stroke (each of ``pump_test``'s
+own runs lasts until the syringe saturates), so the tree holds pump cut-off
+steps, and the hull sinks, rises and comes to rest afloat mid-run.  The
+``tanklab`` imported is whichever is first on ``PYTHONPATH``, so two trees
+from two source checkouts compare with ``diff -r``:
 
     PYTHONPATH=<old>/src python tools/run_tree.py /tmp/old
     PYTHONPATH=src python tools/run_tree.py /tmp/new
@@ -21,7 +24,7 @@ import os
 import sys
 
 from tanklab.runner import run_scenario
-from tanklab.scenarios import BUILTIN_SCENARIOS, apply_setting, get_scenario
+from tanklab.scenarios import BUILTIN_SCENARIOS, apply_setting, get_scenario, parse_command
 
 SEEDS = (None, 3, 101)  # None keeps the scenario's own seed
 EDGE_SCENARIOS = ("line", "pump_test")
@@ -36,6 +39,9 @@ EDGE_OVERRIDES = (
     "channel.d1=0.4",  # commands lost at depth
     "channel.base_loss=0.5",
 )
+# 20.8 mL after the intake, then some 8 mL after the expel retries that arrive
+PULSES = ("0.2 start", "0.4 start", "0.5 pump intake 5000",
+          *("%g pump expel 6000" % (11 + 0.25 * i) for i in range(10)))
 
 
 def main(argv: list[str]) -> int:
@@ -54,6 +60,9 @@ def main(argv: list[str]) -> int:
             scenario = get_scenario(name)
             apply_setting(scenario, *override.split("="))
             run_scenario(scenario, out_dir=os.path.join(argv[0], "%s_%s" % (name, override)))
+    scenario = get_scenario("pump_test")
+    scenario.command_script = [parse_command(line) for line in PULSES]
+    run_scenario(scenario, out_dir=os.path.join(argv[0], "pump_test_pulses"))
     return 0
 
 
