@@ -34,7 +34,7 @@ def main():
     print("camera tilt:  true %.3f deg, recovered %.3f deg" % (3.0, recovered_tilt))
 
     r = frames.world_rotation(plane)
-    world = np.array([frames.to_world(qi, q[0], r) for qi in q])
+    world = (q - q[0]) @ r.T
     print("out-of-plane |z| before correction: %.4f m (raw camera z spread)"
           % (q[:, 2].max() - q[:, 2].min()))
     print("out-of-plane |z| after  correction: %.2e m" % np.abs(world[:, 2]).max())

@@ -7,7 +7,7 @@ kinematics from the detections for comparison against ground truth.
 """
 
 from . import camera, frames, link, metrics, runner, scenarios, tracking, vehicle
-from .frames import PlaneCoefficients, Pose, body_velocities, extract_yaw, fit_plane, to_world, world_rotation
+from .frames import PlaneCoefficients, Pose, body_velocities, extract_yaw, fit_plane, world_rotation
 from .runner import RunArtifacts, run_scenario
 from .scenarios import BUILTIN_SCENARIOS, Scenario
 from .tracking import (
@@ -43,7 +43,6 @@ __all__ = [
     "scenarios",
     "segment_stream",
     "state_series",
-    "to_world",
     "tracking",
     "vehicle",
     "world_rotation",

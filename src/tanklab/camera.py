@@ -37,8 +37,11 @@ class CameraConfig:
     visibility_depth: float = 0.05   # tag invisible when submerged deeper
 
     def validate(self) -> None:
-        if self.frame_rate <= 0:
+        if not (self.frame_rate > 0):
             raise ValueError("frame_rate must be > 0")
+        for name in ("timestamp_jitter_sigma", "translation_noise_sigma", "rotation_noise_sigma"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError("%s must be >= 0" % name)
         for name in ("dropout_prob", "spurious_z_prob"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -15,7 +15,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _PIVOT_TOL = 1e-12
-_ROT_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -74,17 +73,6 @@ def axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def is_rotation(r: np.ndarray, tol: float = _ROT_TOL) -> bool:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        return False
-    if not np.all(np.isfinite(r)):
-        return False
-    if np.max(np.abs(r @ r.T - np.eye(3))) > tol:
-        return False
-    return abs(np.linalg.det(r) - 1.0) <= tol
-
-
 @dataclass(frozen=True)
 class PlaneCoefficients:
     """Coefficients of a*x + b*y + c*z + d = 0 with c fixed at -1."""
@@ -92,10 +80,6 @@ class PlaneCoefficients:
     a: float
     b: float
     d: float
-
-    @property
-    def c(self) -> float:
-        return -1.0
 
     @property
     def normal(self) -> np.ndarray:
@@ -186,20 +170,6 @@ def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
     u1 = u1 / n1
     u2 = np.cross(u3, u1)
     return np.vstack([u1, u2, u3])
-
-
-def to_world(
-    detection_translation: np.ndarray, origin: np.ndarray, r_oc: np.ndarray
-) -> np.ndarray:
-    """Express a camera-frame point in the fitted world frame.
-
-    ``r_oc`` is the row-basis matrix from :func:`world_rotation` (camera to
-    world), so the transform is a plain matrix product after removing the
-    origin offset.
-    """
-    q = np.asarray(detection_translation, dtype=float)
-    o = np.asarray(origin, dtype=float)
-    return np.asarray(r_oc, dtype=float) @ (q - o)
 
 
 def extract_yaw(r: np.ndarray) -> float:

@@ -228,18 +228,6 @@ def delivery_probability(depth: float, cfg: ChannelConfig) -> float:
     return (1.0 - cfg.base_loss) * frac
 
 
-def deliver(
-    frame: bytes,
-    vehicle_depth: float,
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-) -> bytes | None:
-    """Single loss draw; returns the frame on success, None when lost."""
-    if rng.random() < delivery_probability(vehicle_depth, cfg):
-        return frame
-    return None
-
-
 class Channel:
     """Latency queue over the lossy link; single-threaded.  Latency is
     constant and send times may not decrease, so items arrive in send order."""
@@ -252,12 +240,12 @@ class Channel:
         self._last_send = float("-inf")
 
     def send(self, item, t: float, vehicle_depth: float) -> bool:
-        """Submit an item (a frame, or a tuple holding one) at time t;
-        returns False when lost in transit."""
+        """Submit an item (a frame, or a tuple holding one) at time t; one
+        loss draw against ``delivery_probability``, and False when lost."""
         if t < self._last_send:
             raise LinkError("send at t=%r after a send at t=%r" % (t, self._last_send))
         self._last_send = t
-        if deliver(item, vehicle_depth, self.cfg, self.rng) is None:
+        if not (self.rng.random() < delivery_probability(vehicle_depth, self.cfg)):
             return False
         self._queue.append((t + self.cfg.latency, item))
         return True

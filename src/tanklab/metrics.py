@@ -187,7 +187,10 @@ def count_sign_changes(values: Sequence[float], hysteresis: float) -> int:
 
 def count_reversals(depth: Sequence[float], min_excursion: float = 0.05) -> int:
     """Direction reversals of a depth profile, ignoring excursions smaller
-    than ``min_excursion``."""
+    than ``min_excursion``, which must be > 0: at 0 a flat first step would
+    set a direction."""
+    if not (min_excursion > 0):
+        raise MetricsError("min_excursion must be > 0, got %r" % min_excursion)
     d = np.asarray(depth, dtype=float)
     if d.size < 3:
         return 0

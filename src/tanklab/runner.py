@@ -41,9 +41,11 @@ from .metrics import (
     truth_series,
 )
 from .scenarios import Scenario
-from .tracking import (STATE_DTYPE, Detections, PipelineDiagnostics, fmt, read_table,
-                       rows_table, write_rows, write_table)
+from .tracking import (STATE_DTYPE, Detections, fmt, read_table, rows_table, write_rows,
+                       write_table)
 from .vehicle import (
+    HEAVE_FIELDS,
+    PLANAR_FIELDS,
     ActuatorCommand,
     VehicleState,
     depth_reading,
@@ -117,7 +119,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
     command_log: list[CommandLogEntry] = []
     step_t = np.arange(n_steps + 1) * dt  # t_k, bit-equal to k * dt
-    rows = array("d")  # pre-step (x, y, z, psi, u, v, w, r, fill), appended by step
+    rows = array("d"), array("d")  # each step's pre-step (planar, heave), appended by step
 
     k = 0
     while k < n_steps:
@@ -163,9 +165,14 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, rows=rows)
         k = nxt
 
-    rows.extend((state.x, state.y, state.z, state.psi, state.u, state.v,
-                 state.w, state.r, state.syringe_fill))
-    truth = truth_series(np.column_stack([step_t, np.frombuffer(rows).reshape(-1, 9)]))
+    table = np.empty((n_steps + 1, len(TRUTH_DTYPE)))
+    table[:, 0] = step_t
+    table[-1, 1:] = (state.x, state.y, state.z, state.psi, state.u, state.v,
+                     state.w, state.r, state.syringe_fill)
+    for fields, channel in zip((PLANAR_FIELDS, HEAVE_FIELDS), rows):
+        columns = [TRUTH_DTYPE.names.index(name) for name in fields]
+        table[:-1, columns] = np.frombuffer(channel).reshape(-1, len(fields))
+    truth = truth_series(table)
     del rows  # a copy of truth: free it before the camera, pipeline and writers run
     step_t = step_t[:-1]
 
@@ -224,12 +231,12 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     alignment_rows: list[list[float]] = []
     for seg in segments:
         try:
-            states, diag = tracking.run_pipeline_detailed(seg, s.pipeline)
+            states, r_oc = tracking.run_pipeline_detailed(seg, s.pipeline)
         except tracking.SegmentTooShort:
             continue
         segment_states.append(states)
         alignment_rows.append(
-            _alignment(len(alignment_rows), states, truth, diag, cam.pose.rotation))
+            _alignment(len(alignment_rows), states, truth, r_oc @ cam.pose.rotation.T))
     estimates = np.concatenate(segment_states).view(np.recarray)
     alignments = rows_table(alignment_rows, ALIGNMENT_HEADER)
 
@@ -254,18 +261,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
 
 def _alignment(
-    index: int,
-    states: np.recarray,
-    truth: np.recarray,
-    diag: PipelineDiagnostics,
-    cam_rotation: np.ndarray,
+    index: int, states: np.recarray, truth: np.recarray, rot: np.ndarray
 ) -> list[float]:
     """The ``ALIGNMENT_HEADER`` row of one segment's states: truth at its
-    first detection is the origin, and the fitted camera-to-world basis
-    composed with the camera extrinsics is the rotation."""
-    rot = diag.rotation @ cam_rotation.T
-    t0 = diag.first_timestamp
-    origin = [np.interp(t0, truth.t, truth[name]) for name in ("x", "y", "z")]
+    first state, whose time is its first detection's, is the origin, and
+    ``rot``, the fitted camera-to-world basis composed with the camera
+    extrinsics, is the rotation."""
+    origin = [np.interp(states.timestamp[0], truth.t, truth[name]) for name in ("x", "y", "z")]
     return [index, states.timestamp[0], states.timestamp[-1], *origin, *rot.reshape(-1)]
 
 

@@ -66,7 +66,12 @@ class Scenario:
     plot_frame: str = "ned"             # or "paper" (yaw positive clockwise)
 
     def validate(self) -> None:
-        if self.duration <= 0:
+        for prefix, config in (("", self), *((key + ".", getattr(self, attr))
+                                             for key, attr in _SUBCONFIGS.items())):
+            for name, value in vars(config).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(prefix + name, "must be finite, got %r" % value)
+        if not (self.duration > 0):
             raise ConfigError("duration", "must be > 0")
         if not (self.sim_rate > 0 and 1.0 / self.sim_rate <= MAX_DT):
             raise ConfigError("sim_rate", "must be >= %g Hz (plant steps of at most %g s)"

@@ -91,10 +91,12 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.smoothing_window < 1:
             raise TrackingError("smoothing_window must be >= 1")
-        if self.output_rate <= 0:
+        if not (self.output_rate > 0):
             raise TrackingError("output_rate must be > 0")
-        if self.max_gap <= 0:
+        if not (self.max_gap > 0):
             raise TrackingError("max_gap must be > 0")
+        if not (self.outlier_z_jump > 0):
+            raise TrackingError("outlier_z_jump must be > 0")
 
 
 # One record per uniformly sampled pipeline output.
@@ -109,31 +111,6 @@ def state_series(timestamp, x, y, psi, u, v, r) -> np.recarray:
     return np.rec.fromarrays([timestamp, x, y, psi, u, v, r], dtype=STATE_DTYPE)
 
 
-@dataclass(frozen=True)
-class PipelineDiagnostics:
-    """Fitted quantities behind a pipeline run, for alignment and debugging."""
-
-    plane: PlaneCoefficients
-    rotation: np.ndarray
-    first_timestamp: float
-
-
-def unwrap_angles(series: Sequence[float]) -> np.ndarray:
-    """Remove 2*pi jumps so consecutive samples differ by < pi."""
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
-        raise EmptyInput("cannot unwrap an empty series")
-    return np.unwrap(arr)
-
-
-def finite_difference(values: Sequence[float], dt: float) -> np.ndarray:
-    """Central differences in the interior, one-sided at the endpoints."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise SegmentTooShort("finite difference needs at least 2 samples")
-    return np.gradient(arr, dt)
-
-
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     """Trailing moving average; the window grows over the first samples."""
     arr = np.asarray(values, dtype=float)
@@ -144,14 +121,8 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
             "window %d larger than input of length %d" % (window, arr.size)
         )
     csum = np.concatenate([[0.0], np.cumsum(arr)])
-    out = np.empty_like(arr)
-    n = arr.size
-    head = min(window - 1, n)
-    for i in range(head):
-        out[i] = csum[i + 1] / (i + 1)
-    idx = np.arange(window - 1, n)
-    out[window - 1 :] = (csum[idx + 1] - csum[idx + 1 - window]) / window
-    return out
+    return np.concatenate([csum[1:window] / np.arange(1, window),
+                           (csum[window:] - csum[:-window]) / window])
 
 
 def resample_uniform(
@@ -217,15 +188,17 @@ def run_pipeline(
 
 def run_pipeline_detailed(
     segment: Detections, config: PipelineConfig | None = None
-) -> tuple[np.recarray, PipelineDiagnostics]:
-    """Full estimation pipeline over one detection segment.
+) -> tuple[np.recarray, np.ndarray]:
+    """Full estimation pipeline over one detection segment: its states, and
+    ``r_oc``, the fitted camera-to-world basis (``frames.world_rotation``).
 
-    Ordering: plane fit, world basis, first-frame origin, world transform,
-    yaw extraction + unwrap, resample positions/yaw to the uniform grid,
-    central finite differences, trailing moving average on the derivatives,
-    then rotation into body surge/sway.  Yaw is extracted from the fitted
-    world rotation composed with each detection rotation so that heading and
-    translation share one frame.
+    Ordering: plane fit, world basis, first-frame origin, world transform
+    ``(q - origin) @ r_oc.T``, yaw extraction + unwrap, resample
+    positions/yaw to the uniform grid, whose first time is the first
+    detection's, central finite differences, trailing moving average on the
+    derivatives, then rotation into body surge/sway.  Yaw is extracted from
+    the fitted world rotation composed with each detection rotation so that
+    heading and translation share one frame.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
@@ -238,12 +211,12 @@ def run_pipeline_detailed(
         plane = frames.fit_plane(q)
     except (frames.DegenerateConfiguration, frames.InsufficientPoints):
         # stationary or collinear track (two points always are): no tilt
-        # observable, so assume a level plane at the mean detection height
-        plane = PlaneCoefficients(0.0, 0.0, float(np.mean(q[:, 2])))
+        # observable, so assume a level plane
+        plane = PlaneCoefficients(0.0, 0.0, 0.0)
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
     world = (q - origin) @ r_oc.T
-    yaw = unwrap_angles([frames.extract_yaw(r_oc @ rot) for rot in segment.rot])
+    yaw = np.unwrap([frames.extract_yaw(r_oc @ rot) for rot in segment.rot])
 
     rate = cfg.output_rate
     grid, x = resample_uniform(t, world[:, 0], rate)
@@ -258,13 +231,13 @@ def run_pipeline_detailed(
         )
 
     dt = 1.0 / rate
-    xdot = moving_average(finite_difference(x, dt), window)
-    ydot = moving_average(finite_difference(y, dt), window)
-    r = moving_average(finite_difference(psi, dt), window)
+    xdot = moving_average(np.gradient(x, dt), window)
+    ydot = moving_average(np.gradient(y, dt), window)
+    r = moving_average(np.gradient(psi, dt), window)
 
     u, v, _ = frames.body_velocities(xdot, ydot, psi)
     states = state_series(grid, x, y, frames.wrap_angle(psi), u, v, r)
-    return states, PipelineDiagnostics(plane, r_oc, first_timestamp=float(t[0]))
+    return states, r_oc
 
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]

@@ -29,10 +29,9 @@ IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
 MAX_DT = 0.05              # s, longest step the explicit integrator accepts
 
-# columns of each channel in step's rows (x, y, z, psi, u, v, w, r, fill)
-PLANAR_COLUMNS = [0, 1, 3, 4, 5, 7]   # x, y, psi, u, v, r
-HEAVE_COLUMNS = [2, 6, 8]             # z, w, fill
-ROWS_BLOCK = 512  # steps per block of rows, which bounds step's buffers
+# the fields of one row of each channel's array in step's rows
+PLANAR_FIELDS = ("x", "y", "psi", "u", "v", "r")
+HEAVE_FIELDS = ("z", "w", "fill")
 
 
 class VehicleError(ValueError):
@@ -112,12 +111,6 @@ def _pump_delta(pump_cmd: int, dt: float, params: VehicleParams) -> float:
     return 0.0
 
 
-def pump_step(fill: float, pump_cmd: int, dt: float, params: VehicleParams) -> float:
-    """Advance syringe fill by one step under a ``link.PUMP_MODE_*`` code;
-    saturates at the syringe limits."""
-    return _clamp(fill + _pump_delta(pump_cmd, dt, params), 0.0, params.syringe_capacity)
-
-
 def step(
     state: VehicleState,
     cmd: ActuatorCommand,
@@ -134,34 +127,24 @@ def step(
     ``u``, ``v``, ``r``, ``psi``, ``x``, ``y``) and the heave channel
     (``fill``, ``w``, ``z``) share no variable, so each is integrated in
     its own loop, in plain floats, and ``n`` steps give the same bits as
-    ``n`` calls.  The steps run in blocks of ``ROWS_BLOCK``.  A channel
-    whose first step in a block leaves its state's bytes unchanged is at a
-    fixed point under the held command: the rest of the block repeats it
-    without computing it.
-    When ``rows`` is given (an ``array.array("d")``), each step's pre-step
-    ``(x, y, z, psi, u, v, w, r, fill)`` is appended to it.
+    ``n`` calls.  A channel whose first step leaves its state's bytes
+    unchanged is at a fixed point under the held command: its other steps
+    repeat it without computing it.  The probe runs once per call, so a
+    channel that comes to rest later in the call is computed to its end.
+    When ``rows`` is given, a pair ``(planar, heave)`` of
+    ``array.array("d")``, each step's pre-step state is appended to them:
+    ``PLANAR_FIELDS`` to ``planar`` and ``HEAVE_FIELDS`` to ``heave``.
     """
     p = params or VehicleParams()
     if not (0.0 < dt <= MAX_DT):
         raise InvalidDt("dt must be in (0, %g], got %r" % (MAX_DT, dt))
     dfill = _pump_delta(cmd.pump, dt, p)
+    planar_rows, heave_rows = rows if rows is not None else (array("d"), array("d"))
 
-    planar = (state.x, state.y, state.psi, state.u, state.v, state.r,
-              state.motor_thrust_left, state.motor_thrust_right)
-    heave = (state.z, state.w, state.syringe_fill)
-    for start in range(0, n, ROWS_BLOCK):
-        m = min(ROWS_BLOCK, n - start)
-        planar_rows, heave_rows = array("d"), array("d")
-        planar = _planar_steps(planar, cmd, dt, p, m, planar_rows)
-        heave = _heave_steps(heave, dfill, dt, p, m, heave_rows)
-        if rows is not None:
-            block = np.empty((m, 9))
-            block[:, PLANAR_COLUMNS] = np.frombuffer(planar_rows).reshape(m, 6)
-            block[:, HEAVE_COLUMNS] = np.frombuffer(heave_rows).reshape(m, 3)
-            rows.frombytes(memoryview(block).cast("B"))
-
-    x, y, psi, u, v, r, tl, tr = planar
-    z, w, fill = heave
+    x, y, psi, u, v, r, tl, tr = _planar_steps(
+        (state.x, state.y, state.psi, state.u, state.v, state.r,
+         state.motor_thrust_left, state.motor_thrust_right), cmd, dt, p, n, planar_rows)
+    z, w, fill = _heave_steps((state.z, state.w, state.syringe_fill), dfill, dt, p, n, heave_rows)
     return VehicleState(
         x=x, y=y, z=z, psi=psi,
         u=u, v=v, w=w, r=r,

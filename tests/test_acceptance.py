@@ -17,7 +17,7 @@ from tanklab.frames import PlaneCoefficients, wrap_angle
 from tanklab.metrics import circle_fit, count_sign_changes
 from tanklab.runner import R_HYSTERESIS, run_scenario
 from tanklab.tracking import PipelineConfig, moving_average, resample_uniform
-from tanklab.vehicle import estimate_plunger, ir_response, pump_step, signal_quality
+from tanklab.vehicle import estimate_plunger, ir_response, signal_quality
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -99,7 +99,7 @@ def test_tilt_correction():
     normal = plane.normal / np.linalg.norm(plane.normal)
     angle_err = abs(math.acos(abs(normal[2])) - tilt)
     r = frames.world_rotation(plane)
-    world = np.array([frames.to_world(qi, q[0], r) for qi in q])
+    world = (q - q[0]) @ r.T
     z_max = np.abs(world[:, 2]).max()
     report("tilt-correction", angle_err < math.radians(0.01) and z_max < 1e-9,
            "normal err %.2e deg, |z| max %.2e" % (math.degrees(angle_err), z_max))
@@ -189,9 +189,10 @@ def test_line_rmse_u_across_seeds(seed):
 def test_buoyancy():
     params = vehicle.VehicleParams()
     dt = 1.0 / 240.0
-    fill, steps = 0.0, 0
-    while fill < params.syringe_capacity:
-        fill = pump_step(fill, link.PUMP_MODE_INTAKE, dt, params)
+    state, steps = vehicle.VehicleState(syringe_fill=0.0), 0
+    intake = vehicle.ActuatorCommand(pump=link.PUMP_MODE_INTAKE)
+    while state.syringe_fill < params.syringe_capacity:
+        state = vehicle.step(state, intake, dt, params)
         steps += 1
     fill_time_ok = abs(steps * dt - 15.0) <= dt + 1e-12
 
@@ -255,12 +256,10 @@ def test_protocol():
             except link.LinkError:
                 pass
 
-    cfg = link.ChannelConfig()
     worst = 0.0
+    channel = link.Channel(link.ChannelConfig(), rng)
     for depth, expected in ((0.0, 0.99), (0.75, 0.495), (1.3, 0.0)):
-        got = sum(
-            link.deliver(b"x", depth, cfg, rng) is not None for _ in range(10_000)
-        ) / 10_000
+        got = sum(channel.send(b"x", 0.0, depth) for _ in range(10_000)) / 10_000
         worst = max(worst, abs(got - expected))
         ok &= abs(got - expected) <= 0.02
     report("protocol", ok, "worst delivery-rate error %.4f" % worst)

@@ -188,6 +188,12 @@ class TestCounters:
     def test_reversals_short_input(self):
         assert count_reversals([0.0, 1.0]) == 0
 
+    @pytest.mark.parametrize("min_excursion", [0.0, -1.0, math.nan])
+    def test_reversals_need_positive_excursion(self, min_excursion):
+        # at 0, the flat first step of a monotone profile would set a direction
+        with pytest.raises(MetricsError):
+            count_reversals([0.0, 0.0, 1.0], min_excursion)
+
 
 class TestScenarios:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -548,6 +554,18 @@ class TestCli:
         "command=1 start 300",
         # a window no segment of an 8.35 s run can fill
         "pipeline.smoothing_window=500",
+        # NaN, infinite or negative numbers
+        "duration=inf",
+        "camera.frame_rate=nan",
+        "pipeline.output_rate=nan",
+        "camera.timestamp_jitter_sigma=-1",
+        "camera.translation_noise_sigma=-1",
+        "camera.rotation_noise_sigma=nan",
+        "pipeline.max_gap=nan",
+        "pipeline.outlier_z_jump=-1",
+        "vehicle.mass=inf",
+        "sim_rate=inf",
+        "initial_x=nan",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),

@@ -23,7 +23,6 @@ from tanklab.link import (
     decode,
     decode_stream,
     delivery_probability,
-    deliver,
     encode,
 )
 
@@ -179,7 +178,8 @@ class TestChannel:
         cfg = ChannelConfig()
         rng = np.random.default_rng(7)
         n = 10_000
-        got = sum(deliver(b"x", depth, cfg, rng) is not None for _ in range(n)) / n
+        channel = Channel(cfg, rng)
+        got = sum(channel.send(b"x", 0.0, depth) for _ in range(n)) / n
         assert abs(got - expected) <= 0.02
 
     def test_latency_queue_ordering(self):

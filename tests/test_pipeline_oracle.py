@@ -57,11 +57,14 @@ def test_jittered_timestamps_agree(rng):
 
 
 def test_yaw_crossing_pi_agrees():
-    # heading sweeps through the +/- pi seam; unwrap must match the loop oracle
+    # the recovered heading (-pi/2 - psi under this level camera) sweeps
+    # through the +/- pi seam; unwrap must match the loop oracle
     def traj(t):
-        psi = 2.8 + 0.5 * t
+        psi = 1.2 + 0.5 * t
         return 2.0 + 0.3 * t, 2.0 + 0.05 * math.cos(2 * t), psi
 
     times = np.arange(0, 4.0, 1 / 30)
     dets = synthetic_detections(times, traj)
     check_against_oracle(dets, window=12)
+    psi = run_pipeline(dets, PipelineConfig(smoothing_window=12)).psi
+    assert np.abs(np.diff(psi)).max() > math.pi  # crossed the seam

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import camera_pose, detection_row, synthetic_detections
-from tanklab.frames import rot_x, rot_z
+from tanklab.frames import PlaneCoefficients, rot_x, rot_z, world_rotation
 from tanklab.metrics import TRUTH_DTYPE
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
 from tanklab.scenarios import get_scenario
@@ -22,7 +22,6 @@ from tanklab.tracking import (
     SegmentTooShort,
     TrackingError,
     WindowTooLarge,
-    finite_difference,
     moving_average,
     read_detections_csv,
     read_states_csv,
@@ -31,7 +30,6 @@ from tanklab.tracking import (
     run_pipeline,
     run_pipeline_detailed,
     segment_stream,
-    unwrap_angles,
     write_detections_csv,
     write_states_csv,
     write_table,
@@ -46,35 +44,35 @@ def line_run_dir(tmp_path_factory):
 
 
 class TestUnwrap:
-    def test_passthrough(self):
-        np.testing.assert_allclose(unwrap_angles([0.0, 0.1, 0.2]), [0.0, 0.1, 0.2])
+    """The pipeline's yaw unwrap, seen in its states."""
 
     def test_removes_jump(self):
-        series = [3.1, -3.1]
-        out = unwrap_angles(series)
-        assert out[1] == pytest.approx(2 * math.pi - 3.1, abs=1e-12)
-        assert abs(out[1] - out[0]) < math.pi
+        # the recovered yaw sweeps through the +/- pi seam at a constant
+        # rate: its differences give that rate, with no 2 pi / dt spike
+        def traj(t):
+            return 1.0 + 0.3 * t, 1.0, 1.2 + 0.5 * t
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            unwrap_angles([])
+        dets = synthetic_detections(np.arange(0, 2.0, 1 / 30), traj)
+        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        assert np.abs(np.diff(states.psi)).max() > math.pi  # crossed the seam
+        np.testing.assert_allclose(np.abs(states.r), 0.5, atol=1e-9)
 
 
 class TestFiniteDifference:
+    """The pipeline's finite differences, seen in its states: with a
+    one-sample window and the detections on the output grid, ``u`` is the
+    differenced track."""
+
     def test_linear_exact(self):
-        t = np.arange(10) * 0.1
-        d = finite_difference(3.0 * t + 1.0, 0.1)
-        np.testing.assert_allclose(d, 3.0, atol=1e-12)
+        dets = synthetic_detections(np.arange(10) / 30, line_traj(speed=0.3))
+        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        np.testing.assert_allclose(states.u, 0.3, atol=1e-12)
 
     def test_quadratic_interior_exact(self):
         # central differences are exact for quadratics in the interior
-        t = np.arange(20) * 0.05
-        d = finite_difference(t**2, 0.05)
-        np.testing.assert_allclose(d[1:-1], 2.0 * t[1:-1], atol=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(SegmentTooShort):
-            finite_difference([1.0], 0.1)
+        dets = synthetic_detections(np.arange(20) / 30, lambda t: (1.0 + 0.5 * t * t, 1.0, 0.0))
+        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        np.testing.assert_allclose(states.u[1:-1], states.timestamp[1:-1], atol=1e-12)
 
 
 class TestMovingAverage:
@@ -272,9 +270,8 @@ class TestPipeline:
         dets = synthetic_detections([0.0, 0.2], line_traj())
         with pytest.raises(SegmentTooShort):
             run_pipeline_detailed(dets)
-        states, diag = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
-        assert (diag.plane.a, diag.plane.b) == (0.0, 0.0)
-        assert diag.plane.d == pytest.approx(float(np.mean(dets.q[:, 2])))
+        states, r_oc = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
+        assert r_oc.tobytes() == world_rotation(PlaneCoefficients(0.0, 0.0, 0.0)).tobytes()
         assert len(states) == 7
         assert states.u == pytest.approx(0.4, abs=1e-6)
 
@@ -333,16 +330,18 @@ class TestPipeline:
             return 1.0 + 0.3 * t, 1.0 + 0.05 * math.sin(2 * t), 0.0
 
         dets = synthetic_detections(times, traj, camera_pose(tilt_x=tilt))
-        _, diag = run_pipeline_detailed(dets)
-        normal = diag.plane.normal / np.linalg.norm(diag.plane.normal)
-        angle = math.acos(abs(normal[2]))
+        states, r_oc = run_pipeline_detailed(dets)
+        angle = math.acos(abs(r_oc[2, 2]))  # the third row is the unit plane normal
         assert angle == pytest.approx(tilt, abs=1e-9)
-        assert diag.first_timestamp == times[0]
+        assert states.timestamp[0] == times[0]
 
     def test_segment_too_short(self):
         dets = level_detections(np.arange(10) / 30, np.arange(10) * 0.01)
         with pytest.raises(SegmentTooShort):
             run_pipeline(dets)
+        # one detection, before anything is unwrapped or differenced
+        with pytest.raises(SegmentTooShort):
+            run_pipeline(dets[:1], PipelineConfig(smoothing_window=1))
 
     def test_psi_wrapped(self):
         def traj(t):

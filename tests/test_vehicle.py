@@ -8,8 +8,9 @@ import pytest
 from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     GRAVITY,
+    HEAVE_FIELDS,
+    PLANAR_FIELDS,
     WATER_DENSITY,
-    ROWS_BLOCK,
     ActuatorCommand,
     InvalidDt,
     NoSignal,
@@ -19,7 +20,6 @@ from tanklab.vehicle import (
     depth_reading,
     estimate_plunger,
     ir_response,
-    pump_step,
     signal_quality,
     step,
 )
@@ -44,31 +44,33 @@ class TestParams:
 
 
 class TestPump:
+    """The syringe fill, through ``step``."""
+
     def test_rate(self):
-        # 100 mL/min -> exactly 1/6 mL per 0.1 s
-        fill = pump_step(12.5, PUMP_MODE_INTAKE, 0.1, VehicleParams())
-        assert fill == pytest.approx(12.5 + 100.0 / 600.0, abs=1e-12)
+        # 100 mL/min -> exactly 1/12 mL per 0.05 s
+        s = step(VehicleState(syringe_fill=12.5), ActuatorCommand(pump=PUMP_MODE_INTAKE), 0.05)
+        assert s.syringe_fill == pytest.approx(12.5 + 100.0 / 1200.0, abs=1e-12)
 
     def test_full_stroke_duration(self):
         # 0 -> 25 mL at 100 mL/min takes exactly 15 s
         p = VehicleParams()
-        fill, t = 0.0, 0.0
-        while fill < p.syringe_capacity:
-            fill = pump_step(fill, PUMP_MODE_INTAKE, DT, p)
+        s, t = VehicleState(syringe_fill=0.0), 0.0
+        while s.syringe_fill < p.syringe_capacity:
+            s = step(s, ActuatorCommand(pump=PUMP_MODE_INTAKE), DT, p)
             t += DT
         assert t == pytest.approx(15.0, abs=2 * DT)
 
     def test_saturation(self):
-        p = VehicleParams()
-        assert pump_step(24.999, PUMP_MODE_INTAKE, 1.0, p) == 25.0
-        assert pump_step(0.001, PUMP_MODE_EXPEL, 1.0, p) == 0.0
+        intake, expel = ActuatorCommand(pump=PUMP_MODE_INTAKE), ActuatorCommand(pump=PUMP_MODE_EXPEL)
+        assert step(VehicleState(syringe_fill=24.999), intake, 0.05).syringe_fill == 25.0
+        assert step(VehicleState(syringe_fill=0.001), expel, 0.05).syringe_fill == 0.0
 
     def test_off_is_identity(self):
-        assert pump_step(7.0, PUMP_MODE_OFF, 1.0, VehicleParams()) == 7.0
+        assert step(VehicleState(syringe_fill=7.0), ActuatorCommand(), 0.05).syringe_fill == 7.0
 
     def test_unknown_command(self):
         with pytest.raises(VehicleError):
-            pump_step(7.0, 3, DT, VehicleParams())  # not a PUMP_MODE_* code
+            step(VehicleState(), ActuatorCommand(pump=3), DT)  # not a PUMP_MODE_* code
 
 
 class TestStep:
@@ -170,7 +172,7 @@ class TestStep:
 
 
 TANK = VehicleParams().tank_depth
-ROW = ("x", "y", "z", "psi", "u", "v", "w", "r", "fill")  # the columns of step's rows
+FIELDS = PLANAR_FIELDS + HEAVE_FIELDS
 
 
 def reference_step(state, cmd, dt, p):
@@ -184,7 +186,9 @@ def reference_step(state, cmd, dt, p):
     k = dt / p.motor_time_constant
     tl = state.motor_thrust_left + k * (target_l - state.motor_thrust_left)
     tr = state.motor_thrust_right + k * (target_r - state.motor_thrust_right)
-    fill = pump_step(state.syringe_fill, cmd.pump, dt, p)
+    rate = p.pump_max_rate / 60.0
+    dfill = {PUMP_MODE_OFF: 0.0, PUMP_MODE_INTAKE: rate * dt, PUMP_MODE_EXPEL: -(rate * dt)}
+    fill = clamp(state.syringe_fill + dfill[cmd.pump], 0.0, p.syringe_capacity)
     buoy = GRAVITY * WATER_DENSITY * (fill - p.neutral_fill) * 1e-6
     u = state.u + dt * (tl + tr - p.drag_surge * state.u * abs(state.u)) / p.mass
     v = state.v + dt * (-p.drag_sway * state.v * abs(state.v)) / p.mass
@@ -207,24 +211,35 @@ def bits(values):
     return array("d", values).tobytes()
 
 
+def state_rows(states):
+    """The bytes of the ``(planar, heave)`` rows of these states."""
+    def value(s, name):
+        return s.syringe_fill if name == "fill" else getattr(s, name)
+
+    return tuple(bits([value(s, name) for s in states for name in fields])
+                 for fields in (PLANAR_FIELDS, HEAVE_FIELDS))
+
+
+def column(rows, name):
+    """One field's column of ``step``'s ``(planar, heave)`` rows."""
+    fields, channel = (PLANAR_FIELDS, rows[0]) if name in PLANAR_FIELDS else (HEAVE_FIELDS, rows[1])
+    return channel[fields.index(name) :: len(fields)]
+
+
 def assert_n_steps_equal_n_calls(start, cmd, n, p):
     """``step(start, cmd, n=n, rows=rows)`` against ``n`` single calls and
-    ``n`` ``reference_step`` calls, bit for bit; returns the rows."""
-    rows = array("d")
+    ``n`` ``reference_step`` calls, bit for bit, in the state it returns and
+    in both arrays of its rows; returns the rows."""
+    rows = array("d"), array("d")
     got = step(start, cmd, DT, p, n=n, rows=rows)
 
-    s, ref, expected = start, start, []
+    calls, refs = [start], [start]
     for _ in range(n):
-        expected.extend((s.x, s.y, s.z, s.psi, s.u, s.v, s.w, s.r, s.syringe_fill))
-        s = step(s, cmd, DT, p)
-        ref = reference_step(ref, cmd, DT, p)
-    assert bits(astuple(got)) == bits(astuple(s)) == bits(astuple(ref))
-    assert rows.tobytes() == bits(expected)
+        calls.append(step(calls[-1], cmd, DT, p))
+        refs.append(reference_step(refs[-1], cmd, DT, p))
+    assert bits(astuple(got)) == bits(astuple(calls[-1])) == bits(astuple(refs[-1]))
+    assert tuple(r.tobytes() for r in rows) == state_rows(calls[:-1]) == state_rows(refs[:-1])
     return rows
-
-
-PLANAR = ("x", "y", "psi", "u", "v", "r")
-HEAVE = ("z", "w", "fill")
 
 
 class TestStepN:
@@ -244,67 +259,72 @@ class TestStepN:
     def test_n_steps_equal_n_calls(self, pump, start, contact):
         cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
         rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
-        column, value = contact
-        col = rows.tolist()[ROW.index(column) :: 9]
+        name, value = contact
+        col = column(rows, name).tolist()
         assert value in col[1:] and col[0] != value  # reached during the run
 
     @pytest.mark.parametrize("start, cmd, resting, first_rest_row", [
         # planar at rest, heave sinking
         (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, syringe_fill=20.0),
-         ActuatorCommand(), PLANAR, 0),
+         ActuatorCommand(), PLANAR_FIELDS, 0),
         # heave at rest on the surface at neutral fill, planar driven
-        (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7), HEAVE, 0),
+        (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7), HEAVE_FIELDS, 0),
         # both at rest
-        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand(), PLANAR + HEAVE, 0),
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand(), FIELDS, 0),
         # a -0.0 at rest becomes +0.0 in one step: no fixed point until step 2
-        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
-        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
-        (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7), HEAVE, 1),
+        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
+        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
+        (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7), HEAVE_FIELDS, 1),
         (VehicleState(x=1.5, motor_thrust_left=-0.0),
-         ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR, 1),
+         ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
         # empty syringe floating at the surface, pump still expelling
         (VehicleState(syringe_fill=0.0), ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL),
-         HEAVE, 0),
+         HEAVE_FIELDS, 0),
         # full syringe resting on the bottom, pump still taking in water
         (VehicleState(z=TANK, syringe_fill=25.0),
-         ActuatorCommand(0.3, -0.7, PUMP_MODE_INTAKE), HEAVE, 0),
+         ActuatorCommand(0.3, -0.7, PUMP_MODE_INTAKE), HEAVE_FIELDS, 0),
     ])
     def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
         rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         # the case holds what it says: the resting channel's columns never
         # move from its first row at rest, and the other channel moves
-        table = np.frombuffer(rows).reshape(-1, 9)[first_rest_row:].view(np.int64)
-        still = {name for name, col in zip(ROW, table.T) if (col == col[0]).all()}
+        still = set()
+        for name in FIELDS:
+            col = np.frombuffer(column(rows, name))[first_rest_row:].view(np.int64)
+            if (col == col[0]).all():
+                still.add(name)
         assert still >= set(resting)
-        assert still != set(ROW) or len(resting) == len(ROW)
+        assert still != set(FIELDS) or len(resting) == len(FIELDS)
 
     def test_motor_lag_alone_is_not_at_rest(self):
         # thrust below the resolution of u: the first step moves only the
         # motor lag states, and u follows steps later
         rows = assert_n_steps_equal_n_calls(
             VehicleState(x=1.5), ActuatorCommand(1e-320, 1e-320), 600, VehicleParams())
-        u = rows[ROW.index("u") :: 9]
+        u = column(rows, "u")
         assert u[1] == 0.0 and u[-1] > 0.0
 
-    def test_comes_to_rest_across_row_blocks(self):
-        # an empty syringe rises onto the surface and floats there: the
-        # probes after the first block of rows find the heave channel at rest
+    def test_comes_to_rest_mid_call(self):
+        # an empty syringe rises onto the surface and floats there: the heave
+        # channel comes to rest after the call's first step, so it is computed
+        # to the call's end
         start = VehicleState(z=0.02, w=-0.1, syringe_fill=0.0)
         cmd = ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL)
-        rows = assert_n_steps_equal_n_calls(start, cmd, 2 * ROWS_BLOCK + 7, VehicleParams())
-        assert rows[ROW.index("z") :: 9][-1] == 0.0
+        rows = assert_n_steps_equal_n_calls(start, cmd, 2 * 512 + 7, VehicleParams())
+        z = column(rows, "z")
+        assert z[0] > 0.0 and z[-1] == 0.0
 
     def test_rows_optional(self):
         cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)
         assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
 
     def test_errors_leave_rows_unchanged(self):
-        rows = array("d", [1.0, 2.0])
+        rows = array("d", [1.0, 2.0]), array("d", [3.0])
         with pytest.raises(InvalidDt):
             step(VehicleState(), ActuatorCommand(), 0.1, n=5, rows=rows)
         with pytest.raises(VehicleError):
             step(VehicleState(), ActuatorCommand(pump=3), DT, n=5, rows=rows)
-        assert rows.tolist() == [1.0, 2.0]
+        assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0]]
 
 class TestIr:
     def test_nine_channels_clamped(self):

@@ -16,12 +16,24 @@ from two source checkouts compare with ``diff -r``:
     PYTHONPATH=<old>/src python tools/run_tree.py /tmp/old
     PYTHONPATH=src python tools/run_tree.py /tmp/new
     diff -r /tmp/old /tmp/new
+
+``tests/tree.sha256`` holds the sha256 of each CSV of the tree, under a
+header naming the numpy and BLAS build that wrote it; a tier-1 test
+compares a fresh tree against it.  A change that alters output on purpose
+rewrites it, writing the tree into a temporary directory:
+
+    PYTHONPATH=src python tools/run_tree.py --manifest
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
 
 from tanklab.runner import run_scenario
 from tanklab.scenarios import BUILTIN_SCENARIOS, apply_setting, get_scenario, parse_command
@@ -44,25 +56,53 @@ PULSES = ("0.2 start", "0.4 start", "0.5 pump intake 5000",
           *("%g pump expel 6000" % (11 + 0.25 * i) for i in range(10)))
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: run_tree.py OUT", file=sys.stderr)
-        return 2
+MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "tree.sha256"
+
+
+def write_tree(out: str) -> None:
     for name in BUILTIN_SCENARIOS:
         for seed in SEEDS:
             scenario = get_scenario(name)
             if seed is not None:
                 scenario.seed = seed
             run_scenario(scenario, out_dir=os.path.join(
-                argv[0], "%s_%s" % (name, "default" if seed is None else seed)))
+                out, "%s_%s" % (name, "default" if seed is None else seed)))
     for name in EDGE_SCENARIOS:
         for override in EDGE_OVERRIDES:
             scenario = get_scenario(name)
             apply_setting(scenario, *override.split("="))
-            run_scenario(scenario, out_dir=os.path.join(argv[0], "%s_%s" % (name, override)))
+            run_scenario(scenario, out_dir=os.path.join(out, "%s_%s" % (name, override)))
     scenario = get_scenario("pump_test")
     scenario.command_script = [parse_command(line) for line in PULSES]
-    run_scenario(scenario, out_dir=os.path.join(argv[0], "pump_test_pulses"))
+    run_scenario(scenario, out_dir=os.path.join(out, "pump_test_pulses"))
+
+
+def numpy_build() -> str:
+    """The numpy and BLAS build, whose arithmetic the CSV bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "numpy %s, BLAS %s %s" % (np.__version__, blas["name"], blas["version"])
+
+
+def digests(out) -> dict[str, str]:
+    """The sha256 of each CSV under ``out``, by path relative to it."""
+    root = Path(out)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*.csv")}
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--manifest"]:
+        with tempfile.TemporaryDirectory(prefix="tanklab-tree-") as out:
+            write_tree(out)
+            lines = ["# sha256 of each CSV of tools/run_tree.py's tree",
+                     "# build: " + numpy_build(),
+                     *("%s  %s" % (digest, name) for name, digest in sorted(digests(out).items()))]
+        MANIFEST.write_text("\n".join(lines) + "\n")
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: run_tree.py OUT | --manifest", file=sys.stderr)
+        return 2
+    write_tree(argv[0])
     return 0
 
 
