@@ -1,8 +1,13 @@
-"""Overhead observation model: ground-truth state -> camera-frame tag pose.
+"""Overhead observation model: ground-truth states -> camera-frame tag poses.
 
 Detection is pose-level: the tag's world pose is composed with the camera
 extrinsics, then perturbed with translation/rotation noise, dropouts
-(elevated inside glare regions), and optional spurious z outliers.
+(elevated inside glare regions), and optional spurious z outliers.  As with
+the paper's recorded video, whose tags are found offline, one call observes
+every frame of a run.  Each frame the tag is not submerged in draws, in
+order: its dropout ``random()``; if seen, its translation ``normal(size=3)``,
+rotation axis ``normal(size=3)`` and angle ``normal()``, then its spurious-z
+``random()``.  Each draw is taken only when its probability or sigma is > 0.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import Pose, axis_angle, rot_z
+from .frames import Pose
+from .tracking import DETECTION_CSV_HEADER
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,8 @@ class CameraConfig:
     def validate(self) -> None:
         if not (self.frame_rate > 0):
             raise ValueError("frame_rate must be > 0")
-        for name in ("timestamp_jitter_sigma", "translation_noise_sigma", "rotation_noise_sigma"):
+        for name in ("timestamp_jitter_sigma", "translation_noise_sigma", "rotation_noise_sigma",
+                     "visibility_depth"):
             if not (getattr(self, name) >= 0):
                 raise ValueError("%s must be >= 0" % name)
         for name in ("dropout_prob", "spurious_z_prob"):
@@ -55,47 +62,71 @@ class TagConfig:
 
 
 def observe(
-    x: float,
-    y: float,
-    z: float,
-    psi: float,
-    cam: CameraConfig,
-    tag: TagConfig,
-    rng: np.random.Generator,
-) -> Pose | None:
-    """One camera frame: the tag's noisy pose in the camera frame, or None on
-    dropout or when the tag is submerged.  ``x``, ``y``, ``z`` (depth) and
-    ``psi`` are the vehicle's pose.
+    frames: np.ndarray, cam: CameraConfig, tag: TagConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """The detection table of a run: one ``DETECTION_CSV_HEADER`` row per
+    frame the tag is seen in.  ``frames`` is ``(n, 5)``: each frame's capture
+    time (from :func:`frame_clock`, which applies the timing noise), then the
+    vehicle's ``x``, ``y``, ``z`` (depth) and ``psi``.
 
-    The frame's capture time comes from :func:`frame_clock`, so timing noise
-    is applied there and not here.
+    The draws run frame by frame, because a frame's fate decides them: a
+    submerged frame draws nothing, a dropped one only its dropout.  The
+    geometry then runs once over the frames kept, as stacked products.
     """
-    if z > cam.visibility_depth:
-        return None
+    sigma_t, sigma_r = cam.translation_noise_sigma, cam.rotation_noise_sigma
+    kept, noise, axes, angles, spurious = [], [], [], [], []
+    for i, (x, y, z) in enumerate(frames[:, 1:4].tolist()):
+        if z > cam.visibility_depth:
+            continue
+        dropout = cam.dropout_prob
+        for g in cam.glare_regions:
+            if math.hypot(x - g.x, y - g.y) <= g.radius:
+                dropout = max(dropout, g.dropout_prob)
+        if dropout > 0.0 and rng.random() < dropout:
+            continue
+        kept.append(i)
+        if sigma_t > 0.0:
+            noise.append(rng.normal(0.0, sigma_t, size=3))
+        if sigma_r > 0.0:
+            axes.append(rng.normal(size=3))
+            angles.append(rng.normal(0.0, sigma_r))
+        if cam.spurious_z_prob > 0.0:
+            spurious.append(rng.random() < cam.spurious_z_prob)
 
-    dropout = cam.dropout_prob
-    for g in cam.glare_regions:
-        if math.hypot(x - g.x, y - g.y) <= g.radius:
-            dropout = max(dropout, g.dropout_prob)
-    if dropout > 0.0 and rng.random() < dropout:
-        return None
+    n = len(kept)
+    seen = frames[kept]
+    # The products below keep the bits of the same products on one frame:
+    # no einsum, no norm(axis=...), no np.sin/np.cos, no plain-float sums.
+    psi = seen[:, 4].tolist()
+    c, s = np.array([math.cos(v) for v in psi]), np.array([math.sin(v) for v in psi])
+    rz = np.zeros((n, 3, 3))
+    rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1], rz[:, 2, 2] = c, -s, s, c, 1.0
+    mount, rc = tag.mount_offset, cam.pose.rotation
+    d = seen[:, 1:4] + rz @ mount.translation - cam.pose.translation
+    q = (rc.T @ d[:, :, None])[:, :, 0]
+    r_bc = rc.T @ (rz @ mount.rotation)
 
-    body = Pose(np.array([x, y, z]), rot_z(psi))
-    tag_world = body.compose(tag.mount_offset)
-    rc = cam.pose.rotation
-    q = rc.T @ (tag_world.translation - cam.pose.translation)
-    r_bc = rc.T @ tag_world.rotation
+    if sigma_t > 0.0:
+        q = q + np.array(noise).reshape(n, 3)
+    if sigma_r > 0.0:
+        a = np.array(axes).reshape(n, 3)
+        norm = np.sqrt(a[:, None, :] @ a[:, :, None])[:, :, 0]
+        a = a / np.where(norm == 0.0, 1.0, norm)  # a zero axis: k = 0, a factor of eye(3)
+        k = np.zeros((n, 3, 3))
+        k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -a[:, 2], a[:, 1], -a[:, 0]
+        k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = a[:, 2], -a[:, 1], a[:, 0]
+        sin = np.array([math.sin(v) for v in angles]).reshape(n, 1, 1)
+        versin = np.array([1.0 - math.cos(v) for v in angles]).reshape(n, 1, 1)
+        r_bc = (np.eye(3) + sin * k + versin * (k @ k)) @ r_bc
+    if cam.spurious_z_prob > 0.0:
+        q[np.array(spurious, dtype=bool)] += (0.0, 0.0, cam.spurious_z_offset)
 
-    if cam.translation_noise_sigma > 0.0:
-        q = q + rng.normal(0.0, cam.translation_noise_sigma, size=3)
-    if cam.rotation_noise_sigma > 0.0:
-        axis = rng.normal(size=3)
-        angle = rng.normal(0.0, cam.rotation_noise_sigma)
-        r_bc = axis_angle(axis, angle) @ r_bc
-    if cam.spurious_z_prob > 0.0 and rng.random() < cam.spurious_z_prob:
-        q = q + np.array([0.0, 0.0, cam.spurious_z_offset])
-
-    return Pose(q, r_bc)
+    table = np.empty((n, len(DETECTION_CSV_HEADER)))
+    table[:, 0] = seen[:, 0]
+    table[:, 1] = tag.tag_id
+    table[:, 2:5] = q
+    table[:, 5:] = r_bc.reshape(n, 9)
+    return table
 
 
 def frame_clock(

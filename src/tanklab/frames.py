@@ -62,17 +62,6 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
-    """Rodrigues rotation about a (not necessarily unit) axis."""
-    a = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        return np.eye(3)
-    a = a / n
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
 @dataclass(frozen=True)
 class PlaneCoefficients:
     """Coefficients of a*x + b*y + c*z + d = 0 with c fixed at -1."""
@@ -96,12 +85,6 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.zeros(3), np.eye(3))
-
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(
-            self.translation + self.rotation @ other.translation,
-            self.rotation @ other.rotation,
-        )
 
 
 def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -191,10 +191,14 @@ def count_reversals(depth: Sequence[float], min_excursion: float = 0.05) -> int:
     set a direction."""
     if not (min_excursion > 0):
         raise MetricsError("min_excursion must be > 0, got %r" % min_excursion)
+    # A flat step never moves the state (min_excursion > 0), and a monotone
+    # run moves it as its two ends do: keep the ends and the turning points.
     d = np.asarray(depth, dtype=float)
+    d = d[np.diff(d, prepend=np.nan) != 0]
     if d.size < 3:
         return 0
-    d = memoryview(d)  # indexes and iterates as Python floats, with no list built
+    step = np.sign(np.diff(d))
+    d = d[np.concatenate(([True], step[1:] != step[:-1], [True]))].tolist()
     reversals = 0
     direction = 0
     anchor = d[0]

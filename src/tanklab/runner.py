@@ -181,13 +181,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     # Frame time f: the first step k with f <= t_k + dt/2, or none past the end.
     steps = np.searchsorted(step_t + 0.5 * dt, frame_times)
     steps = steps[steps < n_steps]  # frame times increase, so a prefix
-    detection_rows = []
-    for f, x, y, z, psi in zip(frame_times.tolist(),
-                               *(truth[c][steps].tolist() for c in ("x", "y", "z", "psi"))):
-        pose = observe(x, y, z, psi, cam, s.tag, rng_camera)
-        if pose is not None:
-            detection_rows.append((f, s.tag.tag_id, *pose.translation, *pose.rotation.flat))
-    detections = Detections.from_rows(detection_rows)
+    frames = np.column_stack([frame_times[:len(steps)],
+                              *(truth[c][steps] for c in ("x", "y", "z", "psi"))])
+    detections = Detections(observe(frames, cam, s.tag, rng_camera))
 
     # Telemetry tick j, due at j periods (accumulated): the first step after
     # tick j - 1 with t_k + 1e-12 >= due.

@@ -71,8 +71,9 @@ class Scenario:
             for name, value in vars(config).items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(prefix + name, "must be finite, got %r" % value)
-        if not (self.duration > 0):
-            raise ConfigError("duration", "must be > 0")
+        for name in ("duration", "tank_side", "camera_height"):
+            if not (getattr(self, name) > 0):
+                raise ConfigError(name, "must be > 0")
         if not (self.sim_rate > 0 and 1.0 / self.sim_rate <= MAX_DT):
             raise ConfigError("sim_rate", "must be >= %g Hz (plant steps of at most %g s)"
                               % (1.0 / MAX_DT, MAX_DT))

@@ -1,8 +1,10 @@
-"""Independent straight-line reimplementation of the estimation pipeline.
+"""Independent straight-line reimplementations of the estimation pipeline,
+the camera model and the depth-reversal counter.
 
 Deliberately naive: least-squares via numpy lstsq, loop-based angle unwrap,
-explicit endpoint/interior difference formulas, and a direct O(n*w) trailing
-mean.  Used to cross-check the production pipeline sample by sample.
+explicit endpoint/interior difference formulas, a direct O(n*w) trailing
+mean, one camera frame at a time, and one depth sample at a time.  Used to
+cross-check the production code sample by sample.
 """
 
 import math
@@ -117,3 +119,70 @@ def bf_pipeline(times, translations, rotations, window, rate):
         "v": np.array(v),
         "r": np.array(rr),
     }
+
+
+def bf_observe(x, y, z, psi, cam, tag, rng):
+    """One camera frame: the tag's noisy camera-frame ``(translation,
+    rotation)``, or None on dropout or when the tag is submerged.  Draws from
+    ``rng`` in the order the batched camera pass must keep, with the same
+    numpy forms, so its rows are bit-equal to the pass's."""
+    if z > cam.visibility_depth:
+        return None
+
+    dropout = cam.dropout_prob
+    for g in cam.glare_regions:
+        if math.hypot(x - g.x, y - g.y) <= g.radius:
+            dropout = max(dropout, g.dropout_prob)
+    if dropout > 0.0 and rng.random() < dropout:
+        return None
+
+    c, s = math.cos(psi), math.sin(psi)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    mount = tag.mount_offset
+    tag_translation = np.array([x, y, z]) + rz @ mount.translation
+    tag_rotation = rz @ mount.rotation
+    rc = cam.pose.rotation
+    q = rc.T @ (tag_translation - cam.pose.translation)
+    r_bc = rc.T @ tag_rotation
+
+    if cam.translation_noise_sigma > 0.0:
+        q = q + rng.normal(0.0, cam.translation_noise_sigma, size=3)
+    if cam.rotation_noise_sigma > 0.0:
+        a = rng.normal(size=3)
+        angle = rng.normal(0.0, cam.rotation_noise_sigma)
+        n = np.linalg.norm(a)
+        if n == 0.0:
+            aa = np.eye(3)
+        else:
+            a = a / n
+            k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+            aa = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+        r_bc = aa @ r_bc
+    if cam.spurious_z_prob > 0.0 and rng.random() < cam.spurious_z_prob:
+        q = q + np.array([0.0, 0.0, cam.spurious_z_offset])
+
+    return q, r_bc
+
+
+def bf_count_reversals(depth, min_excursion):
+    """Direction reversals of a depth profile, ignoring excursions smaller
+    than ``min_excursion``: a hysteresis loop over every sample."""
+    d = [float(v) for v in depth]
+    if len(d) < 3:
+        return 0
+    reversals = 0
+    direction = 0
+    anchor = d[0]
+    for v in d[1:]:
+        delta = v - anchor
+        if direction == 0:
+            if abs(delta) >= min_excursion:
+                direction = 1 if delta > 0 else -1
+                anchor = v
+        elif direction * delta >= 0:
+            anchor = max(anchor, v) if direction > 0 else min(anchor, v)
+        elif abs(delta) >= min_excursion:
+            reversals += 1
+            direction = -direction
+            anchor = v
+    return reversals

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
+import brute_force as bf
 import numpy as np
 import pytest
 
 from tanklab.camera import CameraConfig, GlareRegion, TagConfig, frame_clock, observe
-from tanklab.frames import Pose, extract_yaw, rot_x, vec3
+from tanklab.frames import Pose, extract_yaw, rot_x, rot_y, rot_z, vec3
+from tanklab.tracking import DETECTION_CSV_HEADER
 
 
 def overhead_config(tilt_x=0.0, **kw):
@@ -19,85 +22,213 @@ def fresh_rng():
     return np.random.default_rng(99)
 
 
+def frames(*poses):
+    """The camera pass's ``(n, 5)`` input: frame i at time i, then its
+    ``(x, y, z, psi)``."""
+    return np.array([(float(i), *pose) for i, pose in enumerate(poses)]).reshape(-1, 5)
+
+
+def pose_of(row):
+    """A detection row's camera-frame translation and rotation."""
+    return row[2:5], row[5:14].reshape(3, 3)
+
+
 class TestObserve:
     def test_noiseless_geometry_level(self):
         cam = overhead_config()
-        pose = observe(2.5, 1.0, 0.0, 0.3, cam, TagConfig(), fresh_rng())
-        assert isinstance(pose, Pose)
+        table = observe(frames((2.5, 1.0, 0.0, 0.3)), cam, TagConfig(tag_id=7), fresh_rng())
+        assert table.shape == (1, len(DETECTION_CSV_HEADER))
+        assert table[0, :2].tolist() == [0.0, 7.0]
+        q, rot = pose_of(table[0])
         # camera z looks down (+z world is down in NED), so range is +2.4
-        np.testing.assert_allclose(pose.translation, [0.5, -1.0, 2.4], atol=1e-12)
-        assert extract_yaw(pose.rotation) == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_allclose(q, [0.5, -1.0, 2.4], atol=1e-12)
+        assert extract_yaw(rot) == pytest.approx(0.3, abs=1e-12)
 
     def test_recoverable_under_tilt(self):
         # tilted camera: projecting back through the extrinsics recovers truth
         tilt = math.radians(2.5)
         cam = overhead_config(tilt_x=tilt)
-        pose = observe(1.2, 3.0, 0.0, -0.7, cam, TagConfig(), fresh_rng())
-        world = cam.pose.rotation @ pose.translation + cam.pose.translation
+        table = observe(frames((1.2, 3.0, 0.0, -0.7)), cam, TagConfig(), fresh_rng())
+        q, rot = pose_of(table[0])
+        world = cam.pose.rotation @ q + cam.pose.translation
         np.testing.assert_allclose(world, [1.2, 3.0, 0.0], atol=1e-12)
-        r_world = cam.pose.rotation @ pose.rotation
+        r_world = cam.pose.rotation @ rot
         assert extract_yaw(r_world) == pytest.approx(-0.7, abs=1e-12)
 
     def test_mount_offset_applied(self):
         cam = overhead_config()
         tag = TagConfig(mount_offset=Pose(vec3(0.1, 0.0, 0.0), np.eye(3)))
-        pose = observe(2.0, 2.0, 0.0, math.pi / 2, cam, tag, fresh_rng())
+        table = observe(frames((2.0, 2.0, 0.0, math.pi / 2)), cam, tag, fresh_rng())
         # offset points along body x, which is world +y at psi = pi/2;
         # camera frame swaps and negates per the level extrinsics
-        np.testing.assert_allclose(pose.translation, [0.0, 0.1, 2.4], atol=1e-12)
+        np.testing.assert_allclose(table[0, 2:5], [0.0, 0.1, 2.4], atol=1e-12)
 
     def test_submerged_invisible(self):
         cam = overhead_config()
-        assert observe(0.0, 0.0, 0.2, 0.0, cam, TagConfig(), fresh_rng()) is None
-        assert observe(0.0, 0.0, 0.04, 0.0, cam, TagConfig(), fresh_rng()) is not None
+        table = observe(frames((0.0, 0.0, 0.2, 0.0), (0.0, 0.0, 0.04, 0.0)), cam,
+                        TagConfig(), fresh_rng())
+        assert table[:, 0].tolist() == [1.0]
 
     def test_dropout_rate(self):
         cam = overhead_config(dropout_prob=0.3)
-        rng = fresh_rng()
-        n = sum(
-            observe(2.0, 2.0, 0.0, 0.0, cam, TagConfig(), rng) is not None
-            for _ in range(5000)
-        )
-        assert n / 5000 == pytest.approx(0.7, abs=0.02)
+        table = observe(frames(*[(2.0, 2.0, 0.0, 0.0)] * 5000), cam, TagConfig(), fresh_rng())
+        assert len(table) / 5000 == pytest.approx(0.7, abs=0.02)
 
     def test_glare_region_elevates_dropout(self):
         glare = GlareRegion(x=1.0, y=1.0, radius=0.3, dropout_prob=1.0)
         cam = overhead_config(glare_regions=(glare,))
-        rng = fresh_rng()
-        assert observe(1.0, 1.1, 0.0, 0.0, cam, TagConfig(), rng) is None
-        assert observe(2.0, 2.0, 0.0, 0.0, cam, TagConfig(), rng) is not None
+        table = observe(frames((1.0, 1.1, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)), cam,
+                        TagConfig(), fresh_rng())
+        assert table[:, 0].tolist() == [1.0]
 
     def test_translation_noise_statistics(self):
         cam = overhead_config(translation_noise_sigma=0.003)
-        rng = fresh_rng()
-        errs = []
-        for _ in range(3000):
-            pose = observe(2.5, 1.0, 0.0, 0.0, cam, TagConfig(), rng)
-            errs.append(pose.translation - [0.5, -1.0, 2.4])
-        errs = np.array(errs)
+        table = observe(frames(*[(2.5, 1.0, 0.0, 0.0)] * 3000), cam, TagConfig(), fresh_rng())
+        errs = table[:, 2:5] - [0.5, -1.0, 2.4]
         assert np.abs(np.mean(errs, axis=0)).max() < 3e-4
         np.testing.assert_allclose(np.std(errs, axis=0), 0.003, atol=3e-4)
 
     def test_rotation_noise_keeps_rotation_valid(self):
         cam = overhead_config(rotation_noise_sigma=0.01)
-        rng = fresh_rng()
-        pose = observe(2.5, 1.0, 0.0, 0.4, cam, TagConfig(), rng)
-        r = pose.rotation
+        table = observe(frames((2.5, 1.0, 0.0, 0.4)), cam, TagConfig(), fresh_rng())
+        _, r = pose_of(table[0])
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_spurious_z_outlier(self):
         cam = overhead_config(spurious_z_prob=1.0, spurious_z_offset=0.2)
-        pose = observe(2.5, 1.0, 0.0, 0.0, cam, TagConfig(), fresh_rng())
-        assert pose.translation[2] == pytest.approx(2.6, abs=1e-12)
+        table = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
+        assert table[0, 4] == pytest.approx(2.6, abs=1e-12)
 
     def test_deterministic_given_seed(self):
         cam = overhead_config(translation_noise_sigma=0.003, rotation_noise_sigma=0.01,
                               dropout_prob=0.02)
-        a = observe(2.5, 1.0, 0.0, 0.0, cam, TagConfig(), fresh_rng())
-        b = observe(2.5, 1.0, 0.0, 0.0, cam, TagConfig(), fresh_rng())
-        np.testing.assert_array_equal(a.translation, b.translation)
-        np.testing.assert_array_equal(a.rotation, b.rotation)
+        a = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
+        b = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
+        assert a.tobytes() == b.tobytes()
+
+
+class ZeroNormals:
+    """A generator whose normal draws are all 0, so every rotation axis is
+    the zero vector; its uniform draws come from a seeded generator."""
+
+    def __init__(self, seed):
+        self.uniform = np.random.default_rng(seed)
+
+    def random(self):
+        return self.uniform.random()
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
+    @property
+    def bit_generator(self):
+        return self.uniform.bit_generator
+
+
+def oracle_table(rows, cam, tag, rng):
+    """The detection table of ``bf_observe``, one frame at a time."""
+    out = []
+    for t, x, y, z, psi in rows.tolist():
+        seen = bf.bf_observe(x, y, z, psi, cam, tag, rng)
+        if seen is not None:
+            out.append((t, tag.tag_id, *seen[0], *seen[1].flat))
+    return np.array(out, dtype=float).reshape(-1, len(DETECTION_CSV_HEADER))
+
+
+def random_frames(gen, n):
+    """Frames over the tank at a tilted heading; about a third with the tag
+    below ``visibility_depth``, some just above it, the rest on the surface."""
+    z = gen.choice([0.0, 0.0, 0.04, 0.05, 0.2, 1.0], size=n)
+    return np.column_stack([np.sort(gen.uniform(0, 30, n)), gen.uniform(0, 4, n),
+                            gen.uniform(0, 4, n), z, gen.uniform(-7, 7, n)])
+
+
+def tilted_camera(**kw):
+    pose = Pose(vec3(2.1, 1.9, -2.4), rot_x(math.radians(2.5)) @ rot_y(math.radians(-1.5)))
+    return CameraConfig(pose=pose, **kw)
+
+
+MOUNT = TagConfig(tag_id=3, mount_offset=Pose(vec3(0.04, -0.02, 0.01),
+                                              rot_z(0.3) @ rot_x(0.05)))
+GLARE = (GlareRegion(1.0, 1.0, 0.8, 0.9), GlareRegion(1.5, 1.2, 0.5, 0.4),
+         GlareRegion(3.0, 3.0, 0.6, 1.0))
+
+ORACLE_CASES = {
+    "defaults": (tilted_camera(), TagConfig()),
+    "glare": (tilted_camera(glare_regions=GLARE), TagConfig()),
+    "glare_only": (tilted_camera(dropout_prob=0.0, glare_regions=GLARE), TagConfig()),
+    "mount": (tilted_camera(), MOUNT),
+    "no_translation_noise": (tilted_camera(translation_noise_sigma=0.0), MOUNT),
+    "no_rotation_noise": (tilted_camera(rotation_noise_sigma=0.0), MOUNT),
+    "noiseless": (tilted_camera(translation_noise_sigma=0.0, rotation_noise_sigma=0.0,
+                                dropout_prob=0.0), MOUNT),
+    "dropout_0": (tilted_camera(dropout_prob=0.0), TagConfig()),
+    "dropout_half": (tilted_camera(dropout_prob=0.5, glare_regions=GLARE), MOUNT),
+    "dropout_1": (tilted_camera(dropout_prob=1.0), TagConfig()),
+    "spurious": (tilted_camera(spurious_z_prob=0.1, spurious_z_offset=0.25), MOUNT),
+    "all_branches": (tilted_camera(spurious_z_prob=0.1, glare_regions=GLARE,
+                                   rotation_noise_sigma=0.2), MOUNT),
+}
+
+
+class TestObserveOracle:
+    """The camera pass against ``bf_observe``, frame by frame: the same
+    table bit for bit, and the same draws left behind in the generator."""
+
+    def assert_matches(self, rows, cam, tag, make_rng):
+        got_rng, want_rng = make_rng(), make_rng()
+        got = observe(rows, cam, tag, got_rng)
+        want = oracle_table(rows, cam, tag, want_rng)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_equal_to_oracle(self, case, seed):
+        cam, tag = ORACLE_CASES[case]
+        rows = random_frames(np.random.default_rng(1000 + seed), 300)
+        self.assert_matches(rows, cam, tag, lambda: np.random.default_rng(seed))
+
+    def test_random_configs(self):
+        gen = np.random.default_rng(77)
+        for _ in range(100):
+            cam = CameraConfig(
+                pose=Pose(gen.normal(size=3), rot_x(gen.normal(0, 0.2)) @ rot_y(gen.normal(0, 0.2))),
+                translation_noise_sigma=float(gen.choice([0.0, 0.003, 0.05])),
+                rotation_noise_sigma=float(gen.choice([0.0, 0.01, 1.0])),
+                dropout_prob=float(gen.choice([0.0, 0.02, 0.5])),
+                spurious_z_prob=float(gen.choice([0.0, 0.1])),
+                glare_regions=GLARE[:int(gen.integers(4))],
+            )
+            tag = TagConfig(mount_offset=Pose(gen.normal(0, 0.1, 3),
+                                              rot_z(gen.normal()) @ rot_x(gen.normal(0, 0.2))))
+            seed = int(gen.integers(1 << 30))
+            self.assert_matches(random_frames(gen, 40), cam, tag,
+                                lambda: np.random.default_rng(seed))
+
+    def test_zero_axis_is_identity(self):
+        cam, tag = ORACLE_CASES["spurious"]
+        rows = random_frames(np.random.default_rng(5), 100)
+        got = self.assert_matches(rows, cam, tag, lambda: ZeroNormals(5))
+        # without the normal draws, the same uniform draws keep the same frames
+        unrotated = observe(rows, replace(cam, rotation_noise_sigma=0.0), tag, ZeroNormals(5))
+        assert len(got) > 0
+        assert got.tobytes() == unrotated.tobytes()
+
+    def test_all_submerged(self):
+        cam, tag = ORACLE_CASES["defaults"]
+        rows = frames(*[(1.0, 1.0, 0.3, 0.0)] * 10)
+        got = self.assert_matches(rows, cam, tag, lambda: np.random.default_rng(1))
+        assert got.shape == (0, len(DETECTION_CSV_HEADER))
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_no_frames(self, case):
+        cam, tag = ORACLE_CASES[case]
+        got = self.assert_matches(np.empty((0, 5)), cam, tag, lambda: np.random.default_rng(1))
+        assert got.shape == (0, len(DETECTION_CSV_HEADER))
 
 
 class TestFrameClock:

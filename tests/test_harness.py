@@ -1,7 +1,9 @@
 import math
 
+import brute_force as bf
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanklab import cli
 from tanklab.frames import rot_z
@@ -187,6 +189,18 @@ class TestCounters:
 
     def test_reversals_short_input(self):
         assert count_reversals([0.0, 1.0]) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-0.3, 0.3),
+                              st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.05, -0.05, 0.2, -0.2])),
+                    max_size=80),
+           st.booleans(), st.sampled_from([0.01, 0.05, 0.2]))
+    def test_reversals_match_every_sample_loop(self, steps, rounded, min_excursion):
+        # random walks; rounded, they hold plateaus and repeated values
+        depth = np.cumsum(steps)
+        if rounded:
+            depth = np.round(depth, 2)
+        assert count_reversals(depth, min_excursion) == bf.bf_count_reversals(depth, min_excursion)
 
     @pytest.mark.parametrize("min_excursion", [0.0, -1.0, math.nan])
     def test_reversals_need_positive_excursion(self, min_excursion):
@@ -566,6 +580,11 @@ class TestCli:
         "vehicle.mass=inf",
         "sim_rate=inf",
         "initial_x=nan",
+        # geometry: a camera outside the tank or under the surface, a tag
+        # hidden at every depth
+        "tank_side=-1",
+        "camera_height=-1",
+        "camera.visibility_depth=-1",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),

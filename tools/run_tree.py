@@ -5,8 +5,9 @@ pump_test), each at its own default seed and at seeds 3 and 101, written to
 ``OUT/<scenario>_<seed>/``.  The edge runs are ``line`` and ``pump_test`` at
 their default seeds under one override each, written to
 ``OUT/<scenario>_<override>/``; each override moves a sensor sample, a link
-delivery or the step grid onto a step boundary, or loses commands on the
-downlink.  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
+delivery or the step grid onto a step boundary, loses commands on the
+downlink, or takes a camera branch the defaults skip (spurious-z outliers,
+no rotation noise).  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
 under ``PULSES``: pump runs that stop mid-stroke (each of ``pump_test``'s
 own runs lasts until the syringe saturates), so the tree holds pump cut-off
 steps, and the hull sinks, rises and comes to rest afloat mid-run.  The
@@ -50,6 +51,8 @@ EDGE_OVERRIDES = (
     "channel.latency=0.004166666666666667",  # one plant step at 240 Hz
     "channel.d1=0.4",  # commands lost at depth
     "channel.base_loss=0.5",
+    "camera.spurious_z_prob=0.1",  # the spurious-z draw and its offset
+    "camera.rotation_noise_sigma=0",  # the rotation draws skipped
 )
 # 20.8 mL after the intake, then some 8 mL after the expel retries that arrive
 PULSES = ("0.2 start", "0.4 start", "0.5 pump intake 5000",
