@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,69 +59,13 @@ def truth_series(table) -> np.recarray:
     return table.view(TRUTH_DTYPE).reshape(-1).view(np.recarray)
 
 
-@dataclass(frozen=True)
-class FrameAlignment:
-    """Maps NED truth into a pipeline segment's recovered world frame.
-
-    ``rotation`` is the camera-to-recovered-world basis composed with the
-    world-to-camera extrinsics; ``origin_xyz`` is the truth position at the
-    segment's first detection.  The recovered planar basis may be a
-    reflection of the truth basis, which flips sway and yaw rate; the sign
-    is the determinant of the planar block.
-    """
-
-    rotation: np.ndarray
-    origin_xyz: np.ndarray
-
-    @property
-    def planar_sign(self) -> float:
-        m = self.rotation[:2, :2]
-        return 1.0 if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) >= 0 else -1.0
-
-    @staticmethod
-    def identity() -> "FrameAlignment":
-        return FrameAlignment(np.eye(3), np.zeros(3))
-
-
-def _interp_truth(truth: np.recarray, times: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        name: np.interp(times, truth.t, truth[name])
-        for name in ("x", "y", "z", "psi", "u", "v", "r")
-    }
-
-
-def truth_in_estimate_frame(
-    truth: np.recarray, times: np.ndarray, align: FrameAlignment
-) -> dict[str, np.ndarray]:
-    """Truth kinematics at ``times``, expressed in the estimate's frame.
-
-    Surge is invariant under the rigid planar change of basis; sway and yaw
-    rate pick up the handedness sign; yaw maps through the planar block.
-    """
-    s = _interp_truth(truth, times)
-    rot = align.rotation
-    p = np.column_stack([s["x"], s["y"], s["z"]]) - align.origin_xyz
-    pw = p @ rot.T
-    bx = np.column_stack([np.cos(s["psi"]), np.sin(s["psi"]), np.zeros_like(s["psi"])])
-    bw = bx @ rot.T
-    psi = np.arctan2(bw[:, 1], bw[:, 0])
-    sign = align.planar_sign
-    return {
-        "x": pw[:, 0],
-        "y": pw[:, 1],
-        "psi": psi,
-        "u": s["u"],
-        "v": sign * s["v"],
-        "r": sign * s["r"],
-    }
-
-
 def residuals(
     truth: np.recarray,
     estimates: np.recarray,
-    alignment: FrameAlignment | None = None,
-    smoothing_window: int = 12,
-    output_rate: float = 30.0,
+    rotation: np.ndarray,
+    origin: np.ndarray,
+    smoothing_window: int,
+    output_rate: float,
 ) -> dict[str, np.ndarray]:
     """Per-sample estimate-minus-truth residuals for one pipeline segment.
 
@@ -131,38 +74,36 @@ def residuals(
     excluded.  Velocity channels are compared against truth sampled one
     filter group delay ((window-1)/2 samples) earlier, since the trailing
     moving average lags by that amount.
+
+    Truth is mapped into the segment's recovered world frame: ``origin`` is
+    the truth position at the segment's first detection, and ``rotation``
+    the camera-to-recovered-world basis composed with the world-to-camera
+    extrinsics.  Position and heading map through ``rotation``; surge is
+    invariant.  The recovered planar basis may be a reflection of the truth
+    basis, which flips sway and yaw rate; the sign is the determinant of the
+    planar block.
     """
-    align = alignment or FrameAlignment.identity()
     est = estimates[smoothing_window : len(estimates) - smoothing_window]
     t = est.timestamp
     if t.size == 0 or t[0] > truth.t[-1] or t[-1] < truth.t[0]:
         raise NoOverlap("no estimates past the smoothing edges overlap truth")
 
-    pose_truth = truth_in_estimate_frame(truth, t, align)
+    x, y, z, psi = (np.interp(t, truth.t, truth[name]) for name in ("x", "y", "z", "psi"))
     lag = (smoothing_window - 1) / 2.0 / output_rate
-    vel_truth = truth_in_estimate_frame(truth, t - lag, align)
+    u, v, r = (np.interp(t - lag, truth.t, truth[name]) for name in ("u", "v", "r"))
+    position = (np.column_stack([x, y, z]) - origin) @ rotation.T
+    heading = np.column_stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)]) @ rotation.T
+    m = rotation[:2, :2]
+    sign = 1.0 if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) >= 0 else -1.0
     return {
         "t": t,
-        "x": est.x - pose_truth["x"],
-        "y": est.y - pose_truth["y"],
-        "psi": wrap_angle(est.psi - pose_truth["psi"]),
-        "u": est.u - vel_truth["u"],
-        "v": est.v - vel_truth["v"],
-        "r": est.r - vel_truth["r"],
+        "x": est.x - position[:, 0],
+        "y": est.y - position[:, 1],
+        "psi": wrap_angle(est.psi - np.arctan2(heading[:, 1], heading[:, 0])),
+        "u": est.u - u,
+        "v": est.v - sign * v,
+        "r": est.r - sign * r,
     }
-
-
-def metrics_from_residuals(res: dict[str, np.ndarray]) -> dict[str, float]:
-    out = {
-        "rmse_xy": float(np.sqrt(np.mean(res["x"] ** 2 + res["y"] ** 2))),
-        "rmse_psi": float(np.sqrt(np.mean(res["psi"] ** 2))),
-        "rmse_u": float(np.sqrt(np.mean(res["u"] ** 2))),
-        "rmse_v": float(np.sqrt(np.mean(res["v"] ** 2))),
-        "rmse_r": float(np.sqrt(np.mean(res["r"] ** 2))),
-        "mean_v": float(np.mean(res["v"])),
-        "n_compared": float(res["t"].size),
-    }
-    return out
 
 
 def path_length(x: np.ndarray, y: np.ndarray) -> float:

@@ -32,10 +32,8 @@ from .link import (
 )
 from .metrics import (
     TRUTH_DTYPE,
-    FrameAlignment,
     count_reversals,
     count_sign_changes,
-    metrics_from_residuals,
     path_length,
     residuals,
     truth_series,
@@ -57,7 +55,8 @@ from .vehicle import (
 R_HYSTERESIS = 0.05  # rad/s, for zig-zag turn counting
 
 # One row per scored pipeline segment: index, first and last estimate time,
-# then the segment's FrameAlignment (truth origin, row-major rotation).
+# then the origin and row-major rotation that map truth into the segment's
+# frame (``metrics.residuals``).
 ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
                     "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
 # One row per telemetry frame received: arrival time, then the message fields.
@@ -280,8 +279,9 @@ def score_run(
 
     ``estimates`` holds every segment's states in time order and
     ``alignments`` one ``ALIGNMENT_HEADER`` row per segment; the states are
-    split after each row's ``t_end``, and the row maps truth into that
-    segment's frame.  ``run_scenario`` scores its tables here and
+    split after each row's ``t_end``, and the row's rotation and origin,
+    passed to ``residuals`` as they are, map truth into that segment's
+    frame.  ``run_scenario`` scores its tables here and
     ``recompute_metrics`` the same tables read from a run directory.
     """
     ends = np.searchsorted(estimates.timestamp, alignments[:, 2], side="right")
@@ -290,9 +290,9 @@ def score_run(
     turns = 0
     w = smoothing_window
     for a, b, row in zip([0, *ends], ends, alignments):
-        align = FrameAlignment(row[6:15].reshape(3, 3), row[3:6])
         try:
-            res = residuals(truth, estimates[a:b], align, w, output_rate)
+            res = residuals(truth, estimates[a:b], row[6:15].reshape(3, 3), row[3:6], w,
+                            output_rate)
         except metrics_mod.NoOverlap:
             continue
         for key, val in res.items():
@@ -301,7 +301,13 @@ def score_run(
         turns += count_sign_changes(estimates.r[a + w : b - w].tolist(), R_HYSTERESIS)
     if pooled:
         merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
-        out.update(metrics_from_residuals(merged))
+        out["rmse_xy"] = float(np.sqrt(np.mean(merged["x"] ** 2 + merged["y"] ** 2)))
+        out["rmse_psi"] = float(np.sqrt(np.mean(merged["psi"] ** 2)))
+        out["rmse_u"] = float(np.sqrt(np.mean(merged["u"] ** 2)))
+        out["rmse_v"] = float(np.sqrt(np.mean(merged["v"] ** 2)))
+        out["rmse_r"] = float(np.sqrt(np.mean(merged["r"] ** 2)))
+        out["mean_v"] = float(np.mean(merged["v"]))
+        out["n_compared"] = float(merged["t"].size)
 
     out["n_segments"] = float(len(alignments))
     out["n_detections"] = float(n_detections)

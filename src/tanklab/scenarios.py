@@ -74,6 +74,8 @@ class Scenario:
         for name in ("duration", "tank_side", "camera_height"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(name, "must be > 0")
+        if not (self.seed >= 0):
+            raise ConfigError("seed", "must be >= 0, got %r" % self.seed)
         if not (self.sim_rate > 0 and 1.0 / self.sim_rate <= MAX_DT):
             raise ConfigError("sim_rate", "must be >= %g Hz (plant steps of at most %g s)"
                               % (1.0 / MAX_DT, MAX_DT))

@@ -49,7 +49,6 @@ class NoSignal(VehicleError):
 @dataclass
 class VehicleParams:
     mass: float = 2.7                    # kg
-    body_length: float = 0.30            # m
     propeller_separation: float = 0.06   # m
     max_thrust_per_prop: float = 0.8     # N
     motor_time_constant: float = 0.15    # s

@@ -1,9 +1,10 @@
 """Independent straight-line reimplementations of the estimation pipeline,
-the camera model and the depth-reversal counter.
+the camera model, the segment residuals and the depth-reversal counter.
 
 Deliberately naive: least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
-mean, one camera frame at a time, and one depth sample at a time.  Used to
+mean, one camera frame at a time, every truth channel interpolated at both
+the compared and the lagged times, and one depth sample at a time.  Used to
 cross-check the production code sample by sample.
 """
 
@@ -162,6 +163,46 @@ def bf_observe(x, y, z, psi, cam, tag, rng):
         q = q + np.array([0.0, 0.0, cam.spurious_z_offset])
 
     return q, r_bc
+
+
+def bf_residuals(truth, estimates, rotation, origin, window, rate):
+    """Estimate-minus-truth residuals of one segment, or ``None`` where no
+    estimate past the smoothing edges overlaps truth.
+
+    Truth is mapped into the segment's frame once per time set: at the
+    compared times for pose and one filter group delay earlier for
+    velocity, each interpolating all seven channels."""
+    est = estimates[window : len(estimates) - window]
+    t = est.timestamp
+    if t.size == 0 or t[0] > truth.t[-1] or t[-1] < truth.t[0]:
+        return None
+
+    m = rotation[:2, :2]
+    sign = 1.0 if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) >= 0 else -1.0
+
+    def in_frame(times):
+        s = {name: np.interp(times, truth.t, truth[name])
+             for name in ("x", "y", "z", "psi", "u", "v", "r")}
+        p = np.column_stack([s["x"], s["y"], s["z"]]) - origin
+        pw = p @ rotation.T
+        bx = np.column_stack([np.cos(s["psi"]), np.sin(s["psi"]), np.zeros_like(s["psi"])])
+        bw = bx @ rotation.T
+        return {"x": pw[:, 0], "y": pw[:, 1], "psi": np.arctan2(bw[:, 1], bw[:, 0]),
+                "u": s["u"], "v": sign * s["v"], "r": sign * s["r"]}
+
+    pose = in_frame(t)
+    vel = in_frame(t - (window - 1) / 2.0 / rate)
+    dpsi = est.psi - pose["psi"]
+    dpsi = dpsi - 2 * math.pi * np.floor((dpsi + math.pi) / (2 * math.pi))
+    return {
+        "t": t,
+        "x": est.x - pose["x"],
+        "y": est.y - pose["y"],
+        "psi": np.where(dpsi <= -math.pi, math.pi, dpsi),  # wrapped to (-pi, pi]
+        "u": est.u - vel["u"],
+        "v": est.v - vel["v"],
+        "r": est.r - vel["r"],
+    }
 
 
 def bf_count_reversals(depth, min_excursion):

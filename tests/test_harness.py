@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanklab import cli
-from tanklab.frames import rot_z
+from tanklab.frames import rot_x, rot_z
 from tanklab.link import (PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF, Channel, Pump,
                           SetMotors, StartSequence, decode, encode)
 from tanklab.metrics import (
     Collinear,
-    FrameAlignment,
     MetricsError,
+    NoOverlap,
     circle_fit,
     count_reversals,
     count_sign_changes,
     path_length,
-    truth_in_estimate_frame,
+    residuals,
     truth_series,
 )
 from tanklab.runner import TELEMETRY_HEADER, recompute_metrics, run_scenario, score_run
@@ -78,9 +78,21 @@ def flat_truth(duration=10.0, rate=240.0, **channels):
 
 
 class TestAlignment:
+    """``residuals`` maps truth through a segment's rotation and origin."""
+
+    @staticmethod
+    def truth_in_frame(truth, times, rotation, origin):
+        """Truth at ``times`` as ``residuals`` sees it: the negated residuals
+        of zero states.  A window of 1 drops one state at each edge, so the
+        states are padded by one, and lags velocity truth by 0 s."""
+        times = np.concatenate(([times[0] - 1.0], times, [times[-1] + 1.0]))
+        res = residuals(truth, constant_states(times), rotation, origin, 1, 30.0)
+        np.testing.assert_array_equal(res["t"], times[1:-1])
+        return {key: -val for key, val in res.items() if key != "t"}
+
     def test_identity_alignment_passthrough(self):
         truth = flat_truth(u=0.4, v=0.1, r=0.2)
-        out = truth_in_estimate_frame(truth, np.array([1.0, 2.0]), FrameAlignment.identity())
+        out = self.truth_in_frame(truth, [1.0, 2.0], np.eye(3), np.zeros(3))
         np.testing.assert_allclose(out["u"], 0.4)
         np.testing.assert_allclose(out["v"], 0.1)
         np.testing.assert_allclose(out["r"], 0.2)
@@ -89,22 +101,21 @@ class TestAlignment:
         # the recovered basis for a level overhead camera swaps x/y: a
         # planar reflection, so sway and yaw rate change sign
         rot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        align = FrameAlignment(rot, np.zeros(3))
-        assert align.planar_sign == -1.0
         truth = flat_truth(u=0.4, v=0.1, r=0.2)
-        out = truth_in_estimate_frame(truth, np.array([1.0]), align)
+        out = self.truth_in_frame(truth, [1.0], rot, np.zeros(3))
         assert out["u"][0] == 0.4
         assert out["v"][0] == -0.1
         assert out["r"][0] == -0.2
 
     def test_rotation_preserves_v_and_r(self):
-        align = FrameAlignment(rot_z(0.6), np.zeros(3))
-        assert align.planar_sign == 1.0
+        truth = flat_truth(u=0.4, v=0.1, r=0.2)
+        out = self.truth_in_frame(truth, [1.0], rot_z(0.6), np.zeros(3))
+        assert out["v"][0] == 0.1
+        assert out["r"][0] == 0.2
 
     def test_position_mapping(self):
-        align = FrameAlignment(rot_z(math.pi / 2), np.array([1.0, 1.0, 0.0]))
         truth = flat_truth(x=2.0, y=1.0)
-        out = truth_in_estimate_frame(truth, np.array([0.0]), align)
+        out = self.truth_in_frame(truth, [0.0], rot_z(math.pi / 2), np.array([1.0, 1.0, 0.0]))
         # (2,1) - (1,1) = (1,0); rotated by +90 deg -> (0,1)
         assert out["x"][0] == pytest.approx(0.0, abs=1e-12)
         assert out["y"][0] == pytest.approx(1.0, abs=1e-12)
@@ -114,6 +125,102 @@ def constant_states(times, **channels):
     """A state series on ``times``; each channel a constant or an array."""
     return state_series(times, *(np.broadcast_to(channels.get(name, 0.0), times.shape)
                                  for name in ("x", "y", "psi", "u", "v", "r")))
+
+
+def random_rotation(gen, reflect):
+    """A random orthonormal basis; ``reflect`` flips its planar handedness,
+    which the small tilts leave in place."""
+    rot = rot_z(gen.uniform(-math.pi, math.pi)) @ rot_x(gen.normal(0, 0.2))
+    return np.diag([1.0, -1.0, 1.0]) @ rot if reflect else rot
+
+
+def random_truth(gen, duration=10.0, rate=240.0):
+    """Truth whose channels all move: random walks, and a yaw that winds
+    through several turns so that heading residuals wrap."""
+    n = int(duration * rate) + 1
+
+    def walk(scale):
+        return np.cumsum(gen.normal(0, scale, n))
+
+    return flat_truth(duration, rate, x=walk(0.01), y=walk(0.01), z=walk(0.001),
+                      psi=walk(0.05), u=walk(0.01), v=walk(0.01), r=walk(0.02))
+
+
+def random_states(gen, t0, n, rate=30.0):
+    times = t0 + np.arange(n) / rate
+    return state_series(times, *(gen.normal(0, scale, n) for scale in (1, 1, 4, 0.3, 0.3, 1)))
+
+
+class TestResidualsOracle:
+    """``residuals`` against ``bf_residuals``: every returned array bit for
+    bit, and ``NoOverlap`` exactly where the oracle finds no overlap."""
+
+    @staticmethod
+    def assert_matches(truth, states, rotation, origin, window, rate=30.0):
+        want = bf.bf_residuals(truth, states, rotation, origin, window, rate)
+        if want is None:
+            with pytest.raises(NoOverlap):
+                residuals(truth, states, rotation, origin, window, rate)
+            return None
+        got = residuals(truth, states, rotation, origin, window, rate)
+        assert list(got) == list(want)
+        for key, val in want.items():
+            assert got[key].dtype == val.dtype and got[key].shape == val.shape, key
+            assert got[key].tobytes() == val.tobytes(), key
+        return got
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_segments(self, name):
+        art = run_scenario(get_scenario(name))
+        window, rate = art.scenario.pipeline.smoothing_window, art.scenario.pipeline.output_rate
+        ends = np.searchsorted(art.estimates.timestamp, art.alignments[:, 2], side="right")
+        scored = 0
+        for a, b, row in zip([0, *ends], ends, art.alignments):
+            got = self.assert_matches(art.truth, art.estimates[a:b], row[6:15].reshape(3, 3),
+                                      row[3:6], window, rate)
+            scored += got is not None
+        assert scored > 0
+
+    @pytest.mark.parametrize("window", [1, 12])
+    def test_random_rotations_and_origins(self, window):
+        gen = np.random.default_rng(31 + window)
+        signs = set()
+        for i in range(60):
+            truth = random_truth(gen)
+            rot = random_rotation(gen, reflect=i % 2 == 1)
+            m = rot[:2, :2]
+            signs.add(np.sign(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+            # segments inside truth, and hanging over either end of it
+            states = random_states(gen, gen.uniform(-1.0, 8.0), int(gen.integers(60, 150)))
+            got = self.assert_matches(truth, states, rot, gen.normal(0, 2, 3), window)
+            assert got is not None and np.any(np.abs(got["psi"]) > 2.5)
+        assert signs == {-1.0, 1.0}
+        # a camera looking along the surface: a singular planar block counts
+        # as right-handed
+        edge_on = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        truth = flat_truth(u=0.4, v=0.1, r=0.2)
+        states = random_states(gen, 1.0, 60)
+        got = self.assert_matches(truth, states, edge_on, np.zeros(3), window)
+        np.testing.assert_array_equal(got["v"], states.v[window:-window] - 0.1)
+
+    @pytest.mark.parametrize("window", [1, 12])
+    def test_no_overlap(self, window):
+        gen = np.random.default_rng(7)
+        truth = random_truth(gen)
+        rot, origin = random_rotation(gen, reflect=True), gen.normal(0, 2, 3)
+        for states in (random_states(gen, 1.0, 2 * window),      # nothing past the edges
+                       random_states(gen, 1.0, window),
+                       random_states(gen, 1.0, 0),
+                       random_states(gen, -20.0, 3 * window),    # all before truth
+                       random_states(gen, 10.5, 3 * window)):    # all after truth
+            assert self.assert_matches(truth, states, rot, origin, window) is None
+        # compared samples that only touch truth's first or last time overlap it
+        n = 3 * window
+        for touch, k in ((0.0, n - window - 1), (10.0, window)):
+            states = random_states(gen, 0.0, n)
+            states.timestamp = touch + (np.arange(n) - k) / 30.0
+            got = self.assert_matches(truth, states, rot, origin, window)
+            assert got is not None and got["t"].size == window and touch in got["t"]
 
 
 def score_one(truth, states, window=12, rate=30.0):
@@ -252,8 +359,8 @@ class TestScenarios:
         s = Scenario(name="t", duration=5.0)
         apply_setting(s, "tank_side_ft", "13.5")
         assert s.tank_side == pytest.approx(13.5 * 0.3048)
-        apply_setting(s, "vehicle.body_length_in", "12")
-        assert s.vehicle_params.body_length == pytest.approx(0.3048)
+        apply_setting(s, "vehicle.propeller_separation_in", "12")
+        assert s.vehicle_params.propeller_separation == pytest.approx(0.3048)
 
     def test_apply_setting_unknown(self):
         s = Scenario(name="t", duration=5.0)
@@ -585,6 +692,8 @@ class TestCli:
         "tank_side=-1",
         "camera_height=-1",
         "camera.visibility_depth=-1",
+        # a seed the generator cannot take
+        "seed=-5",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
@@ -594,6 +703,11 @@ class TestCli:
 
     def test_metrics_missing_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["metrics", str(tmp_path / "missing")]) == 2
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", "line", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override(self, tmp_path):
         a = tmp_path / "a"
