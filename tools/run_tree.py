@@ -6,8 +6,9 @@ pump_test), each at its own default seed and at seeds 3 and 101, written to
 their default seeds under one override each, written to
 ``OUT/<scenario>_<override>/``; each override moves a sensor sample, a link
 delivery or the step grid onto a step boundary, loses commands on the
-downlink, or takes a camera branch the defaults skip (spurious-z outliers,
-no rotation noise).  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
+downlink, or takes a branch the defaults skip: spurious-z outliers, no
+rotation noise, degraded and absent IR signal, segments too short to score,
+and the level-plane fallback of a noiseless collinear track.  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
 under ``PULSES``: pump runs that stop mid-stroke (each of ``pump_test``'s
 own runs lasts until the syringe saturates), so the tree holds pump cut-off
 steps, and the hull sinks, rises and comes to rest afloat mid-run.  The
@@ -53,6 +54,10 @@ EDGE_OVERRIDES = (
     "channel.base_loss=0.5",
     "camera.spurious_z_prob=0.1",  # the spurious-z draw and its offset
     "camera.rotation_noise_sigma=0",  # the rotation draws skipped
+    "ambient_ir=0.6",  # IR signal quality "degraded": the IR-degraded flag
+    "ambient_ir=1",  # IR signal quality "none": no fill estimate
+    "pipeline.max_gap=0.05",  # segments too short to score, skipped
+    "camera.translation_noise_sigma=0",  # a collinear track: the level-plane fallback
 )
 # 20.8 mL after the intake, then some 8 mL after the expel retries that arrive
 PULSES = ("0.2 start", "0.4 start", "0.5 pump intake 5000",
