@@ -8,10 +8,11 @@ their default seeds under one override each, written to
 delivery or the step grid onto a step boundary, loses commands on the
 downlink, or takes a branch the defaults skip: spurious-z outliers, no
 rotation noise, degraded and absent IR signal, segments too short to score,
-and the level-plane fallback of a noiseless collinear track.  One more edge run, ``OUT/pump_test_pulses/``, is ``pump_test``
-under ``PULSES``: pump runs that stop mid-stroke (each of ``pump_test``'s
-own runs lasts until the syringe saturates), so the tree holds pump cut-off
-steps, and the hull sinks, rises and comes to rest afloat mid-run.  The
+and the level-plane fallback of a noiseless collinear track.  One more edge
+run, ``OUT/pump_test_pulses/``, is ``pump_test`` under ``PULSES``: pump runs
+that stop mid-stroke (each of ``pump_test``'s own runs lasts until the
+syringe saturates), so the tree holds pump cut-off steps, and the hull
+sinks, rises and comes to rest afloat mid-run.  The
 ``tanklab`` imported is whichever is first on ``PYTHONPATH``, so two trees
 from two source checkouts compare with ``diff -r``:
 
