@@ -21,20 +21,9 @@ class GeometryError(ValueError):
     """Base class for geometry failures."""
 
 
-class InsufficientPoints(GeometryError):
-    """Fewer than three points supplied to the plane fit."""
-
-
 class DegenerateConfiguration(GeometryError):
-    """Plane-fit normal equations are singular (points collinear in x-y)."""
-
-
-class DegenerateNormal(GeometryError):
-    """Plane normal is parallel to the x-axis; basis construction fails."""
-
-
-class GimbalDegenerate(GeometryError):
-    """Rotation is edge-on; yaw cannot be extracted."""
+    """No unique plane: fewer than three points, or normal equations that are
+    singular (points collinear in x-y)."""
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -121,7 +110,7 @@ def fit_plane(points: Iterable[Sequence[float]]) -> PlaneCoefficients:
         raise GeometryError("expected an Nx3 array of points")
     n = pts.shape[0]
     if n < 3:
-        raise InsufficientPoints("plane fit needs at least 3 points, got %d" % n)
+        raise DegenerateConfiguration("plane fit needs at least 3 points, got %d" % n)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ata = np.array(
         [
@@ -149,7 +138,7 @@ def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
     n1 = np.linalg.norm(u1)
     # sin of the angle between the normal and the x-axis
     if n1 / np.linalg.norm(n) < 1e-6:
-        raise DegenerateNormal("plane normal is parallel to the x-axis")
+        raise GeometryError("plane normal is parallel to the x-axis")
     u1 = u1 / n1
     u2 = np.cross(u3, u1)
     return np.vstack([u1, u2, u3])
@@ -158,11 +147,11 @@ def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
 def extract_yaw(r: np.ndarray) -> float:
     """Yaw of a rotation, from a yaw-pitch-roll decomposition.
 
-    Raises GimbalDegenerate when the frame is seen edge-on.
+    Raises GeometryError when the frame is seen edge-on.
     """
     r = np.asarray(r, dtype=float)
     if abs(r[2, 0]) > 1.0 - 1e-9:
-        raise GimbalDegenerate("rotation is edge-on; yaw undefined")
+        raise GeometryError("rotation is edge-on; yaw undefined")
     return math.atan2(r[1, 0], r[0, 0])
 
 

@@ -11,6 +11,7 @@ between ``d0`` (full delivery) and ``d1`` (radio blackout).
 
 from __future__ import annotations
 
+import binascii
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -49,26 +50,9 @@ class Truncated(LinkError):
     pass
 
 
-def _make_crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-            crc &= 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _make_crc_table()
-
-
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE; check value: crc16(b'123456789') == 0x29B1."""
-    crc = 0xFFFF
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ b]
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,6 @@ class MetricsError(ValueError):
     pass
 
 
-class Collinear(MetricsError):
-    pass
-
-
 class NoOverlap(MetricsError):
     pass
 
@@ -35,12 +31,12 @@ def circle_fit(points: Sequence[Sequence[float]]) -> tuple[tuple[float, float], 
     b = -(x**2 + y**2)
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
-        raise Collinear("points are collinear; no unique circle")
+        raise MetricsError("points are collinear; no unique circle")
     dd, ee, ff = sol
     cx, cy = -dd / 2.0, -ee / 2.0
     rad2 = cx * cx + cy * cy - ff
     if rad2 <= 0:
-        raise Collinear("degenerate circle fit")
+        raise MetricsError("degenerate circle fit")
     return (float(cx), float(cy)), float(math.sqrt(rad2))
 
 
@@ -111,19 +107,13 @@ def path_length(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def count_sign_changes(values: Sequence[float], hysteresis: float) -> int:
-    """Sign changes that swing past +/-hysteresis (small wiggles ignored)."""
-    state = 0
-    changes = 0
-    for v in values:
-        if v > hysteresis:
-            if state == -1:
-                changes += 1
-            state = 1
-        elif v < -hysteresis:
-            if state == 1:
-                changes += 1
-            state = -1
-    return changes
+    """Sign changes that swing past +/-hysteresis (small wiggles ignored),
+    with ``hysteresis >= 0``."""
+    if not (hysteresis >= 0):
+        raise MetricsError("hysteresis must be >= 0, got %r" % hysteresis)
+    v = np.asarray(values, dtype=float)
+    side = np.sign(v[np.abs(v) > hysteresis])
+    return int(np.count_nonzero(side[1:] != side[:-1]))
 
 
 def count_reversals(depth: Sequence[float], min_excursion: float = 0.05) -> int:

@@ -221,7 +221,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             msg = decode(frame)
             telemetry_rows.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
 
-    segments = tracking.segment_stream(detections, s.pipeline) if detections else []
+    segments = tracking.segment_stream(detections, s.pipeline)
     segment_states = [np.empty(0, dtype=STATE_DTYPE)]
     alignment_rows: list[list[float]] = []
     for seg in segments:
@@ -298,7 +298,7 @@ def score_run(
         for key, val in res.items():
             pooled.setdefault(key, []).append(val)
         # yaw-rate turns over the samples compared, never across a segment gap
-        turns += count_sign_changes(estimates.r[a + w : b - w].tolist(), R_HYSTERESIS)
+        turns += count_sign_changes(estimates.r[a + w : b - w], R_HYSTERESIS)
     if pooled:
         merged = {key: np.concatenate(vals) for key, vals in pooled.items()}
         out["rmse_xy"] = float(np.sqrt(np.mean(merged["x"] ** 2 + merged["y"] ** 2)))

@@ -91,11 +91,15 @@ class Scenario:
         if self.plot_frame not in ("ned", "paper"):
             raise ConfigError("plot_frame", "must be 'ned' or 'paper'")
         last = -math.inf
-        for t, _ in self.command_script:
+        for t, msg in self.command_script:
             if t < last:
                 raise ConfigError("command_script", "times must be non-decreasing")
             if not (0.0 <= t <= self.duration):
                 raise ConfigError("command_script", "time %g outside [0, duration]" % t)
+            try:
+                encode(msg)  # the protocol's range checks
+            except ValueError as exc:
+                raise ConfigError("command_script", "time %g %r: %s" % (t, msg, exc)) from exc
             last = t
         for section in ("vehicle", "camera", "channel", "pipeline"):
             try:
@@ -222,9 +226,9 @@ def _coerce(target, value_str: str, field_name: str):
 
 
 def parse_command(text: str) -> tuple[float, Message]:
-    """One command line as a timed message.  A value the protocol cannot
-    carry fails ``encode``'s range checks (``LinkError``, a ``ValueError``)
-    and, like any unparsable line, is a ``ConfigError``."""
+    """One command line as a timed message; an unparsable line is a
+    ``ConfigError``.  Whether the protocol can carry its values is checked
+    by ``Scenario.validate``."""
     try:
         time, kind, *args = text.split()
         t = float(time)
@@ -236,7 +240,6 @@ def parse_command(text: str) -> tuple[float, Message]:
             msg = Pump(_PUMP_MODES[args[0]], int(args[1]))
         else:
             raise ValueError("expected " + _COMMAND_FORMS)
-        encode(msg)
     except ValueError as exc:
         raise ConfigError("command", "%r: %s" % (text, exc)) from exc
     return t, msg

@@ -22,19 +22,7 @@ class TrackingError(ValueError):
     pass
 
 
-class EmptyInput(TrackingError):
-    pass
-
-
 class SegmentTooShort(TrackingError):
-    pass
-
-
-class WindowTooLarge(TrackingError):
-    pass
-
-
-class NonMonotoneTimestamps(TrackingError):
     pass
 
 
@@ -117,7 +105,7 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     if window < 1:
         raise TrackingError("window must be >= 1")
     if arr.size < window:
-        raise WindowTooLarge(
+        raise TrackingError(
             "window %d larger than input of length %d" % (window, arr.size)
         )
     csum = np.concatenate([[0.0], np.cumsum(arr)])
@@ -134,7 +122,7 @@ def resample_uniform(
     if t.size < 2:
         raise SegmentTooShort("resampling needs at least 2 samples")
     if np.any(np.diff(t) <= 0):
-        raise NonMonotoneTimestamps("timestamps must be strictly increasing")
+        raise TrackingError("timestamps must be strictly increasing")
     grid = _uniform_grid(t[0], t[-1], rate)
     return grid, np.interp(grid, t, v)
 
@@ -155,12 +143,10 @@ def segment_stream(
     ``max_gap``.  Until a detection is kept, the reference is the median z
     of the first five detections, so a spurious first detection is rejected
     rather than kept as the reference for every later one.  Segments
-    shorter than two detections are dropped.
+    shorter than two detections are dropped, so an empty stream gives none.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
-    if len(detections) == 0:
-        raise EmptyInput("no detections")
     if np.any(np.diff(detections.t) < 0):
         raise TrackingError("detections must be sorted by timestamp")
 
@@ -209,7 +195,7 @@ def run_pipeline_detailed(
 
     try:
         plane = frames.fit_plane(q)
-    except (frames.DegenerateConfiguration, frames.InsufficientPoints):
+    except frames.DegenerateConfiguration:
         # stationary or collinear track (two points always are): no tilt
         # observable, so assume a level plane
         plane = PlaneCoefficients(0.0, 0.0, 0.0)

@@ -38,14 +38,6 @@ class VehicleError(ValueError):
     pass
 
 
-class InvalidDt(VehicleError):
-    pass
-
-
-class NoSignal(VehicleError):
-    """IR array carries no usable plunger signal."""
-
-
 @dataclass
 class VehicleParams:
     mass: float = 2.7                    # kg
@@ -136,7 +128,7 @@ def step(
     """
     p = params or VehicleParams()
     if not (0.0 < dt <= MAX_DT):
-        raise InvalidDt("dt must be in (0, %g], got %r" % (MAX_DT, dt))
+        raise VehicleError("dt must be in (0, %g], got %r" % (MAX_DT, dt))
     dfill = _pump_delta(cmd.pump, dt, p)
     planar_rows, heave_rows = rows if rows is not None else (array("d"), array("d"))
 
@@ -241,7 +233,7 @@ def estimate_plunger(
     p = params or VehicleParams()
     floor = min(reading)
     if max(reading) - floor < IR_NOISE_FLOOR:
-        raise NoSignal("all IR channels within %.2f of each other" % IR_NOISE_FLOOR)
+        raise VehicleError("all IR channels within %.2f of each other" % IR_NOISE_FLOOR)
     num = 0.0
     den = 0.0
     for k, c in enumerate(reading):

@@ -1,10 +1,12 @@
 """Independent straight-line reimplementations of the estimation pipeline,
-the camera model, the segment residuals and the depth-reversal counter.
+the camera model, the segment residuals, the depth-reversal counter and
+the turn counter.
 
 Deliberately naive: least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
 mean, one camera frame at a time, every truth channel interpolated at both
-the compared and the lagged times, and one depth sample at a time.  Used to
+the compared and the lagged times, and one depth or yaw-rate sample at a
+time.  Used to
 cross-check the production code sample by sample.
 """
 
@@ -227,3 +229,20 @@ def bf_count_reversals(depth, min_excursion):
             direction = -direction
             anchor = v
     return reversals
+
+
+def bf_count_sign_changes(values, hysteresis):
+    """Sign changes that swing past +/-hysteresis: a two-state loop over
+    every sample, which neither a NaN nor a value within the band moves."""
+    state = 0
+    changes = 0
+    for v in values:
+        if v > hysteresis:
+            if state == -1:
+                changes += 1
+            state = 1
+        elif v < -hysteresis:
+            if state == 1:
+                changes += 1
+            state = -1
+    return changes

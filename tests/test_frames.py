@@ -5,9 +5,7 @@ import pytest
 
 from tanklab.frames import (
     DegenerateConfiguration,
-    DegenerateNormal,
-    GimbalDegenerate,
-    InsufficientPoints,
+    GeometryError,
     PlaneCoefficients,
     body_velocities,
     extract_yaw,
@@ -62,7 +60,7 @@ class TestFitPlane:
         assert abs(p.d - 1.0) < 0.005
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(DegenerateConfiguration, match="at least 3 points"):
             fit_plane([[0, 0, 0], [1, 0, 0]])
 
     def test_collinear_points(self):
@@ -92,7 +90,7 @@ class TestWorldRotation:
 
     def test_degenerate_normal(self):
         # normal nearly along +x: angle to the x-axis below tolerance
-        with pytest.raises(DegenerateNormal):
+        with pytest.raises(GeometryError, match="parallel to the x-axis"):
             world_rotation(PlaneCoefficients(1e9, 0.0, 0.0))
 
 
@@ -140,7 +138,7 @@ class TestExtractYaw:
         assert extract_yaw(r) == pytest.approx(0.7, abs=2e-3)
 
     def test_gimbal_degenerate(self):
-        with pytest.raises(GimbalDegenerate):
+        with pytest.raises(GeometryError, match="edge-on"):
             extract_yaw(rot_y(math.pi / 2))
 
 

@@ -84,11 +84,13 @@ def test_apply_setting_raises_only_config_error(key, value):
 @FUZZ
 @given(values)
 def test_parse_command_raises_only_config_error(text):
+    # parse_command checks the syntax, Scenario.validate the protocol's ranges
     try:
-        t, msg = parse_command(text)
+        _, msg = parse_command(text)
+        Scenario(name="fuzz", duration=5.0, command_script=[(0.0, msg)]).validate()
     except ConfigError:
         return
-    link.encode(msg)  # whatever parses, the protocol can carry
+    link.encode(msg)  # whatever validates, the protocol can carry
 
 
 # each send: gap since the previous send (s), vehicle depth (m, across the

@@ -10,7 +10,6 @@ from tanklab.frames import rot_x, rot_z
 from tanklab.link import (PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF, Channel, Pump,
                           SetMotors, StartSequence, decode, encode)
 from tanklab.metrics import (
-    Collinear,
     MetricsError,
     NoOverlap,
     circle_fit,
@@ -59,7 +58,7 @@ class TestCircleFit:
 
     def test_collinear(self):
         pts = [[float(i), 2.0 * i] for i in range(10)]
-        with pytest.raises(Collinear):
+        with pytest.raises(MetricsError, match="collinear"):
             circle_fit(pts)
 
     def test_too_few(self):
@@ -284,6 +283,25 @@ class TestCounters:
     def test_sign_changes_never_crossing(self):
         assert count_sign_changes([0.2, 0.3, 0.1], 0.05) == 0
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([0.0, 0.05, 0.2]).flatmap(lambda h: st.tuples(
+        st.lists(st.one_of(
+            st.floats(-0.3, 0.3),
+            st.sampled_from([h, -h, 0.0, -0.0, math.nan, math.inf, -math.inf])),
+            max_size=60),
+        st.just(h))))
+    def test_sign_changes_match_every_sample_loop(self, case):
+        # values exactly at +/-h, NaN, +/-inf, empty lists and h = 0
+        values, h = case
+        want = bf.bf_count_sign_changes(values, h)
+        assert count_sign_changes(values, h) == want
+        assert count_sign_changes(np.array(values, dtype=float), h) == want
+
+    @pytest.mark.parametrize("hysteresis", [-1.0, math.nan])
+    def test_sign_changes_need_nonnegative_hysteresis(self, hysteresis):
+        with pytest.raises(MetricsError, match="hysteresis"):
+            count_sign_changes([0.2, -0.2], hysteresis)
+
     def test_reversals_triangle(self):
         depth = np.concatenate([np.linspace(0, 1, 50), np.linspace(1, 0, 50),
                                 np.linspace(0, 1, 50)])
@@ -401,6 +419,15 @@ class TestScenarios:
                      command_script=[(9.0, StartSequence(1))])
         with pytest.raises(ConfigError):
             s.validate()
+
+    def test_unencodable_script_command_fails_before_the_run(self):
+        # a script built in Python, not parsed from text: a ConfigError up
+        # front, not a LinkError from the encoder mid-run
+        s = get_scenario("line")
+        s.command_script.append((1.0, SetMotors(150, 0)))
+        with pytest.raises(ConfigError, match=r"time 1 SetMotors\(left=150, right=0\)") as exc:
+            run_scenario(s)
+        assert exc.value.field_name == "command_script"
 
 
 def tiny_line(duration=4.0, seed=3):

@@ -60,8 +60,9 @@ class TestCrc:
         assert crc16(b"") == 0xFFFF
 
     def test_matches_bitwise_oracle(self, rng):
-        for _ in range(200):
-            data = rng.integers(0, 256, rng.integers(0, 40)).astype(np.uint8).tobytes()
+        # every length up to the longest frame body: type, length, 64 payload bytes
+        for n in (*range(67), *rng.integers(0, 67, 200).tolist()):
+            data = rng.integers(0, 256, n).astype(np.uint8).tobytes()
             assert crc16(data) == crc16_bitwise(data)
 
     def test_sensitive_to_any_bit(self):

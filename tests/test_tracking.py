@@ -16,12 +16,9 @@ from tanklab.tracking import (
     STATE_CSV_HEADER,
     TABLE_CHUNK,
     Detections,
-    EmptyInput,
-    NonMonotoneTimestamps,
     PipelineConfig,
     SegmentTooShort,
     TrackingError,
-    WindowTooLarge,
     moving_average,
     read_detections_csv,
     read_states_csv,
@@ -96,7 +93,7 @@ class TestMovingAverage:
             assert out[i] == pytest.approx(np.mean(x[lo : i + 1]), abs=1e-12)
 
     def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(TrackingError, match="larger than input"):
             moving_average([1.0, 2.0], 3)
 
     def test_bad_window(self):
@@ -126,7 +123,7 @@ class TestResample:
         np.testing.assert_allclose(vals, 5.0 * grid, atol=1e-9)
 
     def test_non_monotone(self):
-        with pytest.raises(NonMonotoneTimestamps):
+        with pytest.raises(TrackingError, match="strictly increasing"):
             resample_uniform([0.0, 0.5, 0.5], [1, 2, 3], 30.0)
 
 
@@ -229,9 +226,8 @@ class TestSegmentStream:
         assert n - 60 < len(kept) < n and len(expected) > 3
         assert [seg.t.tolist() for seg in segment_stream(dets, cfg)] == expected
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            segment_stream(Detections.from_rows([]))
+    def test_empty_gives_no_segments(self):
+        assert segment_stream(Detections.from_rows([])) == []
 
     def test_unsorted_raises(self):
         with pytest.raises(TrackingError):

@@ -12,8 +12,6 @@ from tanklab.vehicle import (
     PLANAR_FIELDS,
     WATER_DENSITY,
     ActuatorCommand,
-    InvalidDt,
-    NoSignal,
     VehicleError,
     VehicleParams,
     VehicleState,
@@ -80,9 +78,9 @@ class TestStep:
         assert s.x == 0.0 and s.y == 0.0 and s.z == 0.0
 
     def test_invalid_dt(self):
-        with pytest.raises(InvalidDt):
+        with pytest.raises(VehicleError, match="dt must be in"):
             step(VehicleState(), ActuatorCommand(), 0.0)
-        with pytest.raises(InvalidDt):
+        with pytest.raises(VehicleError, match="dt must be in"):
             step(VehicleState(), ActuatorCommand(), 0.1)
 
     def test_terminal_surge_speed(self):
@@ -320,7 +318,7 @@ class TestStepN:
 
     def test_errors_leave_rows_unchanged(self):
         rows = array("d", [1.0, 2.0]), array("d", [3.0])
-        with pytest.raises(InvalidDt):
+        with pytest.raises(VehicleError, match="dt must be in"):
             step(VehicleState(), ActuatorCommand(), 0.1, n=5, rows=rows)
         with pytest.raises(VehicleError):
             step(VehicleState(), ActuatorCommand(pump=3), DT, n=5, rows=rows)
@@ -353,7 +351,7 @@ class TestIr:
         assert estimate_plunger(r) == pytest.approx(oracle, abs=1e-12)
 
     def test_flat_reading_no_signal(self):
-        with pytest.raises(NoSignal):
+        with pytest.raises(VehicleError, match="IR channels within"):
             estimate_plunger((0.5,) * 9)
 
     def test_high_ambient_degrades(self):
