@@ -8,11 +8,13 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import frames
 from .frames import PlaneCoefficients
@@ -144,21 +146,33 @@ def segment_stream(
     of the first five detections, so a spurious first detection is rejected
     rather than kept as the reference for every later one.  Segments
     shorter than two detections are dropped, so an empty stream gives none.
+
+    Until the first rejection every detection is kept, so each reference is
+    the median of the detections just before it: one array pass over
+    sliding windows finds that rejection, and the loop decides one
+    detection at a time from there on.  A stream holding a NaN z runs the
+    loop throughout, since ``np.sort`` and ``sorted`` place a NaN apart.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
     if np.any(np.diff(detections.t) < 0):
         raise TrackingError("detections must be sorted by timestamp")
 
-    keep = np.zeros(len(detections), dtype=bool)
-    zs = detections.q[:, 2].tolist()
-    recent_z: list[float] = []
-    for i, z in enumerate(zs):
+    z = detections.q[:, 2]
+    zs = z.tolist()
+    refs = [statistics.median(zs[:i] or zs[:5]) for i in range(min(len(zs), 5))]
+    if len(zs) > 5:
+        refs = np.concatenate([refs, np.sort(sliding_window_view(z[:-1], 5), axis=1)[:, 2]])
+    far = np.abs(z - refs) > cfg.outlier_z_jump
+    stop = 0 if np.isnan(z).any() else int(np.argmax(np.append(far, True)))
+    keep = np.arange(len(zs)) < stop
+    recent_z = zs[:stop]
+    for i in range(stop, len(zs)):
         ref = statistics.median(recent_z[-5:] or zs[:5])
-        if abs(z - ref) > cfg.outlier_z_jump:
+        if abs(zs[i] - ref) > cfg.outlier_z_jump:
             continue
         keep[i] = True
-        recent_z.append(z)
+        recent_z.append(zs[i])
 
     kept = detections[keep]
     cuts = [0, *(np.flatnonzero(np.diff(kept.t) > cfg.max_gap) + 1), len(kept)]
@@ -184,7 +198,9 @@ def run_pipeline_detailed(
     detection's, central finite differences, trailing moving average on the
     derivatives, then rotation into body surge/sway.  Yaw is extracted from
     the fitted world rotation composed with each detection rotation so that
-    heading and translation share one frame.
+    heading and translation share one frame: one stacked product over the
+    segment's rotations, bit for bit the per-detection products, then
+    ``math.atan2`` per row, the libm call of ``frames.extract_yaw``.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
@@ -202,7 +218,10 @@ def run_pipeline_detailed(
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
     world = (q - origin) @ r_oc.T
-    yaw = np.unwrap([frames.extract_yaw(r_oc @ rot) for rot in segment.rot])
+    r_ow = r_oc @ segment.rot
+    if np.any(np.abs(r_ow[:, 2, 0]) > 1.0 - 1e-9):
+        raise frames.GeometryError("rotation is edge-on; yaw undefined")
+    yaw = np.unwrap(list(map(math.atan2, r_ow[:, 1, 0].tolist(), r_ow[:, 0, 0].tolist())))
 
     rate = cfg.output_rate
     grid, x = resample_uniform(t, world[:, 0], rate)
@@ -284,11 +303,9 @@ def read_table(path, header) -> np.ndarray:
         found = fh.readline().rstrip("\r\n").split(",")
         if found != list(header):
             raise TrackingError("%s: unexpected header %r" % (path, found))
-        start = fh.tell()
         if not fh.read(1):
             return np.empty((0, len(header)))
-        fh.seek(start)
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     if table.shape[1] != len(header):
         raise TrackingError("%s: %d columns under a %d-column header"
                             % (path, table.shape[1], len(header)))

@@ -1,8 +1,9 @@
 """Independent straight-line reimplementations of the estimation pipeline,
-the camera model, the segment residuals, the depth-reversal counter and
-the turn counter.
+the detection gate and gap split, the camera model, the segment residuals,
+the depth-reversal counter and the turn counter.
 
-Deliberately naive: least-squares via numpy lstsq, loop-based angle unwrap,
+Deliberately naive: one detection at a time through the z gate,
+least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
 mean, one camera frame at a time, every truth channel interpolated at both
 the compared and the lagged times, and one depth or yaw-rate sample at a
@@ -11,8 +12,32 @@ cross-check the production code sample by sample.
 """
 
 import math
+import statistics
 
 import numpy as np
+
+
+def bf_segment_stream(table, max_gap, outlier_z_jump):
+    """Gap-bounded segments of a detection table, as row arrays of it.
+
+    A detection is rejected when its z (column 4) is more than
+    ``outlier_z_jump`` from the median z of the last five kept detections,
+    or of the first five detections while none is kept.  The kept rows
+    split wherever the time gap exceeds ``max_gap``; runs of fewer than two
+    rows are dropped."""
+    zs = [float(v) for v in table[:, 4]]
+    kept, recent = [], []
+    for i, z in enumerate(zs):
+        if abs(z - statistics.median(recent[-5:] or zs[:5])) > outlier_z_jump:
+            continue
+        kept.append(i)
+        recent.append(z)
+    runs = []
+    for i in kept:
+        if not runs or table[i, 0] - table[runs[-1][-1], 0] > max_gap:
+            runs.append([])
+        runs[-1].append(i)
+    return [table[run] for run in runs if len(run) >= 2]
 
 
 def bf_fit_plane(points):

@@ -1,4 +1,6 @@
+import importlib.util
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,25 @@ from tanklab.tracking import Detections
 def detection_row(t, translation, rotation, tag_id=0):
     """One ``Detections`` table row: time, tag id, translation, rotation."""
     return (float(t), tag_id, *np.ravel(translation), *np.ravel(rotation))
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_run_tree():
+    """``tools/run_tree.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("run_tree", TOOLS / "run_tree.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def tree_dir(tmp_path_factory):
+    """``tools/run_tree.py``'s tree, written once per session; read it only."""
+    out = tmp_path_factory.mktemp("tree")
+    load_run_tree().write_tree(str(out))
+    return out
 
 
 def pytest_configure(config):

@@ -1,13 +1,13 @@
 import math
 import re
-import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
-from tanklab.frames import PlaneCoefficients, rot_x, rot_z, world_rotation
+from tanklab.frames import GeometryError, PlaneCoefficients, rot_x, rot_y, rot_z, world_rotation
 from tanklab.metrics import TRUTH_DTYPE
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
 from tanklab.scenarios import get_scenario
@@ -198,33 +198,68 @@ class TestSegmentStream:
         assert [seg.t.tolist() for seg in segs] == [t[1:].tolist()]
 
     def test_matches_loop_reference(self):
-        # a stream with gaps and z outliers, against the per-detection loop:
-        # running-median z gate, then a new run wherever the gap exceeds max_gap
+        # a stream with gaps and z outliers, against the one-detection-at-a-
+        # time oracle of the running-median z gate and the gap split
         cfg = PipelineConfig()
         rng = np.random.default_rng(4)
         n = 400
         t = np.cumsum(rng.choice([1 / 30, 0.2, 0.3, 1.0], size=n, p=[0.9, 0.04, 0.04, 0.02]))
         outlier = rng.choice([0.0, 0.2, -0.1], size=n, p=[0.9, 0.05, 0.05])
-        outlier[0] = 0.0  # a first-detection outlier would gate out the rest
         z = 2.4 + outlier + rng.normal(0, 0.005, n)
         dets = Detections.from_rows(
             [detection_row(ti, [ti, 0, zi], np.eye(3)) for ti, zi in zip(t, z)])
 
-        kept, recent_z = [], []
-        for ti, zi in zip(t.tolist(), z.tolist()):
-            if recent_z and abs(zi - statistics.median(recent_z[-5:])) > cfg.outlier_z_jump:
-                continue
-            kept.append(ti)
-            recent_z.append(zi)
-        runs = [[kept[0]]]
-        for prev, ti in zip(kept, kept[1:]):
-            if ti - prev > cfg.max_gap:
-                runs.append([])
-            runs[-1].append(ti)
-        expected = [run for run in runs if len(run) >= 2]
+        expected = bf.bf_segment_stream(dets.table, cfg.max_gap, cfg.outlier_z_jump)
+        assert n - 60 < sum(map(len, expected)) < n and len(expected) > 3
+        assert [seg.table.tobytes() for seg in segment_stream(dets, cfg)] == [
+            seg.tobytes() for seg in expected]
 
-        assert n - 60 < len(kept) < n and len(expected) > 3
-        assert [seg.t.tolist() for seg in segment_stream(dets, cfg)] == expected
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 7), st.integers(100, 400)),
+        rate=st.floats(0.0, 0.7),
+        jump=st.floats(0.05, 0.2),
+        burst=st.integers(1, 8),
+        head=st.booleans(),
+        nan=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, n, rate, jump, burst, head, nan, seed):
+        # outliers of +/-jump in runs of up to `burst`, one maybe among the
+        # first five, gaps just under and just over max_gap; the segments
+        # must be the oracle's rows, bit for bit
+        cfg = PipelineConfig()
+        rng = np.random.default_rng(seed)
+        starts = np.flatnonzero(rng.random(n) < rate / burst)
+        outlier = np.zeros(n, dtype=bool)
+        for a in starts:
+            outlier[a : a + rng.integers(1, burst + 1)] = True
+        if head and n:
+            outlier[rng.integers(0, min(n, 5))] = True
+        z = 2.4 + rng.normal(0, 0.005, n) + outlier * rng.choice([-jump, jump], n)
+        if nan and n:
+            z[rng.integers(0, n)] = np.nan
+        gaps = [1 / 30, 0.9 * cfg.max_gap, 1.1 * cfg.max_gap, 1.0]
+        t = np.cumsum(rng.choice(gaps, size=n, p=[0.85, 0.05, 0.05, 0.05]))
+        dets = Detections.from_rows(
+            [detection_row(ti, [ti, 0, zi], np.eye(3)) for ti, zi in zip(t, z)])
+
+        expected = bf.bf_segment_stream(dets.table, cfg.max_gap, cfg.outlier_z_jump)
+        assert [seg.table.tobytes() for seg in segment_stream(dets, cfg)] == [
+            seg.tobytes() for seg in expected]
+
+    @pytest.mark.parametrize("z", [
+        [np.nan, 2.4, 2.6, 2.4, np.nan, 2.6, 2.4],
+        [2.4, np.nan, 2.5, 2.4, 2.6, 2.5, 2.6, 2.4],
+        [2.4, np.nan, 2.4, 2.6, 2.6, 2.6, 2.4, 2.4, 2.6, 2.4, np.nan, 2.5],
+    ])
+    def test_nan_z_matches_oracle(self, z):
+        # windows holding a NaN, whose median np.sort and sorted() disagree on
+        dets = Detections.from_rows(
+            [detection_row(i / 30, [i / 30, 0, zi], np.eye(3)) for i, zi in enumerate(z)])
+        expected = bf.bf_segment_stream(dets.table, 0.25, 0.05)
+        assert [seg.table.tobytes() for seg in segment_stream(dets)] == [
+            seg.tobytes() for seg in expected]
 
     def test_empty_gives_no_segments(self):
         assert segment_stream(Detections.from_rows([])) == []
@@ -339,6 +374,13 @@ class TestPipeline:
         with pytest.raises(SegmentTooShort):
             run_pipeline(dets[:1], PipelineConfig(smoothing_window=1))
 
+    def test_edge_on_detection_raises(self):
+        # one detection seen edge-on, in a level track: yaw is undefined
+        table = level_detections(np.arange(30) / 30, np.arange(30) * 0.01).table.copy()
+        table[17, 5:14] = rot_y(math.pi / 2).ravel()
+        with pytest.raises(GeometryError, match="edge-on"):
+            run_pipeline(Detections(table))
+
     def test_psi_wrapped(self):
         def traj(t):
             return 1.0 + 0.3 * t, 1.0 + 0.02 * math.sin(3 * t), 0.5 * t
@@ -347,6 +389,40 @@ class TestPipeline:
         dets = synthetic_detections(times, traj)
         states = run_pipeline(dets)
         assert all(-math.pi < s.psi <= math.pi for s in states)
+
+
+def random_rotation(rng):
+    """A proper rotation, from the QR decomposition of a normal matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+class TestYawProduct:
+    """The yaw step's one stacked ``r_oc @ segment.rot`` is bit for bit the
+    per-detection products ``r_oc @ rot`` it replaced."""
+
+    @staticmethod
+    def assert_stacked_bits(r_oc, segment):
+        per_detection = np.stack([r_oc @ rot for rot in segment.rot])
+        assert (r_oc @ segment.rot).tobytes() == per_detection.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 643])
+    def test_random_rotations(self, rng, n):
+        rows = [detection_row(i / 30, rng.normal(size=3), random_rotation(rng)) for i in range(n)]
+        self.assert_stacked_bits(random_rotation(rng), Detections.from_rows(rows))
+
+    def test_tree_segments(self, tree_dir):
+        checked = 0
+        for path in sorted(tree_dir.glob("*/detections.csv")):
+            for segment in segment_stream(read_detections_csv(path)):
+                try:
+                    _, r_oc = run_pipeline_detailed(segment)
+                except SegmentTooShort:
+                    continue
+                self.assert_stacked_bits(r_oc, segment)
+                checked += 1
+        assert checked > 50
 
 
 class TestCsvRoundTrip:

@@ -8,20 +8,10 @@ record of which files changed.  The bytes depend on the numpy/BLAS build
 that wrote the manifest beside this one; it is never skipped.
 """
 
-import importlib.util
-from pathlib import Path
-
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from conftest import load_run_tree
 
 
-def load_run_tree():
-    spec = importlib.util.spec_from_file_location("run_tree", TOOLS / "run_tree.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tree_matches_manifest(tmp_path):
+def test_tree_matches_manifest(tree_dir):
     run_tree = load_run_tree()
     header, want = [], {}
     for line in run_tree.MANIFEST.read_text().splitlines():
@@ -31,8 +21,7 @@ def test_tree_matches_manifest(tmp_path):
             digest, name = line.split("  ", 1)
             want[name] = digest
 
-    run_tree.write_tree(str(tmp_path))
-    got = run_tree.digests(tmp_path)
+    got = run_tree.digests(tree_dir)
 
     problems = [
         *("missing: " + name for name in sorted(want.keys() - got.keys())),

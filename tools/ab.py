@@ -6,8 +6,11 @@ The base revision's ``src/`` is extracted with a local ``git archive`` into
 a temporary directory, and both ``tanklab`` trees are imported into one
 process; before each op the ``tanklab*`` entries of ``sys.modules`` are
 swapped to the tree that runs it.  The ops are the four built-in scenarios
-run with artifacts at ``--seed``, and ``recompute_metrics`` on each of their
-run directories.  Each pair times one op on both trees back to back, the
+run with artifacts at ``--seed``, and a ``replay`` of each of their run
+directories, as ``perfbench/run.py``'s ``replay`` op times it without its
+checks: ``recompute_metrics``, then the offline re-estimation from
+``detections.csv`` (``segment_stream``, and ``run_pipeline_detailed`` on
+each segment).  Each pair times one op on both trees back to back, the
 tree that goes first alternating from pair to pair, after one untimed
 warm-up pass per tree.
 
@@ -78,15 +81,23 @@ def main(argv: list[str]) -> int:
             name = op.split(":")[-1]
             run_dir = tmp / side / name
             t0 = time.perf_counter()
-            if op.startswith("recompute:"):
+            if op.startswith("replay:"):
+                tracking = tk["tanklab.tracking"]
+                cfg = tk["tanklab.scenarios"].get_scenario(name).pipeline
                 tk["tanklab.runner"].recompute_metrics(str(run_dir))
+                dets = tracking.read_detections_csv(str(run_dir / "detections.csv"))
+                for segment in tracking.segment_stream(dets, cfg):
+                    try:
+                        tracking.run_pipeline_detailed(segment, cfg)
+                    except tracking.SegmentTooShort:
+                        pass
             else:
                 scenario = tk["tanklab.scenarios"].get_scenario(name)
                 scenario.seed = args.seed
                 tk["tanklab.runner"].run_scenario(scenario, out_dir=str(run_dir))
             return time.perf_counter() - t0
 
-        ops = [*SCENARIOS, *("recompute:%s" % name for name in SCENARIOS)]
+        ops = [*SCENARIOS, *("replay:%s" % name for name in SCENARIOS)]
         for side in trees:
             for op in ops:
                 run_op(side, op)
