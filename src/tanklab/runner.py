@@ -54,9 +54,10 @@ from .vehicle import (
 
 R_HYSTERESIS = 0.05  # rad/s, for zig-zag turn counting
 
-# One row per scored pipeline segment: index, first and last estimate time,
-# then the origin and row-major rotation that map truth into the segment's
-# frame (``metrics.residuals``).
+# One row per scored pipeline segment, one of more than 2 * window states,
+# so that some lie past both smoothing edges: index, first and last estimate
+# time, then the origin and row-major rotation that map truth into the
+# segment's frame (``metrics.residuals``).
 ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
                     "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
 # One row per telemetry frame received: arrival time, then the message fields.

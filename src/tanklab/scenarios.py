@@ -106,13 +106,14 @@ class Scenario:
                 getattr(self, _SUBCONFIGS[section]).validate()
             except ValueError as exc:
                 raise ConfigError(section, str(exc)) from exc
-        # a segment needs 2 * window resampled states; the longest possible
-        # one, a whole run, has floor(duration * rate) + 1
+        # a segment needs 2 * window + 1 resampled states, one past both
+        # smoothing edges; the longest possible one, a whole run, has
+        # floor(duration * rate) + 1
         window, rate = self.pipeline.smoothing_window, self.pipeline.output_rate
-        if 2 * window > math.floor(self.duration * rate) + 1:
+        if 2 * window >= math.floor(self.duration * rate) + 1:
             raise ConfigError("pipeline.smoothing_window",
                               "%d needs %g s of uninterrupted detections, run is %g s"
-                              % (window, (2 * window - 1) / rate, self.duration))
+                              % (window, 2 * window / rate, self.duration))
 
     def build_camera(self) -> CameraConfig:
         """Camera config with the pose assembled from height and tilt."""

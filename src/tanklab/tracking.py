@@ -229,9 +229,10 @@ def run_pipeline_detailed(
     _, psi = resample_uniform(t, yaw, rate)
 
     window = cfg.smoothing_window
-    if grid.size < 2 * window:
+    if grid.size <= 2 * window:
+        # no state past both smoothing edges: nothing to score
         raise SegmentTooShort(
-            "resampled segment of %d samples is shorter than 2x window %d"
+            "resampled segment of %d samples is not longer than 2x window %d"
             % (grid.size, window)
         )
 

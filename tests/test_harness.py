@@ -1,3 +1,4 @@
+import csv
 import math
 
 import brute_force as bf
@@ -10,6 +11,7 @@ from tanklab.frames import rot_x, rot_z
 from tanklab.link import (PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF, Channel, Pump,
                           SetMotors, StartSequence, decode, encode)
 from tanklab.metrics import (
+    TRUTH_DTYPE,
     MetricsError,
     NoOverlap,
     circle_fit,
@@ -19,7 +21,8 @@ from tanklab.metrics import (
     residuals,
     truth_series,
 )
-from tanklab.runner import TELEMETRY_HEADER, recompute_metrics, run_scenario, score_run
+from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario,
+                            score_run)
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -29,7 +32,7 @@ from tanklab.scenarios import (
     load_scenario_file,
     parse_command,
 )
-from tanklab.tracking import state_series
+from tanklab.tracking import read_states_csv, read_table, state_series
 from tanklab.vehicle import ActuatorCommand, VehicleState, step
 
 
@@ -414,6 +417,18 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             load_scenario_file(path)
 
+    @pytest.mark.parametrize("duration, fits", [(0.75, False), (1.0, True)])
+    def test_validate_window_bound(self, duration, fits):
+        # a whole run at 4 Hz yields floor(4 * duration) + 1 states, and a
+        # window of 2 needs 5: one past both smoothing edges
+        s = Scenario(name="t", duration=duration)
+        s.pipeline.smoothing_window, s.pipeline.output_rate = 2, 4.0
+        if fits:
+            s.validate()
+        else:
+            with pytest.raises(ConfigError, match="smoothing_window"):
+                s.validate()
+
     def test_validate_rejects_bad_script_time(self):
         s = Scenario(name="t", duration=5.0,
                      command_script=[(9.0, StartSequence(1))])
@@ -655,6 +670,24 @@ class TestRunner:
         ned = np.loadtxt(out_ned / "plotdata" / "psi.csv", delimiter=",", skiprows=1)
         pap = np.loadtxt(out_paper / "plotdata" / "psi.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(pap[:, 1], -ned[:, 1], atol=1e-12)
+
+
+def test_tree_alignment_rows_are_scored(tree_dir):
+    # every segment row of every run of the tree has samples to compare
+    rows = 0
+    for run_dir in sorted(tree_dir.iterdir()):
+        with open(run_dir / "meta.csv", newline="") as fh:
+            meta = dict(list(csv.reader(fh))[1:])
+        truth = truth_series(read_table(run_dir / "truth.csv", TRUTH_DTYPE.names))
+        estimates = read_states_csv(run_dir / "estimates.csv")
+        alignments = read_table(run_dir / "alignments.csv", ALIGNMENT_HEADER)
+        ends = np.searchsorted(estimates.timestamp, alignments[:, 2], side="right")
+        for a, b, row in zip([0, *ends], ends, alignments):
+            res = residuals(truth, estimates[a:b], row[6:15].reshape(3, 3), row[3:6],
+                            int(meta["smoothing_window"]), float(meta["output_rate"]))
+            assert res["t"].size > 0, (run_dir.name, int(row[0]))
+            rows += 1
+    assert rows > 50
 
 
 class TestCli:

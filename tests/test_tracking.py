@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import GeometryError, PlaneCoefficients, rot_x, rot_y, rot_z, world_rotation
-from tanklab.metrics import TRUTH_DTYPE
+from tanklab.metrics import TRUTH_DTYPE, residuals, truth_series
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
 from tanklab.scenarios import get_scenario
 from tanklab.tracking import (
@@ -373,6 +373,21 @@ class TestPipeline:
         # one detection, before anything is unwrapped or differenced
         with pytest.raises(SegmentTooShort):
             run_pipeline(dets[:1], PipelineConfig(smoothing_window=1))
+
+    def test_segment_of_2_windows_too_short(self):
+        # 2 * window states all lie within a window of an edge: nothing to
+        # score, so no segment; one more state is scored
+        window, rate = 12, 30.0
+        cfg = PipelineConfig(smoothing_window=window, output_rate=rate)
+        times = np.arange(2 * window + 1) / rate
+        with pytest.raises(SegmentTooShort, match="24 samples"):
+            run_pipeline(level_detections(times[:-1], times[:-1] * 0.3), cfg)
+        states = run_pipeline(level_detections(times, times * 0.3), cfg)
+        assert len(states) == 2 * window + 1
+        t = np.arange(481) / 240
+        truth = truth_series(np.column_stack([t, 0.3 * t, *np.zeros((8, t.size))]))
+        res = residuals(truth, states, np.eye(3), np.zeros(3), window, rate)
+        assert res["t"].tolist() == [states.timestamp[window]]
 
     def test_edge_on_detection_raises(self):
         # one detection seen edge-on, in a level track: yaw is undefined
