@@ -12,7 +12,7 @@ checks: ``recompute_metrics``, then the offline re-estimation from
 ``detections.csv`` (``segment_stream``, and ``run_pipeline_detailed`` on
 each segment).  Each pair times one op on both trees back to back, the
 tree that goes first alternating from pair to pair, after one untimed
-warm-up pass per tree.
+warm-up pass per tree; building the scenario is not timed.
 
 Printed per op: the median time on each tree, the median change/base ratio
 with a seeded bootstrap 95% interval, and whether the two trees wrote the
@@ -80,20 +80,19 @@ def main(argv: list[str]) -> int:
             tk = trees[side]
             name = op.split(":")[-1]
             run_dir = tmp / side / name
+            tracking = tk["tanklab.tracking"]
+            scenario = tk["tanklab.scenarios"].get_scenario(name)
+            scenario.seed = args.seed
             t0 = time.perf_counter()
             if op.startswith("replay:"):
-                tracking = tk["tanklab.tracking"]
-                cfg = tk["tanklab.scenarios"].get_scenario(name).pipeline
                 tk["tanklab.runner"].recompute_metrics(str(run_dir))
                 dets = tracking.read_detections_csv(str(run_dir / "detections.csv"))
-                for segment in tracking.segment_stream(dets, cfg):
+                for segment in tracking.segment_stream(dets, scenario.pipeline):
                     try:
-                        tracking.run_pipeline_detailed(segment, cfg)
+                        tracking.run_pipeline_detailed(segment, scenario.pipeline)
                     except tracking.SegmentTooShort:
                         pass
             else:
-                scenario = tk["tanklab.scenarios"].get_scenario(name)
-                scenario.seed = args.seed
                 tk["tanklab.runner"].run_scenario(scenario, out_dir=str(run_dir))
             return time.perf_counter() - t0
 
