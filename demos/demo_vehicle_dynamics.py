@@ -47,17 +47,15 @@ def main():
         print("  t=%5.1f s  pump=%-6s  fill=%5.2f mL  depth=%.3f m"
               % (t, name, state.syringe_fill, state.z))
 
-    # IR plunger feedback
+    # IR plunger feedback, one row per fill
     print("\nIR plunger estimate (ambient 0.05):")
-    for fill in (5.0, 12.5, 20.0):
-        reading = ir_response(fill, 0.05, p)
-        est = estimate_plunger(reading, p)
-        print("  true %5.1f mL -> estimated %5.2f mL (%s)"
-              % (fill, est, signal_quality(reading)))
-    glare = ir_response(12.5, 0.95, p)
+    fills = [5.0, 12.5, 20.0]
+    readings = ir_response(fills, 0.05, p)
+    for fill, est, quality in zip(fills, estimate_plunger(readings, p), signal_quality(readings)):
+        print("  true %5.1f mL -> estimated %5.2f mL (%s)" % (fill, est, quality))
+    glare = ir_response([12.5], 0.95, p)
     print("  under heavy surface light the reading degrades: quality=%s"
-          % signal_quality(glare))
-
+          % signal_quality(glare)[0])
 
 if __name__ == "__main__":
     main()

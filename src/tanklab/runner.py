@@ -193,25 +193,11 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         ticks.append(k)
         due += period
     uplink = Channel(s.channel, rng_up)
-    for t, z, fill in zip(*(truth[c][ticks].tolist() for c in ("t", "z", "fill"))):
-        reading = ir_response(fill, s.ambient_ir, params)
-        flags = 0
-        fill_tenth = 0
-        quality = signal_quality(reading)
-        if quality != "none":
-            est = estimate_plunger(reading, params)
-            fill_tenth = max(0, min(255, round(est * 10)))
-            flags |= link.FLAG_FILL_VALID
-        if quality == "degraded":
-            flags |= link.FLAG_IR_DEGRADED
-        depth = depth_reading(z, s.depth_noise_sigma, rng_vehicle)
-        msg = Telemetry(
-            depth_mm=max(0, min(0xFFFF, round(depth * 1000))),
-            ir=tuple(max(0, min(255, round(c * 255))) for c in reading),
-            fill_est_tenth_ml=fill_tenth,
-            flags=flags,
-        )
-        uplink.send(encode(msg), t, z)
+    t, z, fill = (truth[c][ticks] for c in ("t", "z", "fill"))
+    for frame, t_k, z_k in zip(
+            telemetry_frames(fill, z, s.ambient_ir, s.depth_noise_sigma, params, rng_vehicle),
+            t.tolist(), z.tolist()):
+        uplink.send(frame, t_k, z_k)
     # each frame arrives at the first step with t_k >= its delivery time
     telemetry_rows = []
     while (arrival := uplink.next_due()) is not None:
@@ -254,6 +240,24 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     if out_dir is not None:
         write_artifacts(artifacts, out_dir)
     return artifacts
+
+
+def telemetry_frames(fill, z, ambient, noise_sigma, params, rng) -> list[bytes]:
+    """The encoded ``Telemetry`` frame of each tick, from the columns of its
+    true syringe fill and depth: each sensor function runs once, over every
+    tick, and ``rng`` draws one depth noise sample per tick."""
+    readings = ir_response(fill, ambient, params)
+    quality = signal_quality(readings)
+    valid = quality != "none"
+    fill_tenth = np.zeros(len(readings))
+    fill_tenth[valid] = np.rint(estimate_plunger(readings[valid], params) * 10)
+    flags = np.where(valid, link.FLAG_FILL_VALID, 0) | np.where(
+        quality == "degraded", link.FLAG_IR_DEGRADED, 0)
+    depth_mm = np.rint(depth_reading(z, noise_sigma, rng) * 1000)
+    columns = (np.clip(depth_mm, 0, 0xFFFF), np.clip(np.rint(readings * 255), 0, 255),
+               np.clip(fill_tenth, 0, 255), flags)
+    return [encode(Telemetry(d, tuple(ir), f, fl))
+            for d, ir, f, fl in zip(*(c.astype(int).tolist() for c in columns))]
 
 
 def _alignment(

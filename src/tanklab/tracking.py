@@ -297,7 +297,8 @@ def write_table(path, header, table) -> None:
 def read_table(path, header) -> np.ndarray:
     """Read a ``write_table`` file back as an ``(n, len(header))`` float array.
 
-    Raises ``TrackingError`` when the header differs.  A header-only file
+    Raises ``TrackingError`` when the header differs or a cell is not
+    finite (``np.loadtxt`` parses ``nan`` and ``inf``).  A header-only file
     gives ``n == 0``.
     """
     with open(path, newline="") as fh:
@@ -310,6 +311,8 @@ def read_table(path, header) -> np.ndarray:
     if table.shape[1] != len(header):
         raise TrackingError("%s: %d columns under a %d-column header"
                             % (path, table.shape[1], len(header)))
+    if not np.isfinite(table).all():
+        raise TrackingError("%s: a cell is not finite" % path)
     return table
 
 

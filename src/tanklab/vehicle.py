@@ -9,8 +9,11 @@ z is depth, positive down.
 The two channels share no variable, so ``step`` integrates each on its
 own.  A channel at rest under the held command (heave in a surface run,
 the planar drive in a buoyancy run) is at a fixed point: one step leaves
-its state's bytes unchanged, and its later steps are repeated, not
-computed.
+its state's bytes unchanged, and its later rows are one ``array`` block
+repeated, not computed.
+
+The sensors (IR response, signal quality, plunger estimate, depth) each
+take a column with one row per telemetry tick and return a column.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def _planar_steps(planar, cmd, dt, p, m, out):
         x = x + dt * (u * c - v * s)
         y = y + dt * (u * s + v * c)
         if not i and _same_bits((x, y, psi, u, v, r, tl, tr), planar):
-            out.extend(planar[:6] * (m - 1))  # a fixed point: repeat it
+            out.extend(array("d", planar[:6]) * (m - 1))  # a fixed point: repeat it
             break
     return x, y, psi, u, v, r, tl, tr
 
@@ -196,7 +199,7 @@ def _heave_steps(heave, dfill, dt, p, m, out):
         elif z > depth:
             z, w = depth, 0.0
         if not i and _same_bits((z, w, fill), heave):
-            out.extend(heave * (m - 1))  # a fixed point: repeat it
+            out.extend(array("d", heave) * (m - 1))  # a fixed point: repeat it
             break
     return z, w, fill
 
@@ -207,58 +210,57 @@ def _same_bits(a: tuple, b: tuple) -> bool:
     return array("d", a).tobytes() == array("d", b).tobytes()
 
 
-def ir_response(
-    fill: float, ambient: float, params: VehicleParams | None = None
-) -> tuple[float, ...]:
-    """Nine-channel reflectance response to the plunger position.
+def ir_response(fill, ambient: float, params: VehicleParams | None = None) -> np.ndarray:
+    """Nine-channel reflectance response to each plunger position in the
+    column ``fill`` (mL): an ``(n, 9)`` array.
 
     Each sensor sits at normalized travel k/8 and sees a Gaussian falloff
     from the plunger plus an additive ambient term (surface-light
-    disturbance hitting all channels).
+    disturbance hitting all channels).  The falloff is ``math.exp`` of a
+    Python float per element: numpy's ``exp`` and ``**`` round some
+    arguments differently.
     """
     p = params or VehicleParams()
-    pos = fill / p.syringe_capacity
-    channels = []
-    for k in range(9):
-        pk = k / 8.0
-        c = math.exp(-((pk - pos) ** 2) / (2.0 * IR_SIGMA**2)) + ambient
-        channels.append(_clamp(c, 0.0, 1.0))
-    return tuple(channels)
+    d = np.arange(9) / 8.0 - np.asarray(fill, dtype=float).reshape(-1, 1) / p.syringe_capacity
+    falloff = [math.exp(-(x ** 2) / (2.0 * IR_SIGMA**2)) for x in d.ravel().tolist()]
+    return np.clip(np.reshape(falloff, d.shape) + ambient, 0.0, 1.0)
 
 
-def estimate_plunger(
-    reading: tuple[float, ...], params: VehicleParams | None = None
-) -> float:
-    """Syringe fill (mL) from a background-subtracted channel centroid."""
+def _flat(readings: np.ndarray) -> np.ndarray:
+    """Rows whose channels all lie within ``IR_NOISE_FLOOR`` of each other."""
+    return readings.max(axis=1) - readings.min(axis=1) < IR_NOISE_FLOOR
+
+
+def estimate_plunger(readings: np.ndarray, params: VehicleParams | None = None) -> np.ndarray:
+    """Syringe fill (mL) of each row of ``readings`` from its
+    background-subtracted channel centroid.  The sums are one column add
+    per channel, in channel order, so each row's sums are a loop's over its
+    channels (``np.sum`` adds in another order)."""
     p = params or VehicleParams()
-    floor = min(reading)
-    if max(reading) - floor < IR_NOISE_FLOOR:
+    if _flat(readings).any():
         raise VehicleError("all IR channels within %.2f of each other" % IR_NOISE_FLOOR)
-    num = 0.0
-    den = 0.0
-    for k, c in enumerate(reading):
-        w = c - floor
-        num += (k / 8.0) * w
-        den += w
+    w = readings - readings.min(axis=1, keepdims=True)
+    num = den = 0.0
+    for k in range(9):
+        num = num + (k / 8.0) * w[:, k]
+        den = den + w[:, k]
     return p.syringe_capacity * num / den
 
 
-def signal_quality(reading: tuple[float, ...]) -> str:
-    """'ok', 'degraded' (ambient floor washing out contrast), or 'none'."""
-    floor = min(reading)
-    if max(reading) - floor < IR_NOISE_FLOOR:
-        return "none"
-    if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
-        return "degraded"
-    return "ok"
+def signal_quality(readings: np.ndarray) -> np.ndarray:
+    """Per row: 'ok', 'degraded' (ambient floor washing out contrast), or 'none'."""
+    degraded = (readings.min(axis=1) > 0.5) | (np.count_nonzero(readings >= 0.999, axis=1) >= 3)
+    return np.where(_flat(readings), "none", np.where(degraded, "degraded", "ok"))
 
 
 def depth_reading(
-    z: float, noise_sigma: float, rng: np.random.Generator | None = None
-) -> float:
-    """Pressure-sensor reading of depth ``z``: Gaussian noise, quantized to 1 mm."""
+    z, noise_sigma: float, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Pressure-sensor readings of the depth column ``z``: Gaussian noise,
+    one ``rng.normal(size=n)`` draw (n scalar draws), quantized to 1 mm."""
+    z = np.asarray(z, dtype=float)
     if noise_sigma > 0.0:
         if rng is None:
             raise VehicleError("rng required when noise_sigma > 0")
-        z += rng.normal(0.0, noise_sigma)
-    return round(z * 1000.0) / 1000.0
+        z = z + rng.normal(0.0, noise_sigma, size=z.shape)
+    return np.rint(z * 1000.0) / 1000.0

@@ -1,13 +1,13 @@
 """Independent straight-line reimplementations of the estimation pipeline,
 the detection gate and gap split, the camera model, the segment residuals,
-the depth-reversal counter and the turn counter.
+the depth-reversal counter, the turn counter and the telemetry sensors.
 
 Deliberately naive: one detection at a time through the z gate,
 least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
 mean, one camera frame at a time, every truth channel interpolated at both
 the compared and the lagged times, and one depth or yaw-rate sample at a
-time.  Used to
+time, and one telemetry tick at a time.  Used to
 cross-check the production code sample by sample.
 """
 
@@ -15,6 +15,8 @@ import math
 import statistics
 
 import numpy as np
+
+from tanklab.link import FLAG_FILL_VALID, FLAG_IR_DEGRADED, Telemetry, encode
 
 
 def bf_segment_stream(table, max_gap, outlier_z_jump):
@@ -271,3 +273,32 @@ def bf_count_sign_changes(values, hysteresis):
                 changes += 1
             state = -1
     return changes
+
+
+def bf_telemetry(fill, z, ambient, noise_sigma, params, rng, ir_sigma=0.07, noise_floor=0.05):
+    """The encoded telemetry frame of each tick: the IR response, its signal
+    quality and centroid, and one depth noise draw, one tick at a time in
+    Python floats."""
+    frames = []
+    for f, depth in zip([float(v) for v in fill], [float(v) for v in z]):
+        pos = f / params.syringe_capacity
+        reading = [min(1.0, max(0.0, math.exp(-((k / 8.0 - pos) ** 2) / (2.0 * ir_sigma**2))
+                                + ambient)) for k in range(9)]
+        floor = min(reading)
+        flags, fill_tenth = 0, 0
+        if max(reading) - floor >= noise_floor:
+            num = den = 0.0
+            for k, c in enumerate(reading):
+                num += (k / 8.0) * (c - floor)
+                den += c - floor
+            fill_tenth = max(0, min(255, round(params.syringe_capacity * num / den * 10)))
+            flags |= FLAG_FILL_VALID
+            if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
+                flags |= FLAG_IR_DEGRADED
+        if noise_sigma > 0.0:
+            depth += rng.normal(0.0, noise_sigma)
+        depth = round(depth * 1000.0) / 1000.0
+        frames.append(encode(Telemetry(
+            max(0, min(0xFFFF, round(depth * 1000))),
+            tuple(max(0, min(255, round(c * 255))) for c in reading), fill_tenth, flags)))
+    return frames

@@ -201,12 +201,11 @@ def test_buoyancy():
     reversals = int(art.metrics["depth_reversals_truth"])
     depth_ok = abs(max_depth - 1.0) <= 0.15 and reversals >= 2
 
-    ir_ok = all(
-        abs(estimate_plunger(ir_response(float(f), 0.0, params), params) - f) <= 0.5
-        for f in range(2, 24)
-    )
+    fills = np.arange(2.0, 24.0)
+    ir_ok = bool((abs(estimate_plunger(ir_response(fills, 0.0, params), params) - fills)
+                  <= 0.5).all())
     ambient_ok = all(
-        signal_quality(ir_response(12.5, amb, params)) in ("degraded", "none")
+        signal_quality(ir_response([12.5], amb, params))[0] in ("degraded", "none")
         for amb in (0.9, 0.95, 1.0)
     )
     report("buoyancy", fill_time_ok and depth_ok and ir_ok and ambient_ok,

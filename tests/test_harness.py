@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tanklab import cli
 from tanklab.frames import rot_x, rot_z
-from tanklab.link import (PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF, Channel, Pump,
-                          SetMotors, StartSequence, decode, encode)
+from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL, PUMP_MODE_INTAKE,
+                          PUMP_MODE_OFF, Channel, Pump, SetMotors, StartSequence, decode, encode)
 from tanklab.metrics import (
     TRUTH_DTYPE,
     MetricsError,
@@ -22,7 +22,7 @@ from tanklab.metrics import (
     truth_series,
 )
 from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario,
-                            score_run)
+                            score_run, telemetry_frames)
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -590,6 +590,41 @@ class TestRunner:
         art = run_scenario(s)
         for flags in art.telemetry[:, TELEMETRY_HEADER.index("flags")].astype(int):
             assert not (flags & 0x01) or (flags & 0x02)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        fill=st.lists(st.one_of(st.sampled_from([0.0, 12.5, 25.0]),
+                                st.floats(0.0, 25.0)), max_size=40),
+        depth=st.lists(st.one_of(st.sampled_from([-0.0004, 0.0, 1.3716, 65.535, 65.5355]),
+                                 st.floats(-1.0, 80.0)), min_size=40, max_size=40),
+        ambient=st.sampled_from([0.0, 0.05, 0.6, 0.95, 1.0]),
+        noise_sigma=st.sampled_from([0.0, 0.002, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_telemetry_frames_match_per_tick_loop(self, fill, depth, ambient, noise_sigma,
+                                                  seed):
+        params = get_scenario("pump_test").vehicle_params
+        z = depth[:len(fill)]
+        rng, bf_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = telemetry_frames(np.array(fill), np.array(z), ambient, noise_sigma, params, rng)
+        assert got == bf.bf_telemetry(fill, z, ambient, noise_sigma, params, bf_rng)
+        assert rng.bit_generator.state == bf_rng.bit_generator.state
+
+    def test_telemetry_frames_cover_every_branch(self):
+        # fills at 0, capacity and between, under ambient light that gives
+        # each quality, and depths past both ends of the depth field
+        params = get_scenario("pump_test").vehicle_params
+        fill = np.array([0.0, 12.5, 25.0, 12.5, 12.5, 7.3])
+        z = np.array([-0.5, 0.3, 1.3716, 65.6, 0.0, 0.7])
+        msgs = []
+        for ambient in (0.0, 0.05, 0.6, 0.95, 1.0):
+            frames = telemetry_frames(fill, z, ambient, 0.0, params, None)
+            assert frames == bf.bf_telemetry(fill, z, ambient, 0.0, params, None)
+            msgs += [decode(f) for f in frames]
+        assert {m.flags for m in msgs} == {0, FLAG_FILL_VALID, FLAG_FILL_VALID | FLAG_IR_DEGRADED}
+        assert [m.depth_mm for m in msgs[:6]] == [0, 300, 1372, 0xFFFF, 0, 700]
+        assert telemetry_frames(np.empty(0), np.empty(0), 0.05, 0.002, params,
+                                np.random.default_rng(1)) == []
 
     def test_seed_changes_noise(self):
         a = run_scenario(tiny_line(seed=1))

@@ -9,7 +9,7 @@ import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import GeometryError, PlaneCoefficients, rot_x, rot_y, rot_z, world_rotation
 from tanklab.metrics import TRUTH_DTYPE, residuals, truth_series
-from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, run_scenario
+from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
 from tanklab.scenarios import get_scenario
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
@@ -515,6 +515,26 @@ class TestCsvRoundTrip:
         path.write_text(",".join(STATE_CSV_HEADER) + "\n" + ",".join("0" * 7) + "\n")
         with pytest.raises(TrackingError):
             read_table(path, TRUTH_DTYPE.names)
+
+    @pytest.mark.parametrize("name", ["detections.csv", "truth.csv"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, line_run_dir, tmp_path, name, cell):
+        # an edited table with one non-finite cell is refused, naming the
+        # file, instead of switching the z gate off or scoring NaN
+        run = tmp_path / "run"
+        run.mkdir()
+        for src in line_run_dir.glob("*.csv"):
+            (run / src.name).write_bytes(src.read_bytes())
+        lines = (run / name).read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[4] = cell
+        lines[5] = ",".join(cells)
+        (run / name).write_text("".join(lines))
+        with pytest.raises(TrackingError, match=re.escape(str(run / name))):
+            if name == "detections.csv":
+                read_detections_csv(run / name)
+            else:
+                recompute_metrics(str(run))
 
 
 def reference_table_bytes(header, table):

@@ -1,10 +1,13 @@
+import ast
 import math
 from array import array
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tanklab import vehicle
 from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     GRAVITY,
@@ -312,6 +315,32 @@ class TestStepN:
         z = column(rows, "z")
         assert z[0] > 0.0 and z[-1] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5000])
+    @pytest.mark.parametrize("start, cmd", [
+        # planar at a fixed point, heave sinking
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, syringe_fill=20.0), ActuatorCommand()),
+        # heave at a fixed point on the surface, planar driven
+        (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7)),
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand()),
+        # a -0.0 is not at a fixed point until step 2
+        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE)),
+        (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7)),
+        # comes to rest on the surface during the call
+        (VehicleState(z=0.02, w=-0.1, syringe_fill=0.0),
+         ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL)),
+    ], ids=["planar", "heave", "both", "planar_-0", "heave_-0", "rest_mid_call"])
+    def test_fixed_point_block(self, start, cmd, n):
+        # the block repeated at a fixed point is appended after the rows
+        # already there, with the bytes of n single calls
+        rows = array("d", [7.0] * 6), array("d", [8.0] * 3)
+        end = step(start, cmd, DT, n=n, rows=rows)
+        calls = [start]
+        for _ in range(n):
+            calls.append(step(calls[-1], cmd, DT))
+        assert bits(astuple(end)) == bits(astuple(calls[-1]))
+        assert rows[0][:6].tolist() == [7.0] * 6 and rows[1][:3].tolist() == [8.0] * 3
+        assert (rows[0][6:].tobytes(), rows[1][3:].tobytes()) == state_rows(calls[:-1])
+
     def test_rows_optional(self):
         cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)
         assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
@@ -325,58 +354,107 @@ class TestStepN:
         assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0]]
 
 class TestIr:
+    """The sensor functions take a column, one row per tick, and return one."""
+
     def test_nine_channels_clamped(self):
-        r = ir_response(12.5, 0.0)
-        assert len(r) == 9
-        assert all(0.0 <= c <= 1.0 for c in r)
+        r = ir_response([12.5, 0.0, 25.0], 0.0)
+        assert r.shape == (3, 9)
+        assert ((0.0 <= r) & (r <= 1.0)).all()
+        assert ir_response([], 0.05).shape == (0, 9)
 
     def test_peak_tracks_plunger(self):
-        for fill in (0.0, 6.25, 12.5, 18.75, 25.0):
-            r = ir_response(fill, 0.0)
-            peak = int(np.argmax(r))
-            assert peak == round(8 * fill / 25.0)
+        fills = np.array([0.0, 6.25, 12.5, 18.75, 25.0])
+        peaks = np.argmax(ir_response(fills, 0.0), axis=1)
+        assert peaks.tolist() == [round(8 * f / 25.0) for f in fills]
 
     def test_round_trip_accuracy(self):
         # interior fills recover within 0.5 mL through the full chain
-        for fill in range(2, 24):
-            est = estimate_plunger(ir_response(float(fill), 0.05))
-            assert est == pytest.approx(fill, abs=0.5)
+        fills = np.arange(2.0, 24.0)
+        est = estimate_plunger(ir_response(fills, 0.05))
+        assert est == pytest.approx(fills, abs=0.5)
 
     def test_centroid_oracle(self):
         # independent centroid computation
-        r = ir_response(9.0, 0.05)
-        floor = min(r)
-        w = np.array(r) - floor
+        r = ir_response([9.0], 0.05)[0]
+        w = r - r.min()
         oracle = 25.0 * np.dot(np.arange(9) / 8.0, w) / np.sum(w)
-        assert estimate_plunger(r) == pytest.approx(oracle, abs=1e-12)
+        assert estimate_plunger(ir_response([9.0], 0.05))[0] == pytest.approx(oracle, abs=1e-12)
+
+    def test_bits_match_scalar_formulas(self, rng):
+        # per element, the response of the scalar model (math.exp of a
+        # Python float, a clamp) and its channel-order centroid, bit for bit
+        fills = np.concatenate([rng.uniform(0.0, 25.0, 20000), [0.0, 12.5, 25.0]])
+        got = ir_response(fills, 0.05)
+        want = [[min(1.0, max(0.0, math.exp(-((k / 8.0 - f / 25.0) ** 2) / (2.0 * 0.07**2))
+                              + 0.05)) for k in range(9)] for f in fills.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+        centroids = []
+        for reading in want:
+            floor, num, den = min(reading), 0.0, 0.0
+            for k, c in enumerate(reading):
+                num += (k / 8.0) * (c - floor)
+                den += c - floor
+            centroids.append(25.0 * num / den)
+        assert bits(estimate_plunger(got)) == bits(centroids)
 
     def test_flat_reading_no_signal(self):
+        readings = np.vstack([ir_response([9.0], 0.05), np.full((1, 9), 0.5)])
         with pytest.raises(VehicleError, match="IR channels within"):
-            estimate_plunger((0.5,) * 9)
+            estimate_plunger(readings)
+        assert estimate_plunger(np.empty((0, 9))).shape == (0,)
 
     def test_high_ambient_degrades(self):
         # strong surface light: the estimate must degrade or report no signal
-        r = ir_response(12.5, 0.95)
-        assert signal_quality(r) in ("degraded", "none")
-        r = ir_response(12.5, 0.9)
-        assert signal_quality(r) in ("degraded", "none")
+        for ambient in (0.9, 0.95):
+            assert signal_quality(ir_response([12.5], ambient))[0] in ("degraded", "none")
 
     def test_quality_ok_at_low_ambient(self):
-        assert signal_quality(ir_response(12.5, 0.05)) == "ok"
+        assert signal_quality(ir_response([12.5], 0.05)).tolist() == ["ok"]
 
     def test_quality_none_when_flat(self):
-        assert signal_quality((0.7,) * 9) == "none"
+        assert signal_quality(np.full((1, 9), 0.7)).tolist() == ["none"]
+
+    def test_quality_per_row(self):
+        readings = np.vstack([ir_response([12.5], 0.05), np.full((1, 9), 0.7),
+                              ir_response([12.5], 0.6)])
+        assert signal_quality(readings).tolist() == ["ok", "none", "degraded"]
 
 
 class TestDepthReading:
     def test_noiseless_quantized(self):
-        assert depth_reading(0.51234, 0.0) == 0.512
+        assert depth_reading([0.51234, 0.0015, -0.0004], 0.0).tolist() == [0.512, 0.002, 0.0]
 
     def test_noise_requires_rng(self):
         with pytest.raises(VehicleError):
-            depth_reading(0.5, 0.002)
+            depth_reading([0.5], 0.002)
 
     def test_noise_statistics(self, rng):
-        vals = [depth_reading(0.5, 0.002, rng) for _ in range(2000)]
+        vals = depth_reading(np.full(2000, 0.5), 0.002, rng)
         assert np.mean(vals) == pytest.approx(0.5, abs=0.001)
         assert np.std(vals) == pytest.approx(0.002, abs=0.0005)
+
+    def test_one_draw_is_n_scalar_draws(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        z = np.linspace(0.0, 1.3, 50)
+        got = depth_reading(z, 0.002, a)
+        want = [np.rint((v + b.normal(0.0, 0.002)) * 1000.0) / 1000.0 for v in z.tolist()]
+        assert bits(got) == bits(want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def reorders(call):
+    """A call to ``np.exp``, ``np.power``, ``np.sum`` or a ``.sum()`` method."""
+    f = call.func
+    if not isinstance(f, ast.Attribute):
+        return False
+    on_numpy = isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
+    return f.attr == "sum" or on_numpy and f.attr in ("exp", "power")
+
+
+def test_no_reordering_numpy_calls():
+    # np.exp and np.power round differently from math.exp and a Python float
+    # power, and np.sum adds in another order than the scalar model's channel
+    # loop: the sensor columns keep their bits only without them
+    tree = ast.parse(Path(vehicle.__file__).read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and reorders(node)] == []
