@@ -275,18 +275,19 @@ def bf_count_sign_changes(values, hysteresis):
     return changes
 
 
-def bf_telemetry(fill, z, ambient, noise_sigma, params, rng, ir_sigma=0.07, noise_floor=0.05):
-    """The encoded telemetry frame of each tick: the IR response, its signal
-    quality and centroid, and one depth noise draw, one tick at a time in
-    Python floats."""
+def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):
+    """The encoded telemetry frame of each tick: the IR response (falloff
+    sigma 0.07 of travel), its signal quality (noise floor 0.05) and
+    centroid, and one depth noise draw, one tick at a time in Python
+    floats."""
     frames = []
     for f, depth in zip([float(v) for v in fill], [float(v) for v in z]):
         pos = f / params.syringe_capacity
-        reading = [min(1.0, max(0.0, math.exp(-((k / 8.0 - pos) ** 2) / (2.0 * ir_sigma**2))
+        reading = [min(1.0, max(0.0, math.exp(-((k / 8.0 - pos) ** 2) / (2.0 * 0.07**2))
                                 + ambient)) for k in range(9)]
         floor = min(reading)
         flags, fill_tenth = 0, 0
-        if max(reading) - floor >= noise_floor:
+        if max(reading) - floor >= 0.05:
             num = den = 0.0
             for k, c in enumerate(reading):
                 num += (k / 8.0) * (c - floor)

@@ -593,18 +593,19 @@ class TestRunner:
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
-        fill=st.lists(st.one_of(st.sampled_from([0.0, 12.5, 25.0]),
-                                st.floats(0.0, 25.0)), max_size=40),
-        depth=st.lists(st.one_of(st.sampled_from([-0.0004, 0.0, 1.3716, 65.535, 65.5355]),
-                                 st.floats(-1.0, 80.0)), min_size=40, max_size=40),
+        ticks=st.lists(st.tuples(
+            st.one_of(st.sampled_from([0.0, 12.5, 25.0]), st.floats(0.0, 25.0)),
+            st.one_of(st.sampled_from([-0.0004, 0.0, 1.3716, 65.535, 65.5355]),
+                      st.floats(-1.0, 80.0))), max_size=40),
         ambient=st.sampled_from([0.0, 0.05, 0.6, 0.95, 1.0]),
         noise_sigma=st.sampled_from([0.0, 0.002, 0.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_telemetry_frames_match_per_tick_loop(self, fill, depth, ambient, noise_sigma,
-                                                  seed):
+    def test_telemetry_frames_match_per_tick_loop(self, ticks, ambient, noise_sigma, seed):
+        # per tick: true fill at 0, capacity or between; true depth past
+        # both ends of the 16-bit millimetre field
         params = get_scenario("pump_test").vehicle_params
-        z = depth[:len(fill)]
+        fill, z = [t[0] for t in ticks], [t[1] for t in ticks]
         rng, bf_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = telemetry_frames(np.array(fill), np.array(z), ambient, noise_sigma, params, rng)
         assert got == bf.bf_telemetry(fill, z, ambient, noise_sigma, params, bf_rng)
