@@ -5,9 +5,9 @@ extrinsics, then perturbed with translation/rotation noise, dropouts
 (elevated inside glare regions), and optional spurious z outliers.  As with
 the paper's recorded video, whose tags are found offline, one call observes
 every frame of a run.  Each frame the tag is not submerged in draws, in
-order: its dropout ``random()``; if seen, its translation ``normal(size=3)``,
-rotation axis ``normal(size=3)`` and angle ``normal()``, then its spurious-z
-``random()``.  Each draw is taken only when its probability or sigma is > 0.
+order: its dropout ``random()``; if seen, one ``standard_normal`` draw of its
+translation noise (3), rotation axis (3) and angle (1), scaled as ``normal``
+scales, then its spurious-z ``random()``; each only if its sigma or probability > 0.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def observe(
     geometry then runs once over the frames kept, as stacked products.
     """
     sigma_t, sigma_r = cam.translation_noise_sigma, cam.rotation_noise_sigma
-    kept, noise, axes, angles, spurious = [], [], [], [], []
+    width = 3 * (sigma_t > 0.0) + 4 * (sigma_r > 0.0)
+    kept, normals, spurious = [], [], []
     for i, (x, y, z) in enumerate(frames[:, 1:4].tolist()):
         if z > cam.visibility_depth:
             continue
@@ -85,16 +86,14 @@ def observe(
         if dropout > 0.0 and rng.random() < dropout:
             continue
         kept.append(i)
-        if sigma_t > 0.0:
-            noise.append(rng.normal(0.0, sigma_t, size=3))
-        if sigma_r > 0.0:
-            axes.append(rng.normal(size=3))
-            angles.append(rng.normal(0.0, sigma_r))
+        if width:
+            normals.append(rng.standard_normal(width))
         if cam.spurious_z_prob > 0.0:
             spurious.append(rng.random() < cam.spurious_z_prob)
 
     n = len(kept)
     seen = frames[kept]
+    normals = np.array(normals).reshape(n, width)
     # The products below keep the bits of the same products on one frame:
     # no einsum, no norm(axis=...), no np.sin/np.cos, no plain-float sums.
     psi = seen[:, 4].tolist()
@@ -107,9 +106,10 @@ def observe(
     r_bc = rc.T @ (rz @ mount.rotation)
 
     if sigma_t > 0.0:
-        q = q + np.array(noise).reshape(n, 3)
+        q = q + (0.0 + sigma_t * normals[:, :3])
     if sigma_r > 0.0:
-        a = np.array(axes).reshape(n, 3)
+        a = 0.0 + normals[:, -4:-1]
+        angles = (0.0 + sigma_r * normals[:, -1]).tolist()
         norm = np.sqrt(a[:, None, :] @ a[:, :, None])[:, :, 0]
         a = a / np.where(norm == 0.0, 1.0, norm)  # a zero axis: k = 0, a factor of eye(3)
         k = np.zeros((n, 3, 3))

@@ -5,8 +5,10 @@ Frame layout (all multi-byte integers big-endian):
     AA 55 | type (1) | length (1) | payload (0..64) | crc16 (2)
 
 CRC is CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over type + length +
-payload.  Delivery probability falls off linearly with vehicle depth
-between ``d0`` (full delivery) and ``d1`` (radio blackout).
+payload.  Each message's type code, payload layout and value ranges are
+stated once, in ``_WIRE``, which ``encode`` and the frame scanner both read.
+Delivery probability falls off linearly with vehicle depth between ``d0``
+(full delivery) and ``d1`` (radio blackout).
 """
 
 from __future__ import annotations
@@ -83,56 +85,42 @@ class Telemetry:
 Message = Union[SetMotors, Pump, StartSequence, Telemetry]
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not (lo <= value <= hi):
-        raise LinkError("%s out of range [%d, %d]: %r" % (name, lo, hi, value))
-
-
-def _payload(msg: Message) -> tuple[int, bytes]:
-    if isinstance(msg, SetMotors):
-        _check_range("left", msg.left, -100, 100)
-        _check_range("right", msg.right, -100, 100)
-        return MSG_SET_MOTORS, struct.pack(">bb", msg.left, msg.right)
-    if isinstance(msg, Pump):
-        _check_range("mode", msg.mode, 0, 2)
-        _check_range("duration_ms", msg.duration_ms, 0, 0xFFFF)
-        return MSG_PUMP, struct.pack(">BH", msg.mode, msg.duration_ms)
-    if isinstance(msg, StartSequence):
-        _check_range("seq_id", msg.seq_id, 0, 0xFF)
-        return MSG_START_SEQUENCE, struct.pack(">B", msg.seq_id)
-    if isinstance(msg, Telemetry):
-        if len(msg.ir) != 9:
-            raise LinkError("telemetry needs 9 IR channels")
-        _check_range("depth_mm", msg.depth_mm, 0, 0xFFFF)
-        for c in msg.ir:
-            _check_range("ir channel", c, 0, 255)
-        _check_range("fill_est_tenth_ml", msg.fill_est_tenth_ml, 0, 0xFF)
-        _check_range("flags", msg.flags, 0, 0xFF)
-        return MSG_TELEMETRY, struct.pack(
-            ">H9BBB", msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags
-        )
-    raise LinkError("unknown message %r" % (msg,))
+# message class -> (type code, payload layout, (name, lo, hi) of each value in field order)
+_WIRE = {
+    SetMotors: (MSG_SET_MOTORS, struct.Struct(">bb"), (("left", -100, 100), ("right", -100, 100))),
+    Pump: (MSG_PUMP, struct.Struct(">BH"), (("mode", 0, 2), ("duration_ms", 0, 0xFFFF))),
+    StartSequence: (MSG_START_SEQUENCE, struct.Struct(">B"), (("seq_id", 0, 0xFF),)),
+    Telemetry: (MSG_TELEMETRY, struct.Struct(">H9BBB"),
+                (("depth_mm", 0, 0xFFFF), *[("ir channel", 0, 255)] * 9,
+                 ("fill_est_tenth_ml", 0, 0xFF), ("flags", 0, 0xFF))),
+}
+_CLASSES = {code: cls for cls, (code, _, _) in _WIRE.items()}
 
 
 def encode(msg: Message) -> bytes:
-    msg_type, payload = _payload(msg)
-    body = bytes([msg_type, len(payload)]) + payload
+    if type(msg) not in _WIRE:
+        raise LinkError("unknown message %r" % (msg,))
+    code, layout, ranges = _WIRE[type(msg)]
+    values = list(vars(msg).values())
+    if type(msg) is Telemetry:
+        if len(msg.ir) != 9:
+            raise LinkError("telemetry needs 9 IR channels")
+        values[1:2] = msg.ir
+    for (name, lo, hi), value in zip(ranges, values):
+        if not (lo <= value <= hi):
+            raise LinkError("%s out of range [%d, %d]: %r" % (name, lo, hi, value))
+    body = bytes([code, layout.size]) + layout.pack(*values)
     return SYNC + body + struct.pack(">H", crc16(body))
 
 
 def _parse_payload(msg_type: int, payload: bytes) -> Message:
-    if msg_type == MSG_SET_MOTORS and len(payload) == 2:
-        left, right = struct.unpack(">bb", payload)
-        return SetMotors(left, right)
-    if msg_type == MSG_PUMP and len(payload) == 3:
-        mode, duration = struct.unpack(">BH", payload)
-        return Pump(mode, duration)
-    if msg_type == MSG_START_SEQUENCE and len(payload) == 1:
-        return StartSequence(payload[0])
-    if msg_type == MSG_TELEMETRY and len(payload) == 13:
-        vals = struct.unpack(">H9BBB", payload)
-        return Telemetry(vals[0], tuple(vals[1:10]), vals[10], vals[11])
-    raise UnknownType("unknown or malformed message type 0x%02x" % msg_type)
+    cls = _CLASSES.get(msg_type)
+    if cls is None or len(payload) != _WIRE[cls][1].size:
+        raise UnknownType("unknown or malformed message type 0x%02x" % msg_type)
+    values = _WIRE[cls][1].unpack(payload)
+    if cls is Telemetry:
+        values = (values[0], values[1:10], *values[10:])
+    return cls(*values)
 
 
 def _scan(data: bytes):

@@ -102,17 +102,17 @@ def state_series(timestamp, x, y, psi, u, v, r) -> np.recarray:
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Trailing moving average; the window grows over the first samples."""
+    """Trailing moving average along the last axis, growing over the first samples."""
     arr = np.asarray(values, dtype=float)
     if window < 1:
         raise TrackingError("window must be >= 1")
-    if arr.size < window:
+    if arr.shape[-1] < window:
         raise TrackingError(
-            "window %d larger than input of length %d" % (window, arr.size)
+            "window %d larger than input of length %d" % (window, arr.shape[-1])
         )
-    csum = np.concatenate([[0.0], np.cumsum(arr)])
-    return np.concatenate([csum[1:window] / np.arange(1, window),
-                           (csum[window:] - csum[:-window]) / window])
+    csum = np.concatenate([np.zeros_like(arr[..., :1]), np.cumsum(arr, axis=-1)], axis=-1)
+    return np.concatenate([csum[..., 1:window] / np.arange(1, window),
+                           (csum[..., window:] - csum[..., :-window]) / window], axis=-1)
 
 
 def resample_uniform(
@@ -150,8 +150,8 @@ def segment_stream(
     Until the first rejection every detection is kept, so each reference is
     the median of the detections just before it: one array pass over
     sliding windows finds that rejection, and the loop decides one
-    detection at a time from there on.  A stream holding a NaN z runs the
-    loop throughout, since ``np.sort`` and ``sorted`` place a NaN apart.
+    detection at a time from there on.  A non-finite z raises
+    ``TrackingError``.
     """
     cfg = config or PipelineConfig()
     cfg.validate()
@@ -159,12 +159,14 @@ def segment_stream(
         raise TrackingError("detections must be sorted by timestamp")
 
     z = detections.q[:, 2]
+    if not np.isfinite(z).all():
+        raise TrackingError("detection %d has a non-finite z" % np.argmin(np.isfinite(z)))
     zs = z.tolist()
     refs = [statistics.median(zs[:i] or zs[:5]) for i in range(min(len(zs), 5))]
     if len(zs) > 5:
         refs = np.concatenate([refs, np.sort(sliding_window_view(z[:-1], 5), axis=1)[:, 2]])
     far = np.abs(z - refs) > cfg.outlier_z_jump
-    stop = 0 if np.isnan(z).any() else int(np.argmax(np.append(far, True)))
+    stop = int(np.argmax(np.append(far, True)))
     keep = np.arange(len(zs)) < stop
     recent_z = zs[:stop]
     for i in range(stop, len(zs)):
@@ -223,10 +225,8 @@ def run_pipeline_detailed(
         raise frames.GeometryError("rotation is edge-on; yaw undefined")
     yaw = np.unwrap(list(map(math.atan2, r_ow[:, 1, 0].tolist(), r_ow[:, 0, 0].tolist())))
 
-    rate = cfg.output_rate
-    grid, x = resample_uniform(t, world[:, 0], rate)
-    _, y = resample_uniform(t, world[:, 1], rate)
-    _, psi = resample_uniform(t, yaw, rate)
+    grid, x = resample_uniform(t, world[:, 0], cfg.output_rate)
+    y, psi = np.interp(grid, t, world[:, 1]), np.interp(grid, t, yaw)
 
     window = cfg.smoothing_window
     if grid.size <= 2 * window:
@@ -236,10 +236,8 @@ def run_pipeline_detailed(
             % (grid.size, window)
         )
 
-    dt = 1.0 / rate
-    xdot = moving_average(np.gradient(x, dt), window)
-    ydot = moving_average(np.gradient(y, dt), window)
-    r = moving_average(np.gradient(psi, dt), window)
+    xdot, ydot, r = moving_average(np.gradient([x, y, psi], 1.0 / cfg.output_rate, axis=1),
+                                   window)
 
     u, v, _ = frames.body_velocities(xdot, ydot, psi)
     states = state_series(grid, x, y, frames.wrap_angle(psi), u, v, r)

@@ -248,9 +248,11 @@ def estimate_plunger(readings: np.ndarray, params: VehicleParams | None = None) 
 
 
 def signal_quality(readings: np.ndarray) -> np.ndarray:
-    """Per row: 'ok', 'degraded' (ambient floor washing out contrast), or 'none'."""
-    degraded = (readings.min(axis=1) > 0.5) | (np.count_nonzero(readings >= 0.999, axis=1) >= 3)
-    return np.where(_flat(readings), "none", np.where(degraded, "degraded", "ok"))
+    """Per row: 'ok', 'degraded' (every channel above 0.5), or 'none'.  No
+    saturation rule is needed: at ambient <= 0.5 a channel of ``ir_response``
+    reads 0.999 only at a falloff of 0.499 or more, within 0.0826 of the
+    plunger's normalized travel, where channels 1/8 apart fit at most two."""
+    return np.where(_flat(readings), "none", np.where(readings.min(axis=1) > 0.5, "degraded", "ok"))
 
 
 def depth_reading(

@@ -275,6 +275,18 @@ def bf_count_sign_changes(values, hysteresis):
     return changes
 
 
+def bf_signal_quality(reading):
+    """The signal quality of one 9-channel reading: 'none' when its
+    channels lie within 0.05 of each other, 'degraded' when its floor is
+    above 0.5 or 3 or more channels read 0.999 or above, else 'ok'."""
+    floor = min(reading)
+    if max(reading) - floor < 0.05:
+        return "none"
+    if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
+        return "degraded"
+    return "ok"
+
+
 def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):
     """The encoded telemetry frame of each tick: the IR response (falloff
     sigma 0.07 of travel), its signal quality (noise floor 0.05) and
@@ -287,14 +299,15 @@ def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):
                                 + ambient)) for k in range(9)]
         floor = min(reading)
         flags, fill_tenth = 0, 0
-        if max(reading) - floor >= 0.05:
+        quality = bf_signal_quality(reading)
+        if quality != "none":
             num = den = 0.0
             for k, c in enumerate(reading):
                 num += (k / 8.0) * (c - floor)
                 den += c - floor
             fill_tenth = max(0, min(255, round(params.syringe_capacity * num / den * 10)))
             flags |= FLAG_FILL_VALID
-            if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
+            if quality == "degraded":
                 flags |= FLAG_IR_DEGRADED
         if noise_sigma > 0.0:
             depth += rng.normal(0.0, noise_sigma)

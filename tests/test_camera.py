@@ -121,6 +121,9 @@ class ZeroNormals:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return np.zeros(size) if size is not None else 0.0
 
+    def standard_normal(self, size=None):
+        return np.zeros(size) if size is not None else 0.0
+
     @property
     def bit_generator(self):
         return self.uniform.bit_generator

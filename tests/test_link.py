@@ -1,15 +1,23 @@
+import ast
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tanklab import link
 from tanklab.link import (
     Channel,
     ChannelConfig,
     CrcMismatch,
     FLAG_FILL_VALID,
     LinkError,
+    MSG_PUMP,
     MSG_SET_MOTORS,
+    MSG_START_SEQUENCE,
+    MSG_TELEMETRY,
     PUMP_MODE_EXPEL,
     PUMP_MODE_INTAKE,
     Pump,
@@ -50,6 +58,31 @@ def sample_messages():
         Telemetry(512, tuple(range(9)), 125, FLAG_FILL_VALID),
         Telemetry(0, (255,) * 9, 0, 0),
     ]
+
+
+# Each message's class, type code, payload layout and the (name, lo, hi) of
+# each packed value in order, written out here apart from the codec's table.
+SPEC = [
+    (SetMotors, MSG_SET_MOTORS, ">bb", [("left", -100, 100), ("right", -100, 100)]),
+    (Pump, MSG_PUMP, ">BH", [("mode", 0, 2), ("duration_ms", 0, 0xFFFF)]),
+    (StartSequence, MSG_START_SEQUENCE, ">B", [("seq_id", 0, 255)]),
+    (Telemetry, MSG_TELEMETRY, ">H9BBB",
+     [("depth_mm", 0, 0xFFFF), *[("ir channel", 0, 255)] * 9,
+      ("fill_est_tenth_ml", 0, 255), ("flags", 0, 255)]),
+]
+
+
+def spec_message(cls, values):
+    """The message of ``cls`` whose packed values are ``values``."""
+    if cls is Telemetry:
+        return Telemetry(values[0], tuple(values[1:10]), values[10], values[11])
+    return cls(*values)
+
+
+@st.composite
+def spec_values(draw):
+    cls, code, layout, ranges = draw(st.sampled_from(SPEC))
+    return cls, code, layout, [draw(st.integers(lo, hi)) for _, lo, hi in ranges]
 
 
 class TestCrc:
@@ -109,6 +142,59 @@ class TestEncodeDecode:
             encode(StartSequence(256))
         with pytest.raises(LinkError):
             encode(Telemetry(0, (0,) * 8, 0, 0))
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(spec_values())
+    def test_matches_written_out_layouts(self, case):
+        cls, code, layout, values = case
+        msg = spec_message(cls, values)
+        body = bytes([code, struct.calcsize(layout)]) + struct.pack(layout, *values)
+        frame = encode(msg)
+        assert frame == SYNC + body + struct.pack(">H", crc16_bitwise(body))
+        assert decode(frame) == msg
+
+    @pytest.mark.parametrize("cls,code,layout,ranges", SPEC, ids=[c[0].__name__ for c in SPEC])
+    def test_each_value_one_past_its_range(self, cls, code, layout, ranges):
+        for i, (name, lo, hi) in enumerate(ranges):
+            for bad in (lo - 1, hi + 1):
+                values = [low for _, low, _ in ranges]
+                values[i] = bad
+                text = "%s out of range [%d, %d]: %d" % (name, lo, hi, bad)
+                with pytest.raises(LinkError, match="^%s$" % re.escape(text)):
+                    encode(spec_message(cls, values))
+
+    def test_error_texts(self):
+        with pytest.raises(LinkError, match="^telemetry needs 9 IR channels$"):
+            encode(Telemetry(70000, (0,) * 10, 0, 0))
+        with pytest.raises(LinkError, match="^unknown message 'x'$"):
+            encode("x")
+        body = bytes([MSG_PUMP, 2, 0, 0])
+        with pytest.raises(UnknownType, match="^unknown or malformed message type 0x02$"):
+            decode(SYNC + body + struct.pack(">H", crc16(body)))
+
+    def test_layouts_stated_only_in_wire_table(self):
+        # every struct layout of the module sits in _WIRE, but the CRC's
+        tree = ast.parse(Path(link.__file__).read_text())
+        wire = next(node for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["_WIRE"])
+
+        def layouts(root):
+            found = []
+            for node in ast.walk(root):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    try:
+                        struct.calcsize(node.value)
+                    except struct.error:
+                        continue
+                    found.append(node.value)
+            return found
+
+        inside = layouts(wire)
+        assert sorted(inside) == sorted(layout for _, _, layout, _ in SPEC)
+        outside = layouts(tree)
+        for layout in inside:
+            outside.remove(layout)
+        assert outside == [">H", ">H"]
 
     def test_single_byte_corruption_detected(self, rng):
         # every single-byte corruption of the non-sync bytes must raise

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import brute_force as bf
 from tanklab import vehicle
 from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
@@ -418,6 +420,24 @@ class TestIr:
         readings = np.vstack([ir_response([12.5], 0.05), np.full((1, 9), 0.7),
                               ir_response([12.5], 0.6)])
         assert signal_quality(readings).tolist() == ["ok", "none", "degraded"]
+
+    def test_quality_matches_saturation_rule_on_grid(self):
+        # the oracle keeps the rule "3 or more channels at 0.999 or above";
+        # over the response's rows it decides nothing the floor test leaves
+        fills = np.linspace(-1.0, 26.0, 1001)
+        for ambient in np.linspace(-0.1, 1.1, 60).tolist():
+            readings = ir_response(fills, ambient)
+            want = [bf.bf_signal_quality(row) for row in readings.tolist()]
+            assert signal_quality(readings).tolist() == want
+            if ambient <= 0.5:
+                assert np.count_nonzero(readings >= 0.999, axis=1).max() <= 2
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(fill=st.floats(-5.0, 30.0), ambient=st.floats(-0.1, 1.1),
+           capacity=st.floats(5.0, 50.0))
+    def test_quality_matches_saturation_rule(self, fill, ambient, capacity):
+        readings = ir_response([fill], ambient, VehicleParams(syringe_capacity=capacity))
+        assert signal_quality(readings).tolist() == [bf.bf_signal_quality(readings[0].tolist())]
 
 
 class TestDepthReading:
