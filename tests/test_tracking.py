@@ -245,12 +245,28 @@ class TestSegmentStream:
         assert [seg.table.tobytes() for seg in segment_stream(dets, cfg)] == [
             seg.tobytes() for seg in expected]
 
-    def test_non_finite_z_raises(self):
+    @pytest.mark.parametrize("z", [
+        [np.nan, 2.4, 2.6, 2.4, np.nan, 2.6, 2.4],
+        [2.4, np.nan, 2.5, 2.4, 2.6, 2.5, 2.6, 2.4],
+        [2.4, np.nan, 2.4, 2.6, 2.6, 2.6, 2.4, 2.4, 2.6, 2.4, np.nan, 2.5],
+    ])
+    def test_nan_z_matches_oracle(self, z):
         # a NaN z would switch the running median off (every comparison
-        # with it is false); the stream is refused, naming the first one
+        # with it is false): the stream is refused, naming the first NaN,
+        # and the stream without its NaN rows gives the oracle's segments
+        rows = [detection_row(i / 30, [i / 30, 0, zi], np.eye(3)) for i, zi in enumerate(z)]
+        with pytest.raises(TrackingError,
+                           match="detection %d has a non-finite z" % np.isnan(z).argmax()):
+            segment_stream(Detections.from_rows(rows))
+
+        finite = Detections.from_rows([row for row, zi in zip(rows, z) if np.isfinite(zi)])
+        expected = bf.bf_segment_stream(finite.table, 0.25, 0.05)
+        assert [seg.table.tobytes() for seg in segment_stream(finite)] == [
+            seg.tobytes() for seg in expected]
+
+    def test_non_finite_z_raises(self):
+        # an infinite z is refused as a NaN is, and the first of either is named
         for z, first in [
-            ([np.nan, 2.4, 2.6, 2.4, np.nan, 2.6, 2.4], 0),
-            ([2.4, np.nan, 2.5, 2.4, 2.6, 2.5, 2.6, 2.4], 1),
             ([2.4, 2.4, 2.6, 2.6, 2.6, 2.4, 2.4, 2.6, 2.4, np.nan, 2.5, np.inf], 9),
             ([2.4] * 7 + [-np.inf], 7),
         ]:
