@@ -135,7 +135,7 @@ def frame_clock(
     """Capture timestamps over [0, duration): nominal spacing plus jitter.
 
     Jitter is clamped to +/-40% of the frame period so the sequence stays
-    strictly increasing.
+    strictly increasing.  A run shorter than one frame period has no frame.
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -146,5 +146,6 @@ def frame_clock(
         jitter = rng.normal(0.0, cam.timestamp_jitter_sigma, size=n)
         jitter = np.clip(jitter, -0.4 * period, 0.4 * period)
         nominal = nominal + jitter
-        nominal[0] = max(nominal[0], 0.0)
+        if n:
+            nominal[0] = max(nominal[0], 0.0)
     return nominal

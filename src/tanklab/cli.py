@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .runner import recompute_metrics, run_scenario
-from .scenarios import BUILTIN_SCENARIOS, ConfigError, apply_setting, get_scenario
+from .scenarios import BUILTIN_SCENARIOS, ConfigError, get_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="built-in name (%s) or a scenario file"
                      % ", ".join(BUILTIN_SCENARIOS))
     run.add_argument("--out", default=None, help="output directory (default: runs/<name>)")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run.add_argument("--seed", type=int, default=None, help="the scenario seed, as --set seed=N")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a scenario setting")
 
@@ -40,15 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    scenario = get_scenario(args.scenario)
-    for override in args.overrides:
-        if "=" not in override:
-            raise ConfigError(override, "expected KEY=VALUE")
-        key, value = override.split("=", 1)
-        apply_setting(scenario, key, value)
-    if args.seed is not None:
-        scenario.seed = args.seed
-    scenario.command_script.sort(key=lambda item: item[0])
+    seed = [] if args.seed is None else ["seed=%d" % args.seed]
+    scenario = get_scenario(args.scenario, [*args.overrides, *seed])
     out_dir = args.out or ("runs/%s" % scenario.name)
     artifacts = run_scenario(scenario, out_dir=out_dir)
     print("scenario %s: %d truth samples, %d detections, %d estimates -> %s"

@@ -1,13 +1,15 @@
 """Scenario definitions: built-in experiments and declarative scenario files.
 
-A scenario file is flat ``key = value`` text.  Dotted keys reach into the
-vehicle/camera/channel/pipeline configs; ``command`` lines append to the
-ground-station script.  Keys suffixed ``_ft`` or ``_in`` are converted to
-meters at load; syringe volumes are milliliters natively.
+``get_scenario`` builds a built-in or reads a flat ``key = value`` file, then
+applies ``--set``'s ``key=value`` texts: each through ``apply_setting``, where
+dotted keys reach the vehicle/camera/channel/pipeline configs, ``command``
+puts a message into the script in time order, and number keys suffixed
+``_ft`` or ``_in`` are converted to meters.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -106,6 +108,10 @@ class Scenario:
                 getattr(self, _SUBCONFIGS[section]).validate()
             except ValueError as exc:
                 raise ConfigError(section, str(exc)) from exc
+        load, fields = self.vehicle_params.step_load(1.0 / self.sim_rate)
+        if not (load < 1):
+            raise ConfigError("sim_rate", "a %g s step is %.3g times the longest that vehicle.%s"
+                              " allow" % (1.0 / self.sim_rate, load, ", vehicle.".join(fields)))
         # a segment needs 2 * window + 1 resampled states, one past both
         # smoothing edges; the longest possible one, a whole run, has
         # floor(duration * rate) + 1
@@ -194,7 +200,7 @@ BUILTIN_SCENARIOS = {
 }
 
 
-_LENGTH_SUFFIXES = {"_ft": FT, "_in": IN, "_ml": 1.0, "_mL": 1.0}
+_UNIT_FACTORS = {"_ft": FT, "_in": IN, "_ml": 1.0, "_mL": 1.0}
 
 _PUMP_MODES = {"off": PUMP_MODE_OFF, "intake": PUMP_MODE_INTAKE, "expel": PUMP_MODE_EXPEL}
 
@@ -208,22 +214,6 @@ _SUBCONFIGS = {
     "pipeline": "pipeline",
     "tag": "tag",
 }
-
-
-def _coerce(target, value_str: str, field_name: str):
-    if isinstance(target, int):
-        try:
-            return int(value_str)
-        except ValueError as exc:
-            raise ConfigError(field_name, "expected integer, got %r" % value_str) from exc
-    if isinstance(target, float):
-        try:
-            return float(value_str)
-        except ValueError as exc:
-            raise ConfigError(field_name, "expected number, got %r" % value_str) from exc
-    if isinstance(target, str):
-        return value_str
-    raise ConfigError(field_name, "field cannot be set from a scenario file")
 
 
 def parse_command(text: str) -> tuple[float, Message]:
@@ -247,53 +237,48 @@ def parse_command(text: str) -> tuple[float, Message]:
 
 
 def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:
-    """Apply one ``key = value`` entry to a scenario in place."""
-    key = key.strip()
-    value_str = value_str.strip()
+    """Apply one ``key = value`` entry to a scenario in place: a ``command``
+    in time order, after those at its time; any other value as its field's type."""
+    key, value_str = key.strip(), value_str.strip()
     if key == "command":
-        scenario.command_script.append(parse_command(value_str))
+        bisect.insort(scenario.command_script, parse_command(value_str), key=lambda c: c[0])
         return
-    if "." in key:
-        prefix, attr = key.split(".", 1)
-        if prefix not in _SUBCONFIGS:
-            raise ConfigError(key, "unknown config section %r" % prefix)
-        target = getattr(scenario, _SUBCONFIGS[prefix])
-    else:
-        target, attr = scenario, key
-    attr, value_str = _apply_unit(attr, value_str, key)
+    prefix, _, attr = key.rpartition(".")
+    if prefix and prefix not in _SUBCONFIGS:
+        raise ConfigError(key, "unknown config section %r" % prefix)
+    target = getattr(scenario, _SUBCONFIGS[prefix]) if prefix else scenario
+    base, sep, unit = attr.rpartition("_")
+    factor = _UNIT_FACTORS.get(sep + unit)
+    if factor is not None:
+        attr = base
     if attr not in vars(target):  # dataclass fields only, not derived properties
         raise ConfigError(key, "unknown setting")
-    current = getattr(target, attr)
-    setattr(target, attr, _coerce(current, value_str, key))
+    kind = type(getattr(target, attr))
+    if kind not in (int, float, str):
+        raise ConfigError(key, "field cannot be set from a scenario file")
+    if factor is not None and kind is not float:
+        raise ConfigError(key, "a unit suffix needs a float field, not %s" % kind.__name__)
+    try:
+        value = kind(value_str)
+    except ValueError as exc:
+        raise ConfigError(key, "expected %s, got %r" % (kind.__name__, value_str)) from exc
+    setattr(target, attr, value if factor is None else value * factor)
 
 
-def _apply_unit(attr: str, value_str: str, key: str) -> tuple[str, str]:
-    for suffix, factor in _LENGTH_SUFFIXES.items():
-        if attr.endswith(suffix):
-            try:
-                return attr[: -len(suffix)], repr(float(value_str) * factor)
-            except ValueError as exc:
-                raise ConfigError(key, "expected number, got %r" % value_str) from exc
-    return attr, value_str
-
-
-def load_scenario_file(path) -> Scenario:
-    scenario = Scenario(name="custom", duration=10.0)
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("line %d" % lineno, "expected 'key = value'")
-            key, value = line.split("=", 1)
-            apply_setting(scenario, key, value)
-    scenario.command_script.sort(key=lambda item: item[0])
-    scenario.validate()
-    return scenario
-
-
-def get_scenario(name_or_path: str) -> Scenario:
+def get_scenario(name_or_path: str, settings=()) -> Scenario:
+    """The built-in ``name_or_path``, or the scenario its file describes, with
+    each ``key=value`` of ``settings`` applied after the file's lines.  It is
+    not validated here: ``run_scenario`` validates."""
     if name_or_path in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[name_or_path]()
-    return load_scenario_file(name_or_path)
+        scenario, lines = BUILTIN_SCENARIOS[name_or_path](), []
+    else:
+        scenario = Scenario(name="custom", duration=10.0)
+        with open(name_or_path) as fh:
+            lines = [("line %d" % n, line) for n, raw in enumerate(fh, 1)
+                     if (line := raw.split("#", 1)[0].strip())]
+    for where, text in [*lines, *zip(settings, settings)]:
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise ConfigError(where, "expected 'key = value'")
+        apply_setting(scenario, key, value)
+    return scenario

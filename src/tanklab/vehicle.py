@@ -31,6 +31,10 @@ WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
 MAX_DT = 0.05              # s, longest step the explicit integrator accepts
+# A step dt must also shrink each channel's distance to its equilibrium:
+# motor lag scales it by 1 - dt / tau, so dt < 2 tau; a drag channel
+# M dv/dt = F - c v|v| at full command F, linearised at its terminal speed
+# sqrt(F / c), by 1 - 2 dt sqrt(c F) / M, so dt sqrt(c F) < M (step_load).
 
 # the fields of one row of each channel's array in step's rows
 PLANAR_FIELDS = ("x", "y", "psi", "u", "v", "r")
@@ -60,6 +64,21 @@ class VehicleParams:
         for name, value in vars(self).items():
             if not (value > 0):
                 raise VehicleError("%s must be positive, got %r" % (name, value))
+
+    def step_load(self, dt: float) -> tuple[float, tuple[str, ...]]:
+        """Over the channels, the largest ratio of ``dt`` to the longest step
+        that holds, and that channel's fields (bounds beside ``MAX_DT``)."""
+        buoyancy = GRAVITY * WATER_DENSITY * self.syringe_capacity / 2 * 1e-6  # N, syringe full
+        return max(
+            (dt / (2 * self.motor_time_constant), ("motor_time_constant",)),
+            (dt * math.sqrt(self.drag_surge * 2 * self.max_thrust_per_prop) / self.mass,
+             ("drag_surge", "max_thrust_per_prop", "mass")),
+            (dt * math.sqrt(self.drag_yaw * self.max_thrust_per_prop * self.propeller_separation)
+             / self.yaw_inertia,
+             ("drag_yaw", "max_thrust_per_prop", "propeller_separation", "yaw_inertia")),
+            (dt * math.sqrt(self.drag_heave * buoyancy) / self.mass,
+             ("drag_heave", "syringe_capacity", "mass")),
+        )
 
     @property
     def neutral_fill(self) -> float:

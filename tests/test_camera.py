@@ -253,6 +253,11 @@ class TestFrameClock:
         nominal = np.arange(len(t)) / 30.0
         assert np.abs(t - nominal).max() <= 0.4 / 30.0 + 1e-12
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.003])
+    def test_shorter_than_one_period_has_no_frame(self, jitter):
+        cam = overhead_config(frame_rate=0.01, timestamp_jitter_sigma=jitter)
+        assert frame_clock(cam, 8.35, fresh_rng()).shape == (0,)
+
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             frame_clock(overhead_config(), 0.0, fresh_rng())

@@ -1,5 +1,6 @@
 """Property tests on the two parsers that take outside input, the radio
-frame scanner and the scenario-file settings, and on the radio channel.
+frame scanner and the scenario-file settings, on the radio channel, and on
+whole runs under swept number settings.
 
 Derandomized and without an example database, so every run draws the same
 examples (``conftest.py`` keeps Hypothesis's constants cache out of the
@@ -10,7 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
-from tanklab.scenarios import ConfigError, Scenario, apply_setting, parse_command
+from tanklab.runner import run_scenario
+from tanklab.scenarios import (_SUBCONFIGS, BUILTIN_SCENARIOS, ConfigError, Scenario,
+                               apply_setting, get_scenario, parse_command)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -54,7 +57,7 @@ keys = st.one_of(
         "initial_x_in", "vehicle.mass", "vehicle.syringe_capacity_ml",
         "camera.dropout_prob", "camera.pose", "channel.latency",
         "pipeline.smoothing_window", "tag.tag_id", "tag.mount_offset",
-        "vehicle_params", "command_script", "bogus.key",
+        "vehicle_params", "command_script", "bogus.key", "seed_ft", "name_in",
     ]),
     st.text(max_size=20),
 )
@@ -122,3 +125,37 @@ def test_channel_delivers_accepted_frames_in_send_order(latency, seed, sends):
     # every accepted frame once, in send order, and no rejected frame
     assert [frame for frame, _ in delivered] == list(accepted)
     assert all(at >= accepted[frame] + latency for frame, at in delivered)
+
+
+# every int or float setting but duration, sim_rate and pipeline.output_rate,
+# which at 1e9 ask numpy for tens of GiB: memory, not a configuration error
+_SWEPT = get_scenario("line")
+NUMBER_SETTINGS = {
+    prefix + name: type(value)
+    for prefix, config in (("", _SWEPT), *((key + ".", getattr(_SWEPT, attr))
+                                           for key, attr in _SUBCONFIGS.items()))
+    for name, value in vars(config).items()
+    if type(value) in (int, float) and prefix + name not in (
+        "duration", "sim_rate", "pipeline.output_rate")
+}
+sweep_values = st.one_of(
+    st.just(0),
+    st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1, -1]), st.floats(-9, 9)),
+    st.integers(-10**9, 10**9),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+       st.dictionaries(st.sampled_from(sorted(NUMBER_SETTINGS)), sweep_values,
+                       min_size=1, max_size=3))
+def test_number_sweep_raises_only_config_error(name, values):
+    # a 6 s built-in with one to three numbers set to 0, +-10^U(-9, 9) or an int
+    texts = ["duration=6", *("%s=%r" % (key, round(value) if NUMBER_SETTINGS[key] is int
+                                       else value) for key, value in values.items())]
+    try:
+        s = get_scenario(name, texts)
+        s.command_script = [c for c in s.command_script if c[0] <= s.duration]
+        run_scenario(s)
+    except ConfigError:
+        pass

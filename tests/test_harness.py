@@ -29,7 +29,6 @@ from tanklab.scenarios import (
     Scenario,
     apply_setting,
     get_scenario,
-    load_scenario_file,
     parse_command,
 )
 from tanklab.tracking import read_states_csv, read_table, state_series
@@ -406,7 +405,7 @@ class TestScenarios:
             "command = 0.2 start\n"
             "command = 0.3 set_motors 60 60\n"
         )
-        s = load_scenario_file(path)
+        s = get_scenario(path)
         assert s.name == "mini" and s.duration == 4.0 and s.seed == 5
         assert s.vehicle_params.mass == 2.9
         assert len(s.command_script) == 2
@@ -415,7 +414,34 @@ class TestScenarios:
         path = tmp_path / "bad.scenario"
         path.write_text("duration 4.0\n")
         with pytest.raises(ConfigError):
-            load_scenario_file(path)
+            get_scenario(path)
+
+    def test_scenario_file_commands_in_time_order(self, tmp_path):
+        path = tmp_path / "order.scenario"
+        path.write_text("command = 0.5 set_motors 10 10\n"
+                        "command = 0.2 start\n"
+                        "command = 0.5 set_motors 20 20\n"
+                        "command = 0.3 set_motors 30 30\n")
+        assert get_scenario(path).command_script == [
+            (0.2, StartSequence(1)), (0.3, SetMotors(30, 30)),
+            (0.5, SetMotors(10, 10)), (0.5, SetMotors(20, 20))]
+
+    def test_set_command_after_builtin_commands_at_its_time(self):
+        s = get_scenario("line", ["command=0.3 set_motors 10 10", "command=0.25 start 2"])
+        assert s.command_script == [
+            (0.2, StartSequence(1)), (0.25, StartSequence(2)),
+            (0.3, SetMotors(50, 50)), (0.3, SetMotors(10, 10))]
+
+    @pytest.mark.parametrize("tau, fits", [(0.0021, True), (0.0020, False)])
+    def test_validate_motor_lag_bound(self, tau, fits):
+        # the motor lag holds a plant step shorter than 2 * tau: 1/240 s on circle
+        s = get_scenario("circle", ["vehicle.motor_time_constant=%r" % tau])
+        if fits:
+            s.validate()
+        else:
+            with pytest.raises(ConfigError, match="motor_time_constant") as exc:
+                s.validate()
+            assert exc.value.field_name == "sim_rate"
 
     @pytest.mark.parametrize("duration, fits", [(0.75, False), (1.0, True)])
     def test_validate_window_bound(self, duration, fits):
@@ -646,6 +672,8 @@ class TestRunner:
         *(pytest.param(name, {}, id=name) for name in ["line", "circle", "zigzag", "pump_test"]),
         # no detections: detections, estimates and alignments are header-only
         pytest.param("line", {"camera.dropout_prob": "1.0"}, id="line_blind"),
+        # a frame period longer than the run: no frame, a blind run
+        pytest.param("line", {"camera.frame_rate": "0.01"}, id="line_no_frames"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_recompute_metrics_matches(self, name, settings, tmp_path):
@@ -790,12 +818,37 @@ class TestCli:
         "camera.visibility_depth=-1",
         # a seed the generator cannot take
         "seed=-5",
+        # plant steps the explicit update cannot hold
+        "vehicle.motor_time_constant=0.001",
+        "vehicle.mass=0.001",
+        "vehicle.mass=0.008",
+        "vehicle.yaw_inertia=1e-5",
+        "vehicle.drag_surge=1e9",
+        "vehicle.drag_yaw=1e9",
+        "vehicle.drag_heave=1e9",
+        "vehicle.max_thrust_per_prop=1e9",
+        "vehicle.propeller_separation=1e9",
+        # a unit suffix on a text or integer field, a setting without "="
+        "name_ft=3",
+        "seed_ft=1",
+        "plot_frame_in=3",
+        "pipeline.smoothing_window_ml=2",
+        "camera.dropout_prob0.1",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
                        "--set", override])
         assert rc == 2
         assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err
+
+    def test_set_fixes_an_invalid_scenario_file(self, tmp_path, capsys):
+        # the file alone puts a command past its end; --set lengthens the run
+        path = tmp_path / "short.scenario"
+        path.write_text("duration = 1\ncommand = 0.2 start\ncommand = 2.0 set_motors 50 50\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert "command_script" in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "b"),
+                         "--set", "duration=3"]) == 0
 
     def test_metrics_missing_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["metrics", str(tmp_path / "missing")]) == 2

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from tanklab.runner import run_scenario
-from tanklab.scenarios import BUILTIN_SCENARIOS, apply_setting, get_scenario, parse_command
+from tanklab.scenarios import BUILTIN_SCENARIOS, get_scenario, parse_command
 
 SEEDS = (None, 3, 101)  # None keeps the scenario's own seed
 EDGE_SCENARIOS = ("line", "pump_test")
@@ -71,15 +71,12 @@ MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "tree.sha256"
 def write_tree(out: str) -> None:
     for name in BUILTIN_SCENARIOS:
         for seed in SEEDS:
-            scenario = get_scenario(name)
-            if seed is not None:
-                scenario.seed = seed
+            scenario = get_scenario(name, [] if seed is None else ["seed=%d" % seed])
             run_scenario(scenario, out_dir=os.path.join(
                 out, "%s_%s" % (name, "default" if seed is None else seed)))
     for name in EDGE_SCENARIOS:
         for override in EDGE_OVERRIDES:
-            scenario = get_scenario(name)
-            apply_setting(scenario, *override.split("="))
+            scenario = get_scenario(name, [override])
             run_scenario(scenario, out_dir=os.path.join(out, "%s_%s" % (name, override)))
     scenario = get_scenario("pump_test")
     scenario.command_script = [parse_command(line) for line in PULSES]
