@@ -42,18 +42,6 @@ class CameraConfig:
     spurious_z_offset: float = 0.2
     visibility_depth: float = 0.05   # tag invisible when submerged deeper
 
-    def validate(self) -> None:
-        if not (self.frame_rate > 0):
-            raise ValueError("frame_rate must be > 0")
-        for name in ("timestamp_jitter_sigma", "translation_noise_sigma", "rotation_noise_sigma",
-                     "visibility_depth"):
-            if not (getattr(self, name) >= 0):
-                raise ValueError("%s must be >= 0" % name)
-        for name in ("dropout_prob", "spurious_z_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError("%s must be in [0, 1]" % name)
-
 
 @dataclass
 class TagConfig:
@@ -137,8 +125,6 @@ def frame_clock(
     Jitter is clamped to +/-40% of the frame period so the sequence stays
     strictly increasing.  A run shorter than one frame period has no frame.
     """
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
     period = 1.0 / cam.frame_rate
     n = int(math.floor(duration * cam.frame_rate))
     nominal = np.arange(n) * period

@@ -43,6 +43,47 @@ class ConfigError(ValueError):
         super().__init__("%s: %s" % (field_name, message))
 
 
+# Plant steps (duration * sim_rate) a run may take: with every rate at sim_rate
+# a run peaks at 1,003-1,013 B a step under tracemalloc (178-226 B at the
+# built-ins' rates), so about 1 GB at most; 69 minutes at 240 Hz.
+MAX_STEPS = 10**6
+
+# Every number setting by domain: the interval it must lie in, whole numbers
+# only after "int".  Infinite ends are open, so an admitted value is finite.
+_DOMAINS = {
+    "in (0, inf)": (
+        "duration", "tank_side", "camera_height", "telemetry_rate", "camera.frame_rate",
+        "channel.d1", "pipeline.output_rate", "pipeline.max_gap", "pipeline.outlier_z_jump",
+        *("vehicle." + name for name in (
+            "mass", "propeller_separation", "max_thrust_per_prop", "motor_time_constant",
+            "drag_surge", "drag_sway", "drag_heave", "drag_yaw", "yaw_inertia",
+            "syringe_capacity", "pump_max_rate", "tank_depth"))),
+    # plant steps of at most vehicle.MAX_DT
+    "in [%g, inf)" % (1 / MAX_DT): ("sim_rate",),
+    "in [0, inf)": (
+        "depth_noise_sigma", "camera.timestamp_jitter_sigma", "camera.translation_noise_sigma",
+        "camera.rotation_noise_sigma", "camera.visibility_depth", "channel.d0", "channel.latency"),
+    "in [0, 1]": ("camera.dropout_prob", "camera.spurious_z_prob", "channel.base_loss"),
+    "an int in [0, inf)": ("seed",),
+    "an int in [1, inf)": ("pipeline.smoothing_window",),
+    # the %.12g id column of detections.csv holds these exactly
+    "an int in [0, 1e12)": ("tag.tag_id",),
+    # positions, angles, a light level and an offset
+    "in (-inf, inf)": (
+        "initial_x", "initial_y", "initial_psi", "camera_tilt_x_deg", "camera_tilt_y_deg",
+        "ambient_ir", "camera.spurious_z_offset"),
+}
+
+
+def _in_domain(domain: str, value) -> bool:
+    """Whether ``value`` lies in ``domain``, a key of ``_DOMAINS``; never for NaN."""
+    kind, _, interval = domain.rpartition("in ")
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    return ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)
+            and (not kind or value == int(value)))
+
+
 @dataclass
 class Scenario:
     name: str
@@ -68,26 +109,21 @@ class Scenario:
     plot_frame: str = "ned"             # or "paper" (yaw positive clockwise)
 
     def validate(self) -> None:
-        for prefix, config in (("", self), *((key + ".", getattr(self, attr))
-                                             for key, attr in _SUBCONFIGS.items())):
-            for name, value in vars(config).items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(prefix + name, "must be finite, got %r" % value)
-        for name in ("duration", "tank_side", "camera_height"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(name, "must be > 0")
-        if not (self.seed >= 0):
-            raise ConfigError("seed", "must be >= 0, got %r" % self.seed)
-        if not (self.sim_rate > 0 and 1.0 / self.sim_rate <= MAX_DT):
-            raise ConfigError("sim_rate", "must be >= %g Hz (plant steps of at most %g s)"
-                              % (1.0 / MAX_DT, MAX_DT))
-        if not (self.telemetry_rate > 0):
-            raise ConfigError("telemetry_rate", "must be > 0")
-        if not (self.depth_noise_sigma >= 0):
-            raise ConfigError("depth_noise_sigma", "must be >= 0")
-        # a sensor samples at most once per plant step
+        for domain, keys in _DOMAINS.items():
+            for key in keys:
+                value = getattr(*_field(self, key))
+                if not _in_domain(domain, value):
+                    raise ConfigError(key, "must be %s, got %r" % (domain, value))
+        if not (self.channel.d0 < self.channel.d1):
+            raise ConfigError("channel.d0", "must be below channel.d1 (%g m), got %r"
+                              % (self.channel.d1, self.channel.d0))
+        if (steps := self.duration * self.sim_rate) > MAX_STEPS:
+            raise ConfigError("duration", "%g s at sim_rate %g Hz is %.3g plant steps, over %d"
+                              % (self.duration, self.sim_rate, steps, MAX_STEPS))
+        # a sensor samples, and the pipeline resamples, at most once per plant step
         for key, rate in (("camera.frame_rate", self.camera.frame_rate),
-                          ("telemetry_rate", self.telemetry_rate)):
+                          ("telemetry_rate", self.telemetry_rate),
+                          ("pipeline.output_rate", self.pipeline.output_rate)):
             if rate > self.sim_rate:
                 raise ConfigError(key, "must not exceed sim_rate (%g Hz)" % self.sim_rate)
         if self.plot_frame not in ("ned", "paper"):
@@ -103,11 +139,6 @@ class Scenario:
             except ValueError as exc:
                 raise ConfigError("command_script", "time %g %r: %s" % (t, msg, exc)) from exc
             last = t
-        for section in ("vehicle", "camera", "channel", "pipeline"):
-            try:
-                getattr(self, _SUBCONFIGS[section]).validate()
-            except ValueError as exc:
-                raise ConfigError(section, str(exc)) from exc
         load, fields = self.vehicle_params.step_load(1.0 / self.sim_rate)
         if not (load < 1):
             raise ConfigError("sim_rate", "a %g s step is %.3g times the longest that vehicle.%s"
@@ -132,36 +163,25 @@ class Scenario:
 
 def line_scenario() -> Scenario:
     """Straight surface run sized to cover roughly 10 ft."""
-    s = Scenario("line", 8.35, initial_x=0.5, initial_y=2.05, initial_psi=0.0, seed=11)
-    s.command_script = [
-        (0.2, StartSequence(1)),
-        (0.3, SetMotors(50, 50)),
-    ]
-    return s
+    return Scenario("line", 8.35, initial_x=0.5, initial_y=2.05, initial_psi=0.0, seed=11,
+                    command_script=[(0.2, StartSequence(1)), (0.3, SetMotors(50, 50))])
 
 
 def circle_scenario() -> Scenario:
     """Constant differential producing a turn radius of about 6 ft."""
-    s = Scenario("circle", 22.0, initial_x=TANK_SIDE / 2, initial_y=0.23,
-                 initial_psi=0.0, seed=12)
-    s.command_script = [
-        (0.2, StartSequence(1)),
-        (0.3, SetMotors(40, 60)),
-    ]
-    return s
+    return Scenario("circle", 22.0, initial_x=TANK_SIDE / 2, initial_y=0.23, initial_psi=0.0,
+                    seed=12, command_script=[(0.2, StartSequence(1)), (0.3, SetMotors(40, 60))])
 
 
 def zigzag_scenario() -> Scenario:
     """Two zig-zag maneuvers: five alternating differential phases."""
-    s = Scenario("zigzag", 13.5, initial_x=0.6, initial_y=0.6,
-                 initial_psi=math.pi / 4, seed=13)
     script: list[tuple[float, Message]] = [(0.2, StartSequence(1))]
     phase = 2.5
     for i in range(5):
         left, right = (40, 20) if i % 2 == 0 else (20, 40)
         script.append((0.3 + i * phase, SetMotors(left, right)))
-    s.command_script = script
-    return s
+    return Scenario("zigzag", 13.5, initial_x=0.6, initial_y=0.6, initial_psi=math.pi / 4,
+                    seed=13, command_script=script)
 
 
 def pump_test_scenario() -> Scenario:
@@ -170,8 +190,6 @@ def pump_test_scenario() -> Scenario:
     Commands sent while the vehicle is deep are frequently lost, so pump
     commands are retried; the schedule is tuned for the default seed.
     """
-    s = Scenario("pump_test", 64.0, initial_x=TANK_SIDE / 2, initial_y=TANK_SIDE / 2,
-                 seed=14)
     script: list[tuple[float, Message]] = [
         (0.2, StartSequence(1)),
         (0.4, StartSequence(1)),
@@ -188,8 +206,8 @@ def pump_test_scenario() -> Scenario:
         script.append((t, Pump(PUMP_MODE_INTAKE, 15000)))
     for i in range(10):
         script.append((48.5 + 0.25 * i, Pump(PUMP_MODE_EXPEL, 15000)))
-    s.command_script = script
-    return s
+    return Scenario("pump_test", 64.0, initial_x=TANK_SIDE / 2, initial_y=TANK_SIDE / 2,
+                    seed=14, command_script=script)
 
 
 BUILTIN_SCENARIOS = {
@@ -214,6 +232,14 @@ _SUBCONFIGS = {
     "pipeline": "pipeline",
     "tag": "tag",
 }
+
+
+def _field(scenario: Scenario, key: str) -> tuple[object, str]:
+    """The config that holds the dotted ``key``, and the key's last part."""
+    prefix, _, attr = key.rpartition(".")
+    if prefix and prefix not in _SUBCONFIGS:
+        raise ConfigError(key, "unknown config section %r" % prefix)
+    return (getattr(scenario, _SUBCONFIGS[prefix]) if prefix else scenario), attr
 
 
 def parse_command(text: str) -> tuple[float, Message]:
@@ -243,10 +269,7 @@ def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:
     if key == "command":
         bisect.insort(scenario.command_script, parse_command(value_str), key=lambda c: c[0])
         return
-    prefix, _, attr = key.rpartition(".")
-    if prefix and prefix not in _SUBCONFIGS:
-        raise ConfigError(key, "unknown config section %r" % prefix)
-    target = getattr(scenario, _SUBCONFIGS[prefix]) if prefix else scenario
+    target, attr = _field(scenario, key)
     base, sep, unit = attr.rpartition("_")
     factor = _UNIT_FACTORS.get(sep + unit)
     if factor is not None:
@@ -258,6 +281,8 @@ def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:
         raise ConfigError(key, "field cannot be set from a scenario file")
     if factor is not None and kind is not float:
         raise ConfigError(key, "a unit suffix needs a float field, not %s" % kind.__name__)
+    if kind is str and any(c in value_str for c in "#\n\r"):  # a file's line ends there
+        raise ConfigError(key, "text cannot hold '#' or a line break, got %r" % value_str)
     try:
         value = kind(value_str)
     except ValueError as exc:
@@ -273,9 +298,12 @@ def get_scenario(name_or_path: str, settings=()) -> Scenario:
         scenario, lines = BUILTIN_SCENARIOS[name_or_path](), []
     else:
         scenario = Scenario(name="custom", duration=10.0)
-        with open(name_or_path) as fh:
-            lines = [("line %d" % n, line) for n, raw in enumerate(fh, 1)
-                     if (line := raw.split("#", 1)[0].strip())]
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                lines = [("line %d" % n, line) for n, raw in enumerate(fh, 1)
+                         if (line := raw.split("#", 1)[0].strip())]
+        except (IsADirectoryError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(name_or_path), "not a scenario file: %s" % exc) from exc
     for where, text in [*lines, *zip(settings, settings)]:
         key, eq, value = text.partition("=")
         if not eq:

@@ -78,16 +78,6 @@ class PipelineConfig:
     max_gap: float = 0.25
     outlier_z_jump: float = 0.05
 
-    def validate(self) -> None:
-        if self.smoothing_window < 1:
-            raise TrackingError("smoothing_window must be >= 1")
-        if not (self.output_rate > 0):
-            raise TrackingError("output_rate must be > 0")
-        if not (self.max_gap > 0):
-            raise TrackingError("max_gap must be > 0")
-        if not (self.outlier_z_jump > 0):
-            raise TrackingError("outlier_z_jump must be > 0")
-
 
 # One record per uniformly sampled pipeline output.
 STATE_DTYPE = np.dtype(
@@ -154,7 +144,6 @@ def segment_stream(
     ``TrackingError``.
     """
     cfg = config or PipelineConfig()
-    cfg.validate()
     if np.any(np.diff(detections.t) < 0):
         raise TrackingError("detections must be sorted by timestamp")
 
@@ -205,7 +194,6 @@ def run_pipeline_detailed(
     ``math.atan2`` per row, the libm call of ``frames.extract_yaw``.
     """
     cfg = config or PipelineConfig()
-    cfg.validate()
     if len(segment) < 2:
         raise SegmentTooShort("segment has fewer than 2 detections")
 

@@ -60,11 +60,6 @@ class VehicleParams:
     pump_max_rate: float = 100.0         # mL/min
     tank_depth: float = 1.3716           # m
 
-    def validate(self) -> None:
-        for name, value in vars(self).items():
-            if not (value > 0):
-                raise VehicleError("%s must be positive, got %r" % (name, value))
-
     def step_load(self, dt: float) -> tuple[float, tuple[str, ...]]:
         """Over the channels, the largest ratio of ``dt`` to the longest step
         that holds, and that channel's fields (bounds beside ``MAX_DT``)."""

@@ -7,6 +7,7 @@ import pytest
 
 from tanklab.camera import CameraConfig, GlareRegion, TagConfig, frame_clock, observe
 from tanklab.frames import Pose, extract_yaw, rot_x, rot_y, rot_z, vec3
+from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.tracking import DETECTION_CSV_HEADER
 
 
@@ -259,12 +260,15 @@ class TestFrameClock:
         assert frame_clock(cam, 8.35, fresh_rng()).shape == (0,)
 
     def test_bad_duration(self):
-        with pytest.raises(ValueError):
-            frame_clock(overhead_config(), 0.0, fresh_rng())
+        # the run's duration is checked once, with the scenario's settings
+        with pytest.raises(ConfigError) as exc:
+            get_scenario("line", ["duration=0"]).validate()
+        assert exc.value.field_name == "duration"
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CameraConfig(frame_rate=0).validate()
-    with pytest.raises(ValueError):
-        CameraConfig(dropout_prob=1.5).validate()
+    # the camera's settings are checked once, with the scenario's
+    for setting in ("camera.frame_rate=0", "camera.dropout_prob=1.5"):
+        with pytest.raises(ConfigError) as exc:
+            get_scenario("line", [setting]).validate()
+        assert exc.value.field_name == setting.split("=")[0]

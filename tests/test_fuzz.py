@@ -7,12 +7,14 @@ examples (``conftest.py`` keeps Hypothesis's constants cache out of the
 tree as well).
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
 from tanklab.runner import run_scenario
-from tanklab.scenarios import (_SUBCONFIGS, BUILTIN_SCENARIOS, ConfigError, Scenario,
+from tanklab.scenarios import (_DOMAINS, _SUBCONFIGS, BUILTIN_SCENARIOS, ConfigError, Scenario,
                                apply_setting, get_scenario, parse_command)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -127,32 +129,78 @@ def test_channel_delivers_accepted_frames_in_send_order(latency, seed, sends):
     assert all(at >= accepted[frame] + latency for frame, at in delivered)
 
 
-# every int or float setting but duration, sim_rate and pipeline.output_rate,
-# which at 1e9 ask numpy for tens of GiB: memory, not a configuration error
+# every int or float setting of a scenario and its sub-configs, by dotted key
 _SWEPT = get_scenario("line")
 NUMBER_SETTINGS = {
     prefix + name: type(value)
     for prefix, config in (("", _SWEPT), *((key + ".", getattr(_SWEPT, attr))
                                            for key, attr in _SUBCONFIGS.items()))
     for name, value in vars(config).items()
-    if type(value) in (int, float) and prefix + name not in (
-        "duration", "sim_rate", "pipeline.output_rate")
+    if type(value) in (int, float)
 }
+DOMAIN_OF = {key: domain for domain, keys in _DOMAINS.items() for key in keys}
+
+
+def test_every_number_setting_has_one_domain():
+    listed = [key for keys in _DOMAINS.values() for key in keys]
+    assert len(NUMBER_SETTINGS) == 42
+    assert sorted(listed) == sorted(NUMBER_SETTINGS)  # each once, none missing or unknown
+
+
+def domain_edges(key):
+    """Each finite end of ``key``'s interval and the numbers either side of it,
+    and a float setting's infinite ends, as (value, whether the interval
+    admits it)."""
+    domain = DOMAIN_OF[key]
+    interval = domain[domain.rindex("in ") + 3:]
+    edges = []
+    for text, closed, out in zip(interval[1:-1].split(", "),
+                                 (interval[0] == "[", interval[-1] == "]"), (-1, 1)):
+        end = float(text)
+        if not math.isfinite(end):
+            edges += [] if NUMBER_SETTINGS[key] is int else [(end, False)]
+        elif NUMBER_SETTINGS[key] is int:
+            edges += [(int(end) + out, False), (int(end), closed), (int(end) - out, True)]
+        else:
+            edges += [(math.nextafter(end, out * math.inf), False), (end, closed),
+                      (math.nextafter(end, -out * math.inf), True)]
+    return edges
+
+
+def test_domain_edges_outside_the_interval_fail_validate():
+    # each interval's ends and the numbers either side: validate refuses,
+    # naming the setting, exactly those the table's interval leaves out
+    refused = set()
+    for key in NUMBER_SETTINGS:
+        for edge, _ in domain_edges(key):
+            try:
+                get_scenario("line", ["%s=%r" % (key, edge)]).validate()
+            except ConfigError as exc:
+                if exc.field_name == key and "must be " + DOMAIN_OF[key] in str(exc):
+                    refused.add((key, edge))
+    assert refused == {(key, edge) for key in NUMBER_SETTINGS
+                       for edge, admitted in domain_edges(key) if not admitted}
+
+
 sweep_values = st.one_of(
     st.just(0),
     st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1, -1]), st.floats(-9, 9)),
     st.integers(-10**9, 10**9),
 )
+number_setting = st.sampled_from(sorted(NUMBER_SETTINGS)).flatmap(
+    lambda key: st.tuples(st.just(key),
+                          st.one_of(sweep_values,
+                                    st.sampled_from([v for v, _ in domain_edges(key)]))))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(BUILTIN_SCENARIOS)),
-       st.dictionaries(st.sampled_from(sorted(NUMBER_SETTINGS)), sweep_values,
-                       min_size=1, max_size=3))
+       st.lists(number_setting, min_size=1, max_size=3, unique_by=lambda kv: kv[0]))
 def test_number_sweep_raises_only_config_error(name, values):
-    # a 6 s built-in with one to three numbers set to 0, +-10^U(-9, 9) or an int
+    # a 6 s built-in with one to three numbers set to 0, +-10^U(-9, 9), an
+    # int, or an end of the setting's domain or the float either side of it
     texts = ["duration=6", *("%s=%r" % (key, round(value) if NUMBER_SETTINGS[key] is int
-                                       else value) for key, value in values.items())]
+                                       else value) for key, value in values)]
     try:
         s = get_scenario(name, texts)
         s.command_script = [c for c in s.command_script if c[0] <= s.duration]

@@ -25,6 +25,7 @@ from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metric
                             score_run, telemetry_frames)
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
+    MAX_STEPS,
     ConfigError,
     Scenario,
     apply_setting,
@@ -455,6 +456,32 @@ class TestScenarios:
             with pytest.raises(ConfigError, match="smoothing_window"):
                 s.validate()
 
+    def test_validate_run_size_bound(self):
+        # checked through validate only: a run at the bound would take
+        # seconds and up to a gigabyte
+        s = get_scenario("line", ["sim_rate=250", "duration=%r" % (MAX_STEPS / 250)])
+        s.validate()
+        s.duration = math.nextafter(s.duration, math.inf)
+        with pytest.raises(ConfigError, match="sim_rate") as exc:
+            s.validate()
+        assert exc.value.field_name == "duration"
+
+    def test_tag_id_column_holds_the_largest_id(self, tmp_path):
+        s = tiny_line()
+        s.tag.tag_id = 10**12 - 1
+        run_scenario(s, out_dir=str(tmp_path))
+        rows = (tmp_path / "detections.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} == {"999999999999"}
+        s.tag.tag_id = 10**12
+        with pytest.raises(ConfigError, match="tag.tag_id"):
+            s.validate()
+
+    @pytest.mark.parametrize("value", ["a#b", "a\nb", "a\rb"])
+    def test_apply_setting_refuses_a_line_break_or_comment(self, value):
+        # a scenario file would cut the value there
+        with pytest.raises(ConfigError, match="^name:"):
+            apply_setting(get_scenario("line"), "name", value)
+
     def test_validate_rejects_bad_script_time(self):
         s = Scenario(name="t", duration=5.0,
                      command_script=[(9.0, StartSequence(1))])
@@ -834,6 +861,16 @@ class TestCli:
         "plot_frame_in=3",
         "pipeline.smoothing_window_ml=2",
         "camera.dropout_prob0.1",
+        # a tag id the id column cannot hold exactly, text a scenario file
+        # would cut at "#", a link band upside down, a pipeline grid finer
+        # than the plant's, and runs of more than MAX_STEPS plant steps
+        "tag.tag_id=-7",
+        "tag.tag_id=1000000000000",
+        "name=a#b",
+        "channel.d1=0.2",
+        "pipeline.output_rate=1000",
+        "duration=1e9",
+        "sim_rate=1e9",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
@@ -849,6 +886,24 @@ class TestCli:
         assert "command_script" in capsys.readouterr().err
         assert cli.main(["run", str(path), "--out", str(tmp_path / "b"),
                          "--set", "duration=3"]) == 0
+
+    def test_scenario_path_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_scenario_file_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.scenario"
+        path.write_bytes("name = caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_failed_artifact_write_exit_3(self, tmp_path, capsys):
+        # a valid scenario whose output directory cannot be made is a
+        # runtime failure, not a configuration error
+        (tmp_path / "file").write_text("")
+        assert cli.main(["run", "line", "--set", "duration=3",
+                         "--out", str(tmp_path / "file" / "out")]) == 3
+        assert "config error" not in capsys.readouterr().err
 
     def test_metrics_missing_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["metrics", str(tmp_path / "missing")]) == 2

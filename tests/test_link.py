@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
+from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.link import (
     Channel,
     ChannelConfig,
@@ -292,7 +293,8 @@ class TestChannel:
         assert ch.poll(10.0) == []
 
     def test_config_validation(self):
-        with pytest.raises(LinkError):
-            ChannelConfig(d0=1.5, d1=1.2).validate()
-        with pytest.raises(LinkError):
-            ChannelConfig(base_loss=2.0).validate()
+        # the channel's settings are checked once, with the scenario's
+        for setting in ("channel.d0=1.5", "channel.base_loss=2.0"):
+            with pytest.raises(ConfigError) as exc:
+                get_scenario("line", [setting]).validate()
+            assert exc.value.field_name == setting.split("=")[0]

@@ -10,7 +10,7 @@ from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import GeometryError, PlaneCoefficients, rot_x, rot_y, rot_z, world_rotation
 from tanklab.metrics import TRUTH_DTYPE, residuals, truth_series
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
-from tanklab.scenarios import get_scenario
+from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
@@ -611,9 +611,8 @@ class TestWriteTableBytes:
 
 
 def test_config_validation():
-    with pytest.raises(TrackingError):
-        PipelineConfig(smoothing_window=0).validate()
-    with pytest.raises(TrackingError):
-        PipelineConfig(output_rate=0).validate()
-    with pytest.raises(TrackingError):
-        PipelineConfig(max_gap=-1).validate()
+    # the pipeline's settings are checked once, with the scenario's
+    for setting in ("pipeline.smoothing_window=0", "pipeline.output_rate=0", "pipeline.max_gap=-1"):
+        with pytest.raises(ConfigError) as exc:
+            get_scenario("line", [setting]).validate()
+        assert exc.value.field_name == setting.split("=")[0]

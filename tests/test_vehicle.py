@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import brute_force as bf
 from tanklab import vehicle
 from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
+from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.vehicle import (
     GRAVITY,
     HEAVE_FIELDS,
@@ -37,13 +38,15 @@ def run_steps(state, cmd, n, dt=DT, params=None):
 
 
 class TestParams:
+    """The vehicle's settings are checked once, with the scenario's."""
+
     def test_defaults_valid(self):
-        VehicleParams().validate()
+        get_scenario("line").validate()
 
     def test_negative_mass(self):
-        p = VehicleParams(mass=-1.0)
-        with pytest.raises(VehicleError):
-            p.validate()
+        with pytest.raises(ConfigError) as exc:
+            get_scenario("line", ["vehicle.mass=-1.0"]).validate()
+        assert exc.value.field_name == "vehicle.mass"
 
 
 class TestPump:
