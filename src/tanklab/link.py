@@ -186,10 +186,9 @@ class ChannelConfig:
     latency: float = 0.05    # s
 
 
-def delivery_probability(depth: float, cfg: ChannelConfig) -> float:
-    frac = (cfg.d1 - depth) / (cfg.d1 - cfg.d0)
-    frac = min(1.0, max(0.0, frac))
-    return (1.0 - cfg.base_loss) * frac
+def delivery_probability(depth, cfg: ChannelConfig):
+    """Delivery probability at ``depth``, a depth or a column of them."""
+    return (1.0 - cfg.base_loss) * np.clip((cfg.d1 - depth) / (cfg.d1 - cfg.d0), 0.0, 1.0)
 
 
 class Channel:

@@ -26,7 +26,6 @@ from .link import (
     Pump,
     SetMotors,
     StartSequence,
-    Telemetry,
     decode,
     encode,
 )
@@ -192,21 +191,14 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     while (k := max(k + 1, int(np.searchsorted(after, due)))) < n_steps:
         ticks.append(k)
         due += period
-    uplink = Channel(s.channel, rng_up)
     t, z, fill = (truth[c][ticks] for c in ("t", "z", "fill"))
-    for frame, t_k, z_k in zip(
-            telemetry_frames(fill, z, s.ambient_ir, s.depth_noise_sigma, params, rng_vehicle),
-            t.tolist(), z.tolist()):
-        uplink.send(frame, t_k, z_k)
-    # each frame arrives at the first step with t_k >= its delivery time
-    telemetry_rows = []
-    while (arrival := uplink.next_due()) is not None:
-        if (k := int(np.searchsorted(step_t, arrival))) == n_steps:
-            break  # delivered after the run ends
-        t = float(step_t[k])
-        for frame in uplink.poll(t):
-            msg = decode(frame)
-            telemetry_rows.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
+    messages = telemetry_table(fill, z, s.ambient_ir, s.depth_noise_sigma, params, rng_vehicle)
+    # one loss draw per tick; a frame sent arrives at the first step with
+    # t_k >= its delivery time, and is lost to the record if the run ends first
+    sent = rng_up.random(len(ticks)) < link.delivery_probability(z, s.channel)
+    arrival = np.searchsorted(step_t, t[sent] + s.channel.latency)
+    kept = arrival < n_steps
+    telemetry = np.column_stack([step_t[arrival[kept]], messages[sent][kept]])
 
     segments = tracking.segment_stream(detections, s.pipeline)
     segment_states = [np.empty(0, dtype=STATE_DTYPE)]
@@ -228,7 +220,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         detections=detections,
         estimates=estimates,
         alignments=alignments,
-        telemetry=rows_table(telemetry_rows, TELEMETRY_HEADER),
+        telemetry=telemetry,
         metrics=score_run(
             truth, estimates, alignments,
             s.pipeline.smoothing_window, s.pipeline.output_rate,
@@ -242,10 +234,11 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     return artifacts
 
 
-def telemetry_frames(fill, z, ambient, noise_sigma, params, rng) -> list[bytes]:
-    """The encoded ``Telemetry`` frame of each tick, from the columns of its
-    true syringe fill and depth: each sensor function runs once, over every
-    tick, and ``rng`` draws one depth noise sample per tick."""
+def telemetry_table(fill, z, ambient, noise_sigma, params, rng) -> np.ndarray:
+    """The ``Telemetry`` message of each tick as an ``(n, 12)`` int row
+    (``TELEMETRY_HEADER`` after ``t``), from the columns of its true syringe
+    fill and depth: each sensor function runs once, over every tick, and
+    ``rng`` draws one depth noise sample per tick."""
     readings = ir_response(fill, ambient, params)
     quality = signal_quality(readings)
     valid = quality != "none"
@@ -254,10 +247,8 @@ def telemetry_frames(fill, z, ambient, noise_sigma, params, rng) -> list[bytes]:
     flags = np.where(valid, link.FLAG_FILL_VALID, 0) | np.where(
         quality == "degraded", link.FLAG_IR_DEGRADED, 0)
     depth_mm = np.rint(depth_reading(z, noise_sigma, rng) * 1000)
-    columns = (np.clip(depth_mm, 0, 0xFFFF), np.clip(np.rint(readings * 255), 0, 255),
-               np.clip(fill_tenth, 0, 255), flags)
-    return [encode(Telemetry(d, tuple(ir), f, fl))
-            for d, ir, f, fl in zip(*(c.astype(int).tolist() for c in columns))]
+    return np.column_stack([np.clip(depth_mm, 0, 0xFFFF), np.clip(np.rint(readings * 255), 0, 255),
+                            np.clip(fill_tenth, 0, 255), flags]).astype(int)
 
 
 def _alignment(

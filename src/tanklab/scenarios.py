@@ -114,6 +114,10 @@ class Scenario:
                 value = getattr(*_field(self, key))
                 if not _in_domain(domain, value):
                     raise ConfigError(key, "must be %s, got %r" % (domain, value))
+        for key in ("initial_x", "initial_y"):  # the hull starts inside the tank
+            if not (0.0 <= (value := getattr(self, key)) <= self.tank_side):
+                raise ConfigError(key, "must be in [0, tank_side] ([0, %g] m), got %r"
+                                  % (self.tank_side, value))
         if not (self.channel.d0 < self.channel.d1):
             raise ConfigError("channel.d0", "must be below channel.d1 (%g m), got %r"
                               % (self.channel.d1, self.channel.d0))

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tanklab import cli
 from tanklab.frames import rot_x, rot_z
 from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL, PUMP_MODE_INTAKE,
-                          PUMP_MODE_OFF, Channel, Pump, SetMotors, StartSequence, decode, encode)
+                          PUMP_MODE_OFF, Channel, Pump, SetMotors, StartSequence, Telemetry,
+                          decode, encode)
 from tanklab.metrics import (
     TRUTH_DTYPE,
     MetricsError,
@@ -22,7 +23,7 @@ from tanklab.metrics import (
     truth_series,
 )
 from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario,
-                            score_run, telemetry_frames)
+                            score_run, telemetry_table)
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     MAX_STEPS,
@@ -456,6 +457,18 @@ class TestScenarios:
             with pytest.raises(ConfigError, match="smoothing_window"):
                 s.validate()
 
+    @pytest.mark.parametrize("key", ["initial_x", "initial_y"])
+    def test_validate_start_inside_the_tank(self, key):
+        s = get_scenario("line")
+        for value in (0.0, s.tank_side):
+            setattr(s, key, value)
+            s.validate()
+        for value in (-0.01, s.tank_side + 0.01):
+            setattr(s, key, value)
+            with pytest.raises(ConfigError, match="tank_side") as exc:
+                s.validate()
+            assert exc.value.field_name == key
+
     def test_validate_run_size_bound(self):
         # checked through validate only: a run at the bound would take
         # seconds and up to a gigabyte
@@ -498,6 +511,13 @@ class TestScenarios:
         assert exc.value.field_name == "command_script"
 
 
+def encode_rows(table):
+    """The frame of each row of a ``telemetry_table``, which ``encode``
+    range-checks against the protocol."""
+    return [encode(Telemetry(row[0], tuple(row[1:10]), row[10], row[11]))
+            for row in table.tolist()]
+
+
 def tiny_line(duration=4.0, seed=3):
     s = get_scenario("line")
     s.duration = duration
@@ -508,23 +528,34 @@ def tiny_line(duration=4.0, seed=3):
 
 def per_step_loop(s):
     """The closed loop one plant step at a time, as a reference for the
-    runner's event schedule: the truth table and each command's
-    ``(t_sent, status, t_applied)``."""
+    runner's event schedule and its post-loop uplink: the truth table, each
+    command's ``(t_sent, status, t_applied)`` and the telemetry table."""
     dt = 1.0 / s.sim_rate
     n_steps = int(round(s.duration * s.sim_rate))
-    rng_down = np.random.Generator(np.random.PCG64(np.random.SeedSequence(s.seed).spawn(5)[3]))
-    downlink = Channel(s.channel, rng_down)
+    children = np.random.SeedSequence(s.seed).spawn(5)
+    rng_vehicle, rng_down, rng_up = (np.random.Generator(np.random.PCG64(children[i]))
+                                     for i in (0, 3, 4))
+    downlink, uplink = Channel(s.channel, rng_down), Channel(s.channel, rng_up)
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
                          syringe_fill=s.vehicle_params.neutral_fill)
     script = list(s.command_script)
     started, left, right, pump, pump_until = False, 0.0, 0.0, PUMP_MODE_OFF, -1.0
-    log, rows = [], []
+    due = 0.0
+    log, rows, telemetry = [], [], []
     for k in range(n_steps + 1):
         t = k * dt
         rows.append((t, state.x, state.y, state.z, state.psi, state.u, state.v,
                      state.w, state.r, state.syringe_fill))
         if k == n_steps:
             break
+        if t + 1e-12 >= due:  # at most one telemetry tick per step
+            frame, = bf.bf_telemetry([state.syringe_fill], [state.z], s.ambient_ir,
+                                     s.depth_noise_sigma, s.vehicle_params, rng_vehicle)
+            uplink.send(frame, t, state.z)
+            due += 1.0 / s.telemetry_rate
+        for frame in uplink.poll(t):
+            msg = decode(frame)
+            telemetry.append((t, msg.depth_mm, *msg.ir, msg.fill_est_tenth_ml, msg.flags))
         while script and script[0][0] <= t:
             log.append([t, "lost", None])
             downlink.send((encode(script.pop(0)[1]), log[-1]), t, state.z)
@@ -543,7 +574,8 @@ def per_step_loop(s):
         if pump != PUMP_MODE_OFF and t >= pump_until:
             pump = PUMP_MODE_OFF
         state = step(state, ActuatorCommand(left, right, pump), dt, s.vehicle_params, n=1)
-    return np.array(rows), [tuple(entry) for entry in log]
+    return (np.array(rows), [tuple(entry) for entry in log],
+            np.array(telemetry, dtype=float).reshape(-1, len(TELEMETRY_HEADER)))
 
 
 def pump_pulses():
@@ -563,6 +595,9 @@ class TestRunner:
         ("pump_test", "channel.latency=0"),
         ("pump_test", "channel.latency=0.004166666666666667"),  # one plant step
         ("pump_test", "channel.d1=0.4"),  # commands lost at depth
+        ("pump_test", "telemetry_rate=240"),  # a tick at every step
+        ("pump_test", "channel.latency=0.5"),  # frames still in flight at the end
+        ("line", "channel.base_loss=0.5"),
         ("pump_pulses", None),
         ("pump_pulses", "channel.latency=0"),
     ])
@@ -570,11 +605,13 @@ class TestRunner:
         s = pump_pulses() if name == "pump_pulses" else get_scenario(name)
         if override is not None:
             apply_setting(s, *override.split("="))
-        truth, log = per_step_loop(s)
+        truth, log, telemetry = per_step_loop(s)
         art = run_scenario(s)
         assert np.array_equal(
             np.column_stack([art.truth[c] for c in art.truth.dtype.names]), truth)
         assert [(e.t_sent, e.status, e.t_applied) for e in art.command_log] == log
+        assert art.telemetry.shape == telemetry.shape
+        assert art.telemetry.tobytes() == telemetry.tobytes()
         assert "applied" in {status for _, status, _ in log}
 
     def test_line_run_basics(self):
@@ -654,17 +691,18 @@ class TestRunner:
         noise_sigma=st.sampled_from([0.0, 0.002, 0.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_telemetry_frames_match_per_tick_loop(self, ticks, ambient, noise_sigma, seed):
+    def test_telemetry_table_matches_per_tick_loop(self, ticks, ambient, noise_sigma, seed):
         # per tick: true fill at 0, capacity or between; true depth past
         # both ends of the 16-bit millimetre field
         params = get_scenario("pump_test").vehicle_params
         fill, z = [t[0] for t in ticks], [t[1] for t in ticks]
         rng, bf_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = telemetry_frames(np.array(fill), np.array(z), ambient, noise_sigma, params, rng)
-        assert got == bf.bf_telemetry(fill, z, ambient, noise_sigma, params, bf_rng)
+        got = telemetry_table(np.array(fill), np.array(z), ambient, noise_sigma, params, rng)
+        assert encode_rows(got) == bf.bf_telemetry(fill, z, ambient, noise_sigma, params,
+                                                        bf_rng)
         assert rng.bit_generator.state == bf_rng.bit_generator.state
 
-    def test_telemetry_frames_cover_every_branch(self):
+    def test_telemetry_table_covers_every_branch(self):
         # fills at 0, capacity and between, under ambient light that gives
         # each quality, and depths past both ends of the depth field
         params = get_scenario("pump_test").vehicle_params
@@ -672,13 +710,14 @@ class TestRunner:
         z = np.array([-0.5, 0.3, 1.3716, 65.6, 0.0, 0.7])
         msgs = []
         for ambient in (0.0, 0.05, 0.6, 0.95, 1.0):
-            frames = telemetry_frames(fill, z, ambient, 0.0, params, None)
+            frames = encode_rows(telemetry_table(fill, z, ambient, 0.0, params, None))
             assert frames == bf.bf_telemetry(fill, z, ambient, 0.0, params, None)
             msgs += [decode(f) for f in frames]
         assert {m.flags for m in msgs} == {0, FLAG_FILL_VALID, FLAG_FILL_VALID | FLAG_IR_DEGRADED}
         assert [m.depth_mm for m in msgs[:6]] == [0, 300, 1372, 0xFFFF, 0, 700]
-        assert telemetry_frames(np.empty(0), np.empty(0), 0.05, 0.002, params,
-                                np.random.default_rng(1)) == []
+        empty = telemetry_table(np.empty(0), np.empty(0), 0.05, 0.002, params,
+                                np.random.default_rng(1))
+        assert empty.shape == (0, 12)
 
     def test_seed_changes_noise(self):
         a = run_scenario(tiny_line(seed=1))
@@ -838,6 +877,10 @@ class TestCli:
         "vehicle.mass=inf",
         "sim_rate=inf",
         "initial_x=nan",
+        # a start outside the tank's [0, tank_side] square
+        "initial_x=-0.01",
+        "initial_y=%r" % (get_scenario("line").tank_side + 0.01),
+        "initial_y=3580",
         # geometry: a camera outside the tank or under the surface, a tag
         # hidden at every depth
         "tank_side=-1",

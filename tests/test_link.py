@@ -260,6 +260,12 @@ class TestChannel:
         assert delivery_probability(0.75, cfg) == pytest.approx(0.495)
         assert delivery_probability(1.2, cfg) == 0.0
         assert delivery_probability(2.0, cfg) == 0.0
+        # a column of depths (below d0, at it, mid-band, at d1, beyond) is
+        # the scalar calls, bit for bit
+        depths = [0.0, 0.3, 0.75, 0.9173, 1.2, 2.0]
+        column = delivery_probability(np.array(depths), cfg)
+        assert column.tobytes() == np.array(
+            [delivery_probability(d, cfg) for d in depths]).tobytes()
 
     @pytest.mark.parametrize("depth,expected", [(0.1, 0.99), (0.75, 0.495), (1.3, 0.0)])
     def test_empirical_delivery_rate(self, depth, expected):

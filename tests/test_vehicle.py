@@ -463,6 +463,9 @@ class TestDepthReading:
         want = [np.rint((v + b.normal(0.0, 0.002)) * 1000.0) / 1000.0 for v in z.tolist()]
         assert bits(got) == bits(want)
         assert a.bit_generator.state == b.bit_generator.state
+        # the uplink's loss draws: one random(n) is n scalar random() draws
+        assert bits(a.random(50)) == bits([b.random() for _ in range(50)])
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def reorders(call):

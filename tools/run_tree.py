@@ -9,10 +9,10 @@ delivery or the step grid onto a step boundary, loses commands on the
 downlink, or takes a branch the defaults skip: spurious-z outliers, no
 rotation noise, degraded and absent IR signal, segments too short to score,
 and the level-plane fallback of a noiseless collinear track.  One more edge
-run, ``OUT/pump_test_pulses/``, is ``pump_test`` under ``PULSES``: pump runs
-that stop mid-stroke (each of ``pump_test``'s own runs lasts until the
-syringe saturates), so the tree holds pump cut-off steps, and the hull
-sinks, rises and comes to rest afloat mid-run.  The
+run, ``OUT/pump_test_pulses/``, is the scenario file ``PULSES``:
+``pump_test`` with pump runs that stop mid-stroke (each of ``pump_test``'s
+own runs lasts until the syringe saturates), so the tree holds pump cut-off
+steps, and the hull sinks, rises and comes to rest afloat mid-run.  The
 ``tanklab`` imported is whichever is first on ``PYTHONPATH``, so two trees
 from two source checkouts compare with ``diff -r``:
 
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from tanklab.runner import run_scenario
-from tanklab.scenarios import BUILTIN_SCENARIOS, get_scenario, parse_command
+from tanklab.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 SEEDS = (None, 3, 101)  # None keeps the scenario's own seed
 EDGE_SCENARIOS = ("line", "pump_test")
@@ -60,11 +60,7 @@ EDGE_OVERRIDES = (
     "pipeline.max_gap=0.05",  # segments too short to score, skipped
     "camera.translation_noise_sigma=0",  # a collinear track: the level-plane fallback
 )
-# 20.8 mL after the intake, then some 8 mL after the expel retries that arrive
-PULSES = ("0.2 start", "0.4 start", "0.5 pump intake 5000",
-          *("%g pump expel 6000" % (11 + 0.25 * i) for i in range(10)))
-
-
+PULSES = Path(__file__).resolve().parent / "pump_test_pulses.scenario"
 MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "tree.sha256"
 
 
@@ -78,9 +74,7 @@ def write_tree(out: str) -> None:
         for override in EDGE_OVERRIDES:
             scenario = get_scenario(name, [override])
             run_scenario(scenario, out_dir=os.path.join(out, "%s_%s" % (name, override)))
-    scenario = get_scenario("pump_test")
-    scenario.command_script = [parse_command(line) for line in PULSES]
-    run_scenario(scenario, out_dir=os.path.join(out, "pump_test_pulses"))
+    run_scenario(get_scenario(str(PULSES)), out_dir=os.path.join(out, "pump_test_pulses"))
 
 
 def numpy_build() -> str:
