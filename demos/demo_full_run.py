@@ -19,7 +19,7 @@ def main():
 
     print("scenario %s: %.0f s, seed %d" % (scenario.name, scenario.duration, scenario.seed))
     print("camera frames %d, detections %d (coverage %.1f%%)"
-          % (art.n_frames, len(art.detections), 100 * art.metrics["detection_coverage"]))
+          % (art.metrics["n_frames"], len(art.detections), 100 * art.metrics["detection_coverage"]))
 
     steady = art.truth.t > 10.0
     _, r_truth = circle_fit(np.column_stack([art.truth.x[steady], art.truth.y[steady]]))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from tanklab.frames import Pose, rot_x, rot_z, vec3
-from tanklab.tracking import Detections, run_pipeline
+from tanklab.tracking import Detections, run_pipeline_detailed
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
                      *(cam.rotation.T @ rot_z(psi)).flat))
     dets = Detections.from_rows(rows)
 
-    states = run_pipeline(dets)
+    states, _ = run_pipeline_detailed(dets)
     mid = states[len(states) // 3 : -len(states) // 3]
     u, v, r = np.mean(mid.u), np.mean(mid.v), np.mean(mid.r)
 

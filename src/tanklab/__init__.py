@@ -13,7 +13,7 @@ from .scenarios import BUILTIN_SCENARIOS, Scenario
 from .tracking import (
     Detections,
     PipelineConfig,
-    run_pipeline,
+    run_pipeline_detailed,
     segment_stream,
     state_series,
 )
@@ -37,7 +37,7 @@ __all__ = [
     "frames",
     "link",
     "metrics",
-    "run_pipeline",
+    "run_pipeline_detailed",
     "run_scenario",
     "runner",
     "scenarios",

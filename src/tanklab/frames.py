@@ -144,15 +144,18 @@ def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
     return np.vstack([u1, u2, u3])
 
 
-def extract_yaw(r: np.ndarray) -> float:
-    """Yaw of a rotation, from a yaw-pitch-roll decomposition.
+def extract_yaw(r: np.ndarray) -> float | np.ndarray:
+    """Yaw of a rotation, or of each rotation of an ``(..., 3, 3)`` stack,
+    from a yaw-pitch-roll decomposition: ``math.atan2`` per rotation, so a
+    stack gives the one-rotation results bit for bit.
 
-    Raises GeometryError when the frame is seen edge-on.
+    Raises GeometryError when any frame is seen edge-on.
     """
     r = np.asarray(r, dtype=float)
-    if abs(r[2, 0]) > 1.0 - 1e-9:
+    if np.any(np.abs(r[..., 2, 0]) > 1.0 - 1e-9):
         raise GeometryError("rotation is edge-on; yaw undefined")
-    return math.atan2(r[1, 0], r[0, 0])
+    yaws = map(math.atan2, np.ravel(r[..., 1, 0]).tolist(), np.ravel(r[..., 0, 0]).tolist())
+    return np.reshape(list(yaws), r.shape[:-2])[()]
 
 
 def body_velocities(xdot: float | np.ndarray, ydot: float | np.ndarray,

@@ -85,7 +85,6 @@ class RunArtifacts:
     telemetry: np.ndarray     # (n, 13), TELEMETRY_HEADER, one row per frame received
     metrics: dict[str, float]
     command_log: list[CommandLogEntry]
-    n_frames: int
 
 
 def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts:
@@ -103,7 +102,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     frame_times = frame_clock(cam, s.duration, rng_clock)
     downlink = Channel(s.channel, rng_down)
 
-    params = s.vehicle_params
+    params = s.vehicle
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
                          syringe_fill=params.neutral_fill)
 
@@ -227,7 +226,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             len(detections), len(frame_times),
         ),
         command_log=command_log,
-        n_frames=len(frame_times),
     )
     if out_dir is not None:
         write_artifacts(artifacts, out_dir)
@@ -237,8 +235,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 def telemetry_table(fill, z, ambient, noise_sigma, params, rng) -> np.ndarray:
     """The ``Telemetry`` message of each tick as an ``(n, 12)`` int row
     (``TELEMETRY_HEADER`` after ``t``), from the columns of its true syringe
-    fill and depth: each sensor function runs once, over every tick, and
-    ``rng`` draws one depth noise sample per tick."""
+    fill and depth: each sensor function runs once, over every tick,
+    ``rng`` draws one depth noise sample per tick, and each column is
+    clipped to its ``(lo, hi)`` in ``link._WIRE``."""
     readings = ir_response(fill, ambient, params)
     quality = signal_quality(readings)
     valid = quality != "none"
@@ -247,8 +246,9 @@ def telemetry_table(fill, z, ambient, noise_sigma, params, rng) -> np.ndarray:
     flags = np.where(valid, link.FLAG_FILL_VALID, 0) | np.where(
         quality == "degraded", link.FLAG_IR_DEGRADED, 0)
     depth_mm = np.rint(depth_reading(z, noise_sigma, rng) * 1000)
-    return np.column_stack([np.clip(depth_mm, 0, 0xFFFF), np.clip(np.rint(readings * 255), 0, 255),
-                            np.clip(fill_tenth, 0, 255), flags]).astype(int)
+    lo, hi = np.array([ends for _, *ends in link._WIRE[link.Telemetry][2]]).T
+    return np.clip(np.column_stack([depth_mm, np.rint(readings * 255), fill_tenth, flags]),
+                   lo, hi).astype(int)
 
 
 def _alignment(
@@ -341,7 +341,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["scenario", art.scenario.name],
             ["seed", str(art.scenario.seed)],
             ["duration", fmt(art.scenario.duration)],
-            ["n_frames", str(art.n_frames)],
+            ["n_frames", "%d" % art.metrics["n_frames"]],
             ["n_detections", str(len(art.detections))],
             ["smoothing_window", str(art.scenario.pipeline.smoothing_window)],
             ["output_rate", fmt(art.scenario.pipeline.output_rate)],
@@ -380,10 +380,14 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
 
     with open(path("meta.csv"), newline="") as fh:
         meta = dict(list(csv.reader(fh))[1:])
-    return score_run(
-        truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names)),
-        tracking.read_states_csv(path("estimates.csv")),
-        read_table(path("alignments.csv"), ALIGNMENT_HEADER),
-        int(meta["smoothing_window"]), float(meta["output_rate"]),
-        int(meta["n_detections"]), int(meta["n_frames"]),
-    )
+    settings = []
+    for kind, key in ((int, "smoothing_window"), (float, "output_rate"),
+                      (int, "n_detections"), (int, "n_frames")):
+        try:
+            settings.append(kind(meta[key]))
+        except (KeyError, ValueError):
+            found = "missing" if key not in meta else "%r, not %s" % (meta[key], kind.__name__)
+            raise tracking.TrackingError("%s: %r is %s" % (path("meta.csv"), key, found)) from None
+    return score_run(truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names)),
+                     tracking.read_states_csv(path("estimates.csv")),
+                     read_table(path("alignments.csv"), ALIGNMENT_HEADER), *settings)

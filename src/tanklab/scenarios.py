@@ -2,7 +2,7 @@
 
 ``get_scenario`` builds a built-in or reads a flat ``key = value`` file, then
 applies ``--set``'s ``key=value`` texts: each through ``apply_setting``, where
-dotted keys reach the vehicle/camera/channel/pipeline configs, ``command``
+a dotted key is the attribute path it sets (``vehicle.mass``), ``command``
 puts a message into the script in time order, and number keys suffixed
 ``_ft`` or ``_in`` are converted to meters.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 from .camera import CameraConfig, TagConfig
 from .frames import Pose, rot_x, rot_y, vec3
@@ -52,12 +52,15 @@ MAX_STEPS = 10**6
 # only after "int".  Infinite ends are open, so an admitted value is finite.
 _DOMAINS = {
     "in (0, inf)": (
-        "duration", "tank_side", "camera_height", "telemetry_rate", "camera.frame_rate",
-        "channel.d1", "pipeline.output_rate", "pipeline.max_gap", "pipeline.outlier_z_jump",
+        "duration", "telemetry_rate", "camera.frame_rate", "channel.d1", "pipeline.output_rate",
+        "pipeline.max_gap", "pipeline.outlier_z_jump",
         *("vehicle." + name for name in (
             "mass", "propeller_separation", "max_thrust_per_prop", "motor_time_constant",
             "drag_surge", "drag_sway", "drag_heave", "drag_yaw", "yaw_inertia",
             "syringe_capacity", "pump_max_rate", "tank_depth"))),
+    # lengths (m) that set the tag positions whose squares and products the plane
+    # fit sums, which overflow from about 1e154 m: an end far past any tank
+    "in (0, 1e6]": ("tank_side", "camera_height"),
     # plant steps of at most vehicle.MAX_DT
     "in [%g, inf)" % (1 / MAX_DT): ("sim_rate",),
     "in [0, inf)": (
@@ -89,7 +92,7 @@ class Scenario:
     name: str
     duration: float
     command_script: list[tuple[float, Message]] = field(default_factory=list)
-    vehicle_params: VehicleParams = field(default_factory=VehicleParams)
+    vehicle: VehicleParams = field(default_factory=VehicleParams)
     camera: CameraConfig = field(default_factory=CameraConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -109,6 +112,9 @@ class Scenario:
     plot_frame: str = "ned"             # or "paper" (yaw positive clockwise)
 
     def validate(self) -> None:
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
+            raise ConfigError("name", "must be one path component: not '', '.' or '..', and"
+                              " no '/' or NUL, got %r" % self.name)
         for domain, keys in _DOMAINS.items():
             for key in keys:
                 value = getattr(*_field(self, key))
@@ -143,7 +149,7 @@ class Scenario:
             except ValueError as exc:
                 raise ConfigError("command_script", "time %g %r: %s" % (t, msg, exc)) from exc
             last = t
-        load, fields = self.vehicle_params.step_load(1.0 / self.sim_rate)
+        load, fields = self.vehicle.step_load(1.0 / self.sim_rate)
         if not (load < 1):
             raise ConfigError("sim_rate", "a %g s step is %.3g times the longest that vehicle.%s"
                               " allow" % (1.0 / self.sim_rate, load, ", vehicle.".join(fields)))
@@ -229,21 +235,15 @@ _PUMP_MODES = {"off": PUMP_MODE_OFF, "intake": PUMP_MODE_INTAKE, "expel": PUMP_M
 _COMMAND_FORMS = ("'<time> start [seq_id]', '<time> set_motors <left> <right>'"
                   " or '<time> pump <off|intake|expel> <duration_ms>'")
 
-_SUBCONFIGS = {
-    "vehicle": "vehicle_params",
-    "camera": "camera",
-    "channel": "channel",
-    "pipeline": "pipeline",
-    "tag": "tag",
-}
-
 
 def _field(scenario: Scenario, key: str) -> tuple[object, str]:
-    """The config that holds the dotted ``key``, and the key's last part."""
-    prefix, _, attr = key.rpartition(".")
-    if prefix and prefix not in _SUBCONFIGS:
-        raise ConfigError(key, "unknown config section %r" % prefix)
-    return (getattr(scenario, _SUBCONFIGS[prefix]) if prefix else scenario), attr
+    """The config that holds the dotted ``key``, and the key's last part: a
+    section is the name of a config field of the scenario."""
+    section, _, attr = key.rpartition(".")
+    target = vars(scenario).get(section) if section else scenario
+    if not is_dataclass(target):
+        raise ConfigError(key, "unknown config section %r" % section)
+    return target, attr
 
 
 def parse_command(text: str) -> tuple[float, Message]:

@@ -8,7 +8,6 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -170,13 +169,6 @@ def segment_stream(
     return [kept[a:b] for a, b in zip(cuts, cuts[1:]) if b - a >= 2]
 
 
-def run_pipeline(
-    segment: Detections, config: PipelineConfig | None = None
-) -> np.recarray:
-    states, _ = run_pipeline_detailed(segment, config)
-    return states
-
-
 def run_pipeline_detailed(
     segment: Detections, config: PipelineConfig | None = None
 ) -> tuple[np.recarray, np.ndarray]:
@@ -190,8 +182,8 @@ def run_pipeline_detailed(
     derivatives, then rotation into body surge/sway.  Yaw is extracted from
     the fitted world rotation composed with each detection rotation so that
     heading and translation share one frame: one stacked product over the
-    segment's rotations, bit for bit the per-detection products, then
-    ``math.atan2`` per row, the libm call of ``frames.extract_yaw``.
+    segment's rotations, bit for bit the per-detection products, and one
+    ``frames.extract_yaw`` call on the stack.
     """
     cfg = config or PipelineConfig()
     if len(segment) < 2:
@@ -208,10 +200,7 @@ def run_pipeline_detailed(
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
     world = (q - origin) @ r_oc.T
-    r_ow = r_oc @ segment.rot
-    if np.any(np.abs(r_ow[:, 2, 0]) > 1.0 - 1e-9):
-        raise frames.GeometryError("rotation is edge-on; yaw undefined")
-    yaw = np.unwrap(list(map(math.atan2, r_ow[:, 1, 0].tolist(), r_ow[:, 0, 0].tolist())))
+    yaw = np.unwrap(frames.extract_yaw(r_oc @ segment.rot))
 
     grid, x = resample_uniform(t, world[:, 0], cfg.output_rate)
     y, psi = np.interp(grid, t, world[:, 1]), np.interp(grid, t, yaw)

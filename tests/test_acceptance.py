@@ -68,7 +68,7 @@ def test_pipeline_oracle_equivalence():
     times = np.arange(20) / 30.0
     dets = synthetic_detections(times, traj, camera_pose(tilt_x=math.radians(2.5)))
     window, rate = 6, 30.0
-    states = tracking.run_pipeline(dets, PipelineConfig(smoothing_window=window))
+    states, _ = tracking.run_pipeline_detailed(dets, PipelineConfig(smoothing_window=window))
     oracle = bf.bf_pipeline(dets.t, dets.q, dets.rot, window, rate)
     worst = 0.0
     for i, s in enumerate(states):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tanklab import frames
 from tanklab.frames import (
     DegenerateConfiguration,
     GeometryError,
@@ -140,6 +143,29 @@ class TestExtractYaw:
     def test_gimbal_degenerate(self):
         with pytest.raises(GeometryError, match="edge-on"):
             extract_yaw(rot_y(math.pi / 2))
+
+    def test_stack_keeps_its_shape(self):
+        stack = np.stack([rot_z(a) @ rot_x(0.1) for a in np.linspace(-3.0, 3.0, 6)])
+        yaws = extract_yaw(stack.reshape(2, 3, 3, 3))
+        assert yaws.shape == (2, 3)
+        assert yaws.tobytes() == np.array([extract_yaw(r) for r in stack]).tobytes()
+        assert extract_yaw(stack[:0]).shape == (0,)
+        assert np.ndim(extract_yaw(stack[0])) == 0
+
+    def test_one_edge_on_rotation_in_a_stack(self):
+        stack = np.stack([rot_z(0.3), rot_y(math.pi / 2), rot_z(-1.0)])
+        with pytest.raises(GeometryError, match=r"^rotation is edge-on; yaw undefined$"):
+            extract_yaw(stack)
+
+
+def test_atan2_only_in_frames():
+    # the yaw rule is written once, in frames.extract_yaw: no other module
+    # names an atan2
+    named = {path.name for path in Path(frames.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "atan2"
+             or isinstance(node, ast.alias) and node.name == "atan2"}
+    assert named == {"frames.py"}
 
 
 class TestBodyVelocities:

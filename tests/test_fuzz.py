@@ -7,15 +7,17 @@ examples (``conftest.py`` keeps Hypothesis's constants cache out of the
 tree as well).
 """
 
+import functools
 import math
+from dataclasses import is_dataclass
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
 from tanklab.runner import run_scenario
-from tanklab.scenarios import (_DOMAINS, _SUBCONFIGS, BUILTIN_SCENARIOS, ConfigError, Scenario,
-                               apply_setting, get_scenario, parse_command)
+from tanklab.scenarios import (_DOMAINS, BUILTIN_SCENARIOS, ConfigError, Scenario, apply_setting,
+                               get_scenario, parse_command)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -59,7 +61,7 @@ keys = st.one_of(
         "initial_x_in", "vehicle.mass", "vehicle.syringe_capacity_ml",
         "camera.dropout_prob", "camera.pose", "channel.latency",
         "pipeline.smoothing_window", "tag.tag_id", "tag.mount_offset",
-        "vehicle_params", "command_script", "bogus.key", "seed_ft", "name_in",
+        "vehicle", "command_script", "bogus.key", "seed_ft", "name_in",
     ]),
     st.text(max_size=20),
 )
@@ -133,12 +135,20 @@ def test_channel_delivers_accepted_frames_in_send_order(latency, seed, sends):
 _SWEPT = get_scenario("line")
 NUMBER_SETTINGS = {
     prefix + name: type(value)
-    for prefix, config in (("", _SWEPT), *((key + ".", getattr(_SWEPT, attr))
-                                           for key, attr in _SUBCONFIGS.items()))
+    for prefix, config in (("", _SWEPT), *((key + ".", value) for key, value in vars(_SWEPT).items()
+                                           if is_dataclass(value)))
     for name, value in vars(config).items()
     if type(value) in (int, float)
 }
 DOMAIN_OF = {key: domain for domain, keys in _DOMAINS.items() for key in keys}
+
+
+def test_every_domain_key_is_an_attribute_path():
+    # a setting's key is the attribute path that reaches it on a scenario
+    for name in BUILTIN_SCENARIOS:
+        s = get_scenario(name)
+        for key in DOMAIN_OF:
+            assert type(functools.reduce(getattr, key.split("."), s)) in (int, float), (name, key)
 
 
 def test_every_number_setting_has_one_domain():
@@ -184,7 +194,7 @@ def test_domain_edges_outside_the_interval_fail_validate():
 
 sweep_values = st.one_of(
     st.just(0),
-    st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1, -1]), st.floats(-9, 9)),
+    st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1, -1]), st.floats(-300, 300)),
     st.integers(-10**9, 10**9),
 )
 number_setting = st.sampled_from(sorted(NUMBER_SETTINGS)).flatmap(
@@ -197,7 +207,7 @@ number_setting = st.sampled_from(sorted(NUMBER_SETTINGS)).flatmap(
 @given(st.sampled_from(sorted(BUILTIN_SCENARIOS)),
        st.lists(number_setting, min_size=1, max_size=3, unique_by=lambda kv: kv[0]))
 def test_number_sweep_raises_only_config_error(name, values):
-    # a 6 s built-in with one to three numbers set to 0, +-10^U(-9, 9), an
+    # a 6 s built-in with one to three numbers set to 0, +-10^U(-300, 300), an
     # int, or an end of the setting's domain or the float either side of it
     texts = ["duration=6", *("%s=%r" % (key, round(value) if NUMBER_SETTINGS[key] is int
                                        else value) for key, value in values)]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TOOLS
+
 from tanklab import cli
 from tanklab.frames import rot_x, rot_z
 from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL, PUMP_MODE_INTAKE,
@@ -345,6 +347,15 @@ class TestScenarios:
         assert s.name == name
         s.validate()
 
+    def test_file_scenarios_validate(self, tmp_path):
+        # a file without a name line, and the tree's committed scenario file
+        path = tmp_path / "unnamed.scenario"
+        path.write_text("command = 0.2 start\n")
+        s = get_scenario(str(path))
+        assert s.name == "custom"
+        s.validate()
+        get_scenario(str(TOOLS / "pump_test_pulses.scenario")).validate()
+
     def test_parse_command(self):
         t, msg = parse_command("0.3 set_motors 50 -20")
         assert t == 0.3 and msg == SetMotors(50, -20)
@@ -369,7 +380,7 @@ class TestScenarios:
     def test_apply_setting_dotted(self):
         s = Scenario(name="t", duration=5.0)
         apply_setting(s, "vehicle.mass", "3.1")
-        assert s.vehicle_params.mass == 3.1
+        assert s.vehicle.mass == 3.1
         apply_setting(s, "camera.dropout_prob", "0.1")
         assert s.camera.dropout_prob == 0.1
         apply_setting(s, "channel.base_loss", "0.0")
@@ -382,7 +393,7 @@ class TestScenarios:
         apply_setting(s, "tank_side_ft", "13.5")
         assert s.tank_side == pytest.approx(13.5 * 0.3048)
         apply_setting(s, "vehicle.propeller_separation_in", "12")
-        assert s.vehicle_params.propeller_separation == pytest.approx(0.3048)
+        assert s.vehicle.propeller_separation == pytest.approx(0.3048)
 
     def test_apply_setting_unknown(self):
         s = Scenario(name="t", duration=5.0)
@@ -409,7 +420,7 @@ class TestScenarios:
         )
         s = get_scenario(path)
         assert s.name == "mini" and s.duration == 4.0 and s.seed == 5
-        assert s.vehicle_params.mass == 2.9
+        assert s.vehicle.mass == 2.9
         assert len(s.command_script) == 2
 
     def test_scenario_file_bad_line(self, tmp_path):
@@ -537,7 +548,7 @@ def per_step_loop(s):
                                      for i in (0, 3, 4))
     downlink, uplink = Channel(s.channel, rng_down), Channel(s.channel, rng_up)
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
-                         syringe_fill=s.vehicle_params.neutral_fill)
+                         syringe_fill=s.vehicle.neutral_fill)
     script = list(s.command_script)
     started, left, right, pump, pump_until = False, 0.0, 0.0, PUMP_MODE_OFF, -1.0
     due = 0.0
@@ -550,7 +561,7 @@ def per_step_loop(s):
             break
         if t + 1e-12 >= due:  # at most one telemetry tick per step
             frame, = bf.bf_telemetry([state.syringe_fill], [state.z], s.ambient_ir,
-                                     s.depth_noise_sigma, s.vehicle_params, rng_vehicle)
+                                     s.depth_noise_sigma, s.vehicle, rng_vehicle)
             uplink.send(frame, t, state.z)
             due += 1.0 / s.telemetry_rate
         for frame in uplink.poll(t):
@@ -573,7 +584,7 @@ def per_step_loop(s):
                 pump, pump_until = msg.mode, t + msg.duration_ms / 1000.0
         if pump != PUMP_MODE_OFF and t >= pump_until:
             pump = PUMP_MODE_OFF
-        state = step(state, ActuatorCommand(left, right, pump), dt, s.vehicle_params, n=1)
+        state = step(state, ActuatorCommand(left, right, pump), dt, s.vehicle, n=1)
     return (np.array(rows), [tuple(entry) for entry in log],
             np.array(telemetry, dtype=float).reshape(-1, len(TELEMETRY_HEADER)))
 
@@ -617,7 +628,7 @@ class TestRunner:
     def test_line_run_basics(self):
         art = run_scenario(tiny_line())
         assert art.truth.t.size == int(4.0 * 240) + 1
-        assert art.n_frames == 120
+        assert art.metrics["n_frames"] == 120
         assert art.metrics["detection_coverage"] > 0.9
         assert len(art.estimates) > 0
         assert art.metrics["rmse_u"] < 0.05
@@ -628,7 +639,7 @@ class TestRunner:
         s.tag.tag_id = 5
         art = run_scenario(s)
         t = art.detections.t
-        assert 0 < len(art.detections) <= art.n_frames
+        assert 0 < len(art.detections) <= art.metrics["n_frames"]
         assert np.all(np.diff(t) > 0) and t[0] >= 0.0 and t[-1] < s.duration
         np.testing.assert_array_equal(art.detections.table[:, 1], 5)
 
@@ -660,7 +671,7 @@ class TestRunner:
             (0.5, Pump(PUMP_MODE_INTAKE, 15000)),
             (0.8, Pump(PUMP_MODE_INTAKE, 15000)),
         ] + [(30.0 + 0.1 * i, SetMotors(50, 50)) for i in range(10)]
-        s.vehicle_params.tank_depth = 3.0  # deep enough to pass blackout
+        s.vehicle.tank_depth = 3.0  # deep enough to pass blackout
         art = run_scenario(s)
         deep = [e for e in art.command_log if e.depth_at_send > s.channel.d1]
         assert deep, "expected sends from below the blackout depth"
@@ -694,7 +705,7 @@ class TestRunner:
     def test_telemetry_table_matches_per_tick_loop(self, ticks, ambient, noise_sigma, seed):
         # per tick: true fill at 0, capacity or between; true depth past
         # both ends of the 16-bit millimetre field
-        params = get_scenario("pump_test").vehicle_params
+        params = get_scenario("pump_test").vehicle
         fill, z = [t[0] for t in ticks], [t[1] for t in ticks]
         rng, bf_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = telemetry_table(np.array(fill), np.array(z), ambient, noise_sigma, params, rng)
@@ -705,7 +716,7 @@ class TestRunner:
     def test_telemetry_table_covers_every_branch(self):
         # fills at 0, capacity and between, under ambient light that gives
         # each quality, and depths past both ends of the depth field
-        params = get_scenario("pump_test").vehicle_params
+        params = get_scenario("pump_test").vehicle
         fill = np.array([0.0, 12.5, 25.0, 12.5, 12.5, 7.3])
         z = np.array([-0.5, 0.3, 1.3716, 65.6, 0.0, 0.7])
         msgs = []
@@ -914,6 +925,11 @@ class TestCli:
         "pipeline.output_rate=1000",
         "duration=1e9",
         "sim_rate=1e9",
+        # lengths whose squares and products would overflow the plane fit
+        "tank_side=1e154",
+        "tank_side=1e300",
+        "camera_height=1e154",
+        "camera_height=1e300",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
@@ -947,6 +963,24 @@ class TestCli:
         assert cli.main(["run", "line", "--set", "duration=3",
                          "--out", str(tmp_path / "file" / "out")]) == 3
         assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["..", ".", "", "a/b", "/abs", "../up", "a/", "nul\0"])
+    def test_name_outside_one_run_directory_exit_2(self, name, tmp_path, monkeypatch, capsys):
+        # with no --out the run goes to runs/<name>: a name that is not one
+        # directory is refused before anything is written
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "line", "--set", "name=" + name]) == 2
+        assert "name: must be one path component" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_metrics_damaged_meta_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cli.main(["run", "line", "--out", str(out), "--set", "duration=3.0"])
+        capsys.readouterr()
+        meta = out / "meta.csv"
+        meta.write_text(meta.read_text().replace("n_frames,", "frames,"))
+        assert cli.main(["metrics", str(out)]) == 3
+        assert "%s: 'n_frames' is missing" % meta in capsys.readouterr().err
 
     def test_metrics_missing_dir_exit_2(self, tmp_path, capsys):
         assert cli.main(["metrics", str(tmp_path / "missing")]) == 2

@@ -8,12 +8,12 @@ import pytest
 import brute_force as bf
 from conftest import camera_pose, synthetic_detections
 from tanklab.frames import wrap_angle
-from tanklab.tracking import PipelineConfig, run_pipeline
+from tanklab.tracking import PipelineConfig, run_pipeline_detailed
 
 
 def check_against_oracle(dets, window=6, rate=30.0, tol=1e-9):
     cfg = PipelineConfig(smoothing_window=window, output_rate=rate)
-    states = run_pipeline(dets, cfg)
+    states, _ = run_pipeline_detailed(dets, cfg)
     oracle = bf.bf_pipeline(dets.t, dets.q, dets.rot, window, rate)
     assert len(states) == len(oracle["t"])
     for i, s in enumerate(states):
@@ -66,5 +66,6 @@ def test_yaw_crossing_pi_agrees():
     times = np.arange(0, 4.0, 1 / 30)
     dets = synthetic_detections(times, traj)
     check_against_oracle(dets, window=12)
-    psi = run_pipeline(dets, PipelineConfig(smoothing_window=12)).psi
+    states, _ = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=12))
+    psi = states.psi
     assert np.abs(np.diff(psi)).max() > math.pi  # crossed the seam

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
-from tanklab.frames import GeometryError, PlaneCoefficients, rot_x, rot_y, rot_z, world_rotation
+from tanklab.frames import (GeometryError, PlaneCoefficients, extract_yaw, rot_x, rot_y, rot_z,
+                            world_rotation)
 from tanklab.metrics import TRUTH_DTYPE, residuals, truth_series
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
 from tanklab.scenarios import ConfigError, get_scenario
@@ -24,7 +25,6 @@ from tanklab.tracking import (
     read_states_csv,
     read_table,
     resample_uniform,
-    run_pipeline,
     run_pipeline_detailed,
     segment_stream,
     write_detections_csv,
@@ -50,7 +50,7 @@ class TestUnwrap:
             return 1.0 + 0.3 * t, 1.0, 1.2 + 0.5 * t
 
         dets = synthetic_detections(np.arange(0, 2.0, 1 / 30), traj)
-        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        states, _ = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
         assert np.abs(np.diff(states.psi)).max() > math.pi  # crossed the seam
         np.testing.assert_allclose(np.abs(states.r), 0.5, atol=1e-9)
 
@@ -62,13 +62,13 @@ class TestFiniteDifference:
 
     def test_linear_exact(self):
         dets = synthetic_detections(np.arange(10) / 30, line_traj(speed=0.3))
-        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        states, _ = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
         np.testing.assert_allclose(states.u, 0.3, atol=1e-12)
 
     def test_quadratic_interior_exact(self):
         # central differences are exact for quadratics in the interior
         dets = synthetic_detections(np.arange(20) / 30, lambda t: (1.0 + 0.5 * t * t, 1.0, 0.0))
-        states = run_pipeline(dets, PipelineConfig(smoothing_window=1))
+        states, _ = run_pipeline_detailed(dets, PipelineConfig(smoothing_window=1))
         np.testing.assert_allclose(states.u[1:-1], states.timestamp[1:-1], atol=1e-12)
 
 
@@ -302,7 +302,7 @@ class TestPipeline:
 
         times = np.arange(0, 4.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         mid = states[len(states) // 3 : -len(states) // 3]
         for s in mid:
             assert s.u == pytest.approx(speed, abs=0.01)
@@ -323,7 +323,7 @@ class TestPipeline:
     def test_first_sample_at_origin(self):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         assert states[0].timestamp == pytest.approx(times[0], abs=1e-12)
         assert states[0].x == pytest.approx(0.0, abs=1e-12)
         assert states[0].y == pytest.approx(0.0, abs=1e-12)
@@ -338,8 +338,8 @@ class TestPipeline:
 
         level = synthetic_detections(times, traj, camera_pose(tilt_x=0.0))
         tilted = synthetic_detections(times, traj, camera_pose(tilt_x=math.radians(4.0)))
-        s_level = run_pipeline(level)
-        s_tilt = run_pipeline(tilted)
+        s_level, _ = run_pipeline_detailed(level)
+        s_tilt, _ = run_pipeline_detailed(tilted)
         for a, b in zip(s_level, s_tilt):
             assert math.hypot(a.u, a.v) == pytest.approx(math.hypot(b.u, b.v), abs=1e-6)
 
@@ -354,7 +354,7 @@ class TestPipeline:
 
         times = np.arange(0, 10.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         mid = states[len(states) // 3 : -len(states) // 3]
         for s in mid:
             assert abs(abs(s.r) - omega) < 0.01
@@ -363,7 +363,7 @@ class TestPipeline:
     def test_stationary_stream_zero_velocity(self):
         dets = Detections.from_rows(
             [detection_row(i / 30, [0.5, 0.5, 2.4], rot_z(0.3)) for i in range(40)])
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         for s in states:
             assert abs(s.u) < 1e-9 and abs(s.v) < 1e-9 and abs(s.r) < 1e-9
 
@@ -383,10 +383,10 @@ class TestPipeline:
     def test_segment_too_short(self):
         dets = level_detections(np.arange(10) / 30, np.arange(10) * 0.01)
         with pytest.raises(SegmentTooShort):
-            run_pipeline(dets)
+            run_pipeline_detailed(dets)
         # one detection, before anything is unwrapped or differenced
         with pytest.raises(SegmentTooShort):
-            run_pipeline(dets[:1], PipelineConfig(smoothing_window=1))
+            run_pipeline_detailed(dets[:1], PipelineConfig(smoothing_window=1))
 
     def test_segment_of_2_windows_too_short(self):
         # 2 * window states all lie within a window of an edge: nothing to
@@ -395,8 +395,8 @@ class TestPipeline:
         cfg = PipelineConfig(smoothing_window=window, output_rate=rate)
         times = np.arange(2 * window + 1) / rate
         with pytest.raises(SegmentTooShort, match="24 samples"):
-            run_pipeline(level_detections(times[:-1], times[:-1] * 0.3), cfg)
-        states = run_pipeline(level_detections(times, times * 0.3), cfg)
+            run_pipeline_detailed(level_detections(times[:-1], times[:-1] * 0.3), cfg)
+        states, _ = run_pipeline_detailed(level_detections(times, times * 0.3), cfg)
         assert len(states) == 2 * window + 1
         t = np.arange(481) / 240
         truth = truth_series(np.column_stack([t, 0.3 * t, *np.zeros((8, t.size))]))
@@ -408,7 +408,7 @@ class TestPipeline:
         table = level_detections(np.arange(30) / 30, np.arange(30) * 0.01).table.copy()
         table[17, 5:14] = rot_y(math.pi / 2).ravel()
         with pytest.raises(GeometryError, match="edge-on"):
-            run_pipeline(Detections(table))
+            run_pipeline_detailed(Detections(table))
 
     def test_psi_wrapped(self):
         def traj(t):
@@ -416,7 +416,7 @@ class TestPipeline:
 
         times = np.arange(0, 12.0, 1 / 30)
         dets = synthetic_detections(times, traj)
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         assert all(-math.pi < s.psi <= math.pi for s in states)
 
 
@@ -429,12 +429,15 @@ def random_rotation(rng):
 
 class TestYawProduct:
     """The yaw step's one stacked ``r_oc @ segment.rot`` is bit for bit the
-    per-detection products ``r_oc @ rot`` it replaced."""
+    per-detection products ``r_oc @ rot`` it replaced, and ``extract_yaw``
+    on that stack is bit for bit its one-rotation calls."""
 
     @staticmethod
     def assert_stacked_bits(r_oc, segment):
         per_detection = np.stack([r_oc @ rot for rot in segment.rot])
         assert (r_oc @ segment.rot).tobytes() == per_detection.tobytes()
+        one_by_one = np.array([extract_yaw(r_ow) for r_ow in per_detection])
+        assert extract_yaw(per_detection).tobytes() == one_by_one.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 643])
     def test_random_rotations(self, rng, n):
@@ -472,7 +475,7 @@ class TestCsvRoundTrip:
     def test_states(self, tmp_path):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         path = tmp_path / "s.csv"
         write_states_csv(path, states)
         back = read_states_csv(path)
@@ -483,7 +486,7 @@ class TestCsvRoundTrip:
     def test_states_byte_stable(self, tmp_path):
         times = np.arange(0, 2.0, 1 / 30)
         dets = synthetic_detections(times, line_traj())
-        states = run_pipeline(dets)
+        states, _ = run_pipeline_detailed(dets)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_states_csv(p1, states)
         write_states_csv(p2, states)
@@ -549,6 +552,26 @@ class TestCsvRoundTrip:
                 read_detections_csv(run / name)
             else:
                 recompute_metrics(str(run))
+
+    @pytest.mark.parametrize("damage", ["key missing", "header only", "not a number"])
+    def test_damaged_meta(self, line_run_dir, tmp_path, damage):
+        # a meta.csv value that is missing or does not parse is refused,
+        # naming the file and the key, as a bad table names its file
+        run = tmp_path / "run"
+        run.mkdir()
+        for src in line_run_dir.glob("*.csv"):
+            (run / src.name).write_bytes(src.read_bytes())
+        lines = (run / "meta.csv").read_text().splitlines(keepends=True)
+        assert "smoothing_window,12\n" in lines
+        damaged = {
+            "key missing": [line for line in lines if not line.startswith("smoothing_window,")],
+            "header only": lines[:1],
+            "not a number": [line.replace(",12", ",twelve") for line in lines],
+        }[damage]
+        (run / "meta.csv").write_text("".join(damaged))
+        message = "%s: 'smoothing_window' is " % (run / "meta.csv")
+        with pytest.raises(TrackingError, match=re.escape(message)):
+            recompute_metrics(str(run))
 
 
 def reference_table_bytes(header, table):
