@@ -31,7 +31,6 @@ class GlareRegion:
 
 @dataclass
 class CameraConfig:
-    pose: Pose = field(default_factory=Pose.identity)  # camera in world frame
     frame_rate: float = 30.0
     timestamp_jitter_sigma: float = 0.003
     translation_noise_sigma: float = 0.003
@@ -49,13 +48,12 @@ class TagConfig:
     mount_offset: Pose = field(default_factory=Pose.identity)  # body frame
 
 
-def observe(
-    frames: np.ndarray, cam: CameraConfig, tag: TagConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """The detection table of a run: one ``DETECTION_CSV_HEADER`` row per
-    frame the tag is seen in.  ``frames`` is ``(n, 5)``: each frame's capture
-    time (from :func:`frame_clock`, which applies the timing noise), then the
-    vehicle's ``x``, ``y``, ``z`` (depth) and ``psi``.
+def observe(frames: np.ndarray, pose: Pose, cam: CameraConfig, tag: TagConfig,
+            rng: np.random.Generator) -> np.ndarray:
+    """The detection table of a run seen from ``pose``, the camera in the world
+    frame: one ``DETECTION_CSV_HEADER`` row per frame the tag is seen in.  ``frames``
+    is ``(n, 5)``: each frame's capture time (from :func:`frame_clock`, which
+    applies the timing noise), then the vehicle's ``x``, ``y``, ``z`` (depth) and ``psi``.
 
     The draws run frame by frame, because a frame's fate decides them: a
     submerged frame draws nothing, a dropped one only its dropout.  The
@@ -88,8 +86,8 @@ def observe(
     c, s = np.array([math.cos(v) for v in psi]), np.array([math.sin(v) for v in psi])
     rz = np.zeros((n, 3, 3))
     rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1], rz[:, 2, 2] = c, -s, s, c, 1.0
-    mount, rc = tag.mount_offset, cam.pose.rotation
-    d = seen[:, 1:4] + rz @ mount.translation - cam.pose.translation
+    mount, rc = tag.mount_offset, pose.rotation
+    d = seen[:, 1:4] + rz @ mount.translation - pose.translation
     q = (rc.T @ d[:, :, None])[:, :, 0]
     r_bc = rc.T @ (rz @ mount.rotation)
 

@@ -5,8 +5,8 @@ Frame layout (all multi-byte integers big-endian):
     AA 55 | type (1) | length (1) | payload (0..64) | crc16 (2)
 
 CRC is CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over type + length +
-payload.  Each message's type code, payload layout and value ranges are
-stated once, in ``_WIRE``, which ``encode`` and the frame scanner both read.
+payload.  Each message's type code, payload layout, value names and ranges
+are stated once, in ``_WIRE``, read by ``encode``, the frame scanner and ``runner``.
 Delivery probability falls off linearly with vehicle depth between ``d0``
 (full delivery) and ``d1`` (radio blackout).
 """
@@ -91,7 +91,7 @@ _WIRE = {
     Pump: (MSG_PUMP, struct.Struct(">BH"), (("mode", 0, 2), ("duration_ms", 0, 0xFFFF))),
     StartSequence: (MSG_START_SEQUENCE, struct.Struct(">B"), (("seq_id", 0, 0xFF),)),
     Telemetry: (MSG_TELEMETRY, struct.Struct(">H9BBB"),
-                (("depth_mm", 0, 0xFFFF), *[("ir channel", 0, 255)] * 9,
+                (("depth_mm", 0, 0xFFFF), *(("ir%d" % i, 0, 255) for i in range(9)),
                  ("fill_est_tenth_ml", 0, 0xFF), ("flags", 0, 0xFF))),
 }
 _CLASSES = {code: cls for cls, (code, _, _) in _WIRE.items()}

@@ -60,8 +60,7 @@ R_HYSTERESIS = 0.05  # rad/s, for zig-zag turn counting
 ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
                     "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
 # One row per telemetry frame received: arrival time, then the message fields.
-TELEMETRY_HEADER = ["t", "depth_mm", *("ir%d" % i for i in range(9)),
-                    "fill_est_tenth_ml", "flags"]
+TELEMETRY_HEADER = ["t", *(name for name, _, _ in link._WIRE[link.Telemetry][2])]
 
 
 @dataclass
@@ -98,8 +97,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(5)
     )
 
-    cam = s.build_camera()
-    frame_times = frame_clock(cam, s.duration, rng_clock)
+    pose = s.camera_pose()
+    frame_times = frame_clock(s.camera, s.duration, rng_clock)
     downlink = Channel(s.channel, rng_down)
 
     params = s.vehicle
@@ -181,7 +180,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     steps = steps[steps < n_steps]  # frame times increase, so a prefix
     frames = np.column_stack([frame_times[:len(steps)],
                               *(truth[c][steps] for c in ("x", "y", "z", "psi"))])
-    detections = Detections(observe(frames, cam, s.tag, rng_camera))
+    detections = Detections(observe(frames, pose, s.camera, s.tag, rng_camera))
 
     # Telemetry tick j, due at j periods (accumulated): the first step after
     # tick j - 1 with t_k + 1e-12 >= due.
@@ -209,7 +208,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             continue
         segment_states.append(states)
         alignment_rows.append(
-            _alignment(len(alignment_rows), states, truth, r_oc @ cam.pose.rotation.T))
+            _alignment(len(alignment_rows), states, truth, r_oc @ pose.rotation.T))
     estimates = np.concatenate(segment_states).view(np.recarray)
     alignments = rows_table(alignment_rows, ALIGNMENT_HEADER)
 
@@ -361,8 +360,7 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
     write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry)
 
     sign = -1.0 if art.scenario.plot_frame == "paper" else 1.0
-    for name in ("u", "v", "psi", "r"):
-        factor = sign if name in ("psi", "r") else 1.0
+    for name, factor in (("u", 1.0), ("v", 1.0), ("psi", sign), ("r", sign)):
         write_table(path("plotdata", "%s.csv" % name), ["t", name],
                     np.column_stack([estimates.timestamp, factor * estimates[name]]))
     write_table(path("plotdata", "track_xy.csv"), ["x", "y"],
@@ -379,7 +377,12 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
         return os.path.join(run_dir, name)
 
     with open(path("meta.csv"), newline="") as fh:
-        meta = dict(list(csv.reader(fh))[1:])
+        rows = list(csv.reader(fh)) or [[]]
+    for line, row in enumerate(rows, 1):
+        if len(row) != 2 or line == 1 and row != ["key", "value"]:
+            raise tracking.TrackingError("%s: line %d is %r, not %s" % (
+                path("meta.csv"), line, ",".join(row), "key,value" if line == 1 else "two cells"))
+    meta = dict(rows[1:])
     settings = []
     for kind, key in ((int, "smoothing_window"), (float, "output_rate"),
                       (int, "n_detections"), (int, "n_frames")):

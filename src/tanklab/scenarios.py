@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
 
 from .camera import CameraConfig, TagConfig
 from .frames import Pose, rot_x, rot_y, vec3
@@ -162,13 +162,11 @@ class Scenario:
                               "%d needs %g s of uninterrupted detections, run is %g s"
                               % (window, 2 * window / rate, self.duration))
 
-    def build_camera(self) -> CameraConfig:
-        """Camera config with the pose assembled from height and tilt."""
-        rot = rot_x(math.radians(self.camera_tilt_x_deg)) @ rot_y(
-            math.radians(self.camera_tilt_y_deg)
-        )
-        pose = Pose(vec3(self.tank_side / 2, self.tank_side / 2, -self.camera_height), rot)
-        return replace(self.camera, pose=pose)
+    def camera_pose(self) -> Pose:
+        """The camera in the world frame: above the tank's center, tilted."""
+        return Pose(vec3(self.tank_side / 2, self.tank_side / 2, -self.camera_height),
+                    rot_x(math.radians(self.camera_tilt_x_deg))
+                    @ rot_y(math.radians(self.camera_tilt_y_deg)))
 
 
 def line_scenario() -> Scenario:

@@ -151,11 +151,11 @@ def bf_pipeline(times, translations, rotations, window, rate):
     }
 
 
-def bf_observe(x, y, z, psi, cam, tag, rng):
-    """One camera frame: the tag's noisy camera-frame ``(translation,
-    rotation)``, or None on dropout or when the tag is submerged.  Draws from
-    ``rng`` in the order the batched camera pass must keep, with the same
-    numpy forms, so its rows are bit-equal to the pass's."""
+def bf_observe(x, y, z, psi, pose, cam, tag, rng):
+    """One frame of the camera at ``pose``: the tag's noisy camera-frame
+    ``(translation, rotation)``, or None on dropout or when the tag is
+    submerged.  Draws from ``rng`` in the order the batched camera pass must
+    keep, with the same numpy forms, so its rows are bit-equal to the pass's."""
     if z > cam.visibility_depth:
         return None
 
@@ -171,8 +171,8 @@ def bf_observe(x, y, z, psi, cam, tag, rng):
     mount = tag.mount_offset
     tag_translation = np.array([x, y, z]) + rz @ mount.translation
     tag_rotation = rz @ mount.rotation
-    rc = cam.pose.rotation
-    q = rc.T @ (tag_translation - cam.pose.translation)
+    rc = pose.rotation
+    q = rc.T @ (tag_translation - pose.translation)
     r_bc = rc.T @ tag_rotation
 
     if cam.translation_noise_sigma > 0.0:

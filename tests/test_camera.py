@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import brute_force as bf
 import numpy as np
@@ -11,12 +11,18 @@ from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.tracking import DETECTION_CSV_HEADER
 
 
-def overhead_config(tilt_x=0.0, **kw):
-    pose = Pose(vec3(2.0, 2.0, -2.4), rot_x(tilt_x))
+def overhead_pose(tilt_x=0.0):
+    return Pose(vec3(2.0, 2.0, -2.4), rot_x(tilt_x))
+
+
+LEVEL = overhead_pose()
+
+
+def overhead_config(**kw):
     kw.setdefault("translation_noise_sigma", 0.0)
     kw.setdefault("rotation_noise_sigma", 0.0)
     kw.setdefault("dropout_prob", 0.0)
-    return CameraConfig(pose=pose, **kw)
+    return CameraConfig(**kw)
 
 
 def fresh_rng():
@@ -37,7 +43,7 @@ def pose_of(row):
 class TestObserve:
     def test_noiseless_geometry_level(self):
         cam = overhead_config()
-        table = observe(frames((2.5, 1.0, 0.0, 0.3)), cam, TagConfig(tag_id=7), fresh_rng())
+        table = observe(frames((2.5, 1.0, 0.0, 0.3)), LEVEL, cam, TagConfig(tag_id=7), fresh_rng())
         assert table.shape == (1, len(DETECTION_CSV_HEADER))
         assert table[0, :2].tolist() == [0.0, 7.0]
         q, rot = pose_of(table[0])
@@ -48,64 +54,67 @@ class TestObserve:
     def test_recoverable_under_tilt(self):
         # tilted camera: projecting back through the extrinsics recovers truth
         tilt = math.radians(2.5)
-        cam = overhead_config(tilt_x=tilt)
-        table = observe(frames((1.2, 3.0, 0.0, -0.7)), cam, TagConfig(), fresh_rng())
+        pose = overhead_pose(tilt)
+        table = observe(frames((1.2, 3.0, 0.0, -0.7)), pose, overhead_config(), TagConfig(),
+                        fresh_rng())
         q, rot = pose_of(table[0])
-        world = cam.pose.rotation @ q + cam.pose.translation
+        world = pose.rotation @ q + pose.translation
         np.testing.assert_allclose(world, [1.2, 3.0, 0.0], atol=1e-12)
-        r_world = cam.pose.rotation @ rot
+        r_world = pose.rotation @ rot
         assert extract_yaw(r_world) == pytest.approx(-0.7, abs=1e-12)
 
     def test_mount_offset_applied(self):
         cam = overhead_config()
         tag = TagConfig(mount_offset=Pose(vec3(0.1, 0.0, 0.0), np.eye(3)))
-        table = observe(frames((2.0, 2.0, 0.0, math.pi / 2)), cam, tag, fresh_rng())
+        table = observe(frames((2.0, 2.0, 0.0, math.pi / 2)), LEVEL, cam, tag, fresh_rng())
         # offset points along body x, which is world +y at psi = pi/2;
         # camera frame swaps and negates per the level extrinsics
         np.testing.assert_allclose(table[0, 2:5], [0.0, 0.1, 2.4], atol=1e-12)
 
     def test_submerged_invisible(self):
         cam = overhead_config()
-        table = observe(frames((0.0, 0.0, 0.2, 0.0), (0.0, 0.0, 0.04, 0.0)), cam,
-                        TagConfig(), fresh_rng())
+        table = observe(frames((0.0, 0.0, 0.2, 0.0), (0.0, 0.0, 0.04, 0.0)), LEVEL,
+                        cam, TagConfig(), fresh_rng())
         assert table[:, 0].tolist() == [1.0]
 
     def test_dropout_rate(self):
         cam = overhead_config(dropout_prob=0.3)
-        table = observe(frames(*[(2.0, 2.0, 0.0, 0.0)] * 5000), cam, TagConfig(), fresh_rng())
+        table = observe(frames(*[(2.0, 2.0, 0.0, 0.0)] * 5000), LEVEL, cam, TagConfig(),
+                        fresh_rng())
         assert len(table) / 5000 == pytest.approx(0.7, abs=0.02)
 
     def test_glare_region_elevates_dropout(self):
         glare = GlareRegion(x=1.0, y=1.0, radius=0.3, dropout_prob=1.0)
         cam = overhead_config(glare_regions=(glare,))
-        table = observe(frames((1.0, 1.1, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)), cam,
-                        TagConfig(), fresh_rng())
+        table = observe(frames((1.0, 1.1, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)), LEVEL,
+                        cam, TagConfig(), fresh_rng())
         assert table[:, 0].tolist() == [1.0]
 
     def test_translation_noise_statistics(self):
         cam = overhead_config(translation_noise_sigma=0.003)
-        table = observe(frames(*[(2.5, 1.0, 0.0, 0.0)] * 3000), cam, TagConfig(), fresh_rng())
+        table = observe(frames(*[(2.5, 1.0, 0.0, 0.0)] * 3000), LEVEL, cam, TagConfig(),
+                        fresh_rng())
         errs = table[:, 2:5] - [0.5, -1.0, 2.4]
         assert np.abs(np.mean(errs, axis=0)).max() < 3e-4
         np.testing.assert_allclose(np.std(errs, axis=0), 0.003, atol=3e-4)
 
     def test_rotation_noise_keeps_rotation_valid(self):
         cam = overhead_config(rotation_noise_sigma=0.01)
-        table = observe(frames((2.5, 1.0, 0.0, 0.4)), cam, TagConfig(), fresh_rng())
+        table = observe(frames((2.5, 1.0, 0.0, 0.4)), LEVEL, cam, TagConfig(), fresh_rng())
         _, r = pose_of(table[0])
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_spurious_z_outlier(self):
         cam = overhead_config(spurious_z_prob=1.0, spurious_z_offset=0.2)
-        table = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
+        table = observe(frames((2.5, 1.0, 0.0, 0.0)), LEVEL, cam, TagConfig(), fresh_rng())
         assert table[0, 4] == pytest.approx(2.6, abs=1e-12)
 
     def test_deterministic_given_seed(self):
         cam = overhead_config(translation_noise_sigma=0.003, rotation_noise_sigma=0.01,
                               dropout_prob=0.02)
-        a = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
-        b = observe(frames((2.5, 1.0, 0.0, 0.0)), cam, TagConfig(), fresh_rng())
+        a = observe(frames((2.5, 1.0, 0.0, 0.0)), LEVEL, cam, TagConfig(), fresh_rng())
+        b = observe(frames((2.5, 1.0, 0.0, 0.0)), LEVEL, cam, TagConfig(), fresh_rng())
         assert a.tobytes() == b.tobytes()
 
 
@@ -130,11 +139,11 @@ class ZeroNormals:
         return self.uniform.bit_generator
 
 
-def oracle_table(rows, cam, tag, rng):
+def oracle_table(rows, pose, cam, tag, rng):
     """The detection table of ``bf_observe``, one frame at a time."""
     out = []
     for t, x, y, z, psi in rows.tolist():
-        seen = bf.bf_observe(x, y, z, psi, cam, tag, rng)
+        seen = bf.bf_observe(x, y, z, psi, pose, cam, tag, rng)
         if seen is not None:
             out.append((t, tag.tag_id, *seen[0], *seen[1].flat))
     return np.array(out, dtype=float).reshape(-1, len(DETECTION_CSV_HEADER))
@@ -148,9 +157,7 @@ def random_frames(gen, n):
                             gen.uniform(0, 4, n), z, gen.uniform(-7, 7, n)])
 
 
-def tilted_camera(**kw):
-    pose = Pose(vec3(2.1, 1.9, -2.4), rot_x(math.radians(2.5)) @ rot_y(math.radians(-1.5)))
-    return CameraConfig(pose=pose, **kw)
+TILTED = Pose(vec3(2.1, 1.9, -2.4), rot_x(math.radians(2.5)) @ rot_y(math.radians(-1.5)))
 
 
 MOUNT = TagConfig(tag_id=3, mount_offset=Pose(vec3(0.04, -0.02, 0.01),
@@ -159,20 +166,20 @@ GLARE = (GlareRegion(1.0, 1.0, 0.8, 0.9), GlareRegion(1.5, 1.2, 0.5, 0.4),
          GlareRegion(3.0, 3.0, 0.6, 1.0))
 
 ORACLE_CASES = {
-    "defaults": (tilted_camera(), TagConfig()),
-    "glare": (tilted_camera(glare_regions=GLARE), TagConfig()),
-    "glare_only": (tilted_camera(dropout_prob=0.0, glare_regions=GLARE), TagConfig()),
-    "mount": (tilted_camera(), MOUNT),
-    "no_translation_noise": (tilted_camera(translation_noise_sigma=0.0), MOUNT),
-    "no_rotation_noise": (tilted_camera(rotation_noise_sigma=0.0), MOUNT),
-    "noiseless": (tilted_camera(translation_noise_sigma=0.0, rotation_noise_sigma=0.0,
-                                dropout_prob=0.0), MOUNT),
-    "dropout_0": (tilted_camera(dropout_prob=0.0), TagConfig()),
-    "dropout_half": (tilted_camera(dropout_prob=0.5, glare_regions=GLARE), MOUNT),
-    "dropout_1": (tilted_camera(dropout_prob=1.0), TagConfig()),
-    "spurious": (tilted_camera(spurious_z_prob=0.1, spurious_z_offset=0.25), MOUNT),
-    "all_branches": (tilted_camera(spurious_z_prob=0.1, glare_regions=GLARE,
-                                   rotation_noise_sigma=0.2), MOUNT),
+    "defaults": (CameraConfig(), TagConfig()),
+    "glare": (CameraConfig(glare_regions=GLARE), TagConfig()),
+    "glare_only": (CameraConfig(dropout_prob=0.0, glare_regions=GLARE), TagConfig()),
+    "mount": (CameraConfig(), MOUNT),
+    "no_translation_noise": (CameraConfig(translation_noise_sigma=0.0), MOUNT),
+    "no_rotation_noise": (CameraConfig(rotation_noise_sigma=0.0), MOUNT),
+    "noiseless": (CameraConfig(translation_noise_sigma=0.0, rotation_noise_sigma=0.0,
+                               dropout_prob=0.0), MOUNT),
+    "dropout_0": (CameraConfig(dropout_prob=0.0), TagConfig()),
+    "dropout_half": (CameraConfig(dropout_prob=0.5, glare_regions=GLARE), MOUNT),
+    "dropout_1": (CameraConfig(dropout_prob=1.0), TagConfig()),
+    "spurious": (CameraConfig(spurious_z_prob=0.1, spurious_z_offset=0.25), MOUNT),
+    "all_branches": (CameraConfig(spurious_z_prob=0.1, glare_regions=GLARE,
+                                  rotation_noise_sigma=0.2), MOUNT),
 }
 
 
@@ -180,10 +187,10 @@ class TestObserveOracle:
     """The camera pass against ``bf_observe``, frame by frame: the same
     table bit for bit, and the same draws left behind in the generator."""
 
-    def assert_matches(self, rows, cam, tag, make_rng):
+    def assert_matches(self, rows, cam, tag, make_rng, pose=TILTED):
         got_rng, want_rng = make_rng(), make_rng()
-        got = observe(rows, cam, tag, got_rng)
-        want = oracle_table(rows, cam, tag, want_rng)
+        got = observe(rows, pose, cam, tag, got_rng)
+        want = oracle_table(rows, pose, cam, tag, want_rng)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -199,8 +206,8 @@ class TestObserveOracle:
     def test_random_configs(self):
         gen = np.random.default_rng(77)
         for _ in range(100):
+            pose = Pose(gen.normal(size=3), rot_x(gen.normal(0, 0.2)) @ rot_y(gen.normal(0, 0.2)))
             cam = CameraConfig(
-                pose=Pose(gen.normal(size=3), rot_x(gen.normal(0, 0.2)) @ rot_y(gen.normal(0, 0.2))),
                 translation_noise_sigma=float(gen.choice([0.0, 0.003, 0.05])),
                 rotation_noise_sigma=float(gen.choice([0.0, 0.01, 1.0])),
                 dropout_prob=float(gen.choice([0.0, 0.02, 0.5])),
@@ -211,14 +218,15 @@ class TestObserveOracle:
                                               rot_z(gen.normal()) @ rot_x(gen.normal(0, 0.2))))
             seed = int(gen.integers(1 << 30))
             self.assert_matches(random_frames(gen, 40), cam, tag,
-                                lambda: np.random.default_rng(seed))
+                                lambda: np.random.default_rng(seed), pose)
 
     def test_zero_axis_is_identity(self):
         cam, tag = ORACLE_CASES["spurious"]
         rows = random_frames(np.random.default_rng(5), 100)
         got = self.assert_matches(rows, cam, tag, lambda: ZeroNormals(5))
         # without the normal draws, the same uniform draws keep the same frames
-        unrotated = observe(rows, replace(cam, rotation_noise_sigma=0.0), tag, ZeroNormals(5))
+        unrotated = observe(rows, TILTED, replace(cam, rotation_noise_sigma=0.0), tag,
+                            ZeroNormals(5))
         assert len(got) > 0
         assert got.tobytes() == unrotated.tobytes()
 
@@ -272,3 +280,9 @@ def test_config_validation():
         with pytest.raises(ConfigError) as exc:
             get_scenario("line", [setting]).validate()
         assert exc.value.field_name == setting.split("=")[0]
+
+
+def test_config_holds_no_pose():
+    # the camera pose is derived from the scenario's rig settings
+    # (Scenario.camera_pose) and passed to observe, not stored in the config
+    assert "pose" not in [f.name for f in fields(CameraConfig)]

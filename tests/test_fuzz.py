@@ -12,6 +12,7 @@ import math
 from dataclasses import is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanklab import link
@@ -217,3 +218,17 @@ def test_number_sweep_raises_only_config_error(name, values):
         run_scenario(s)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("value", [1e154, 1e300, -1e300, 1e-300])
+def test_far_values_raise_only_config_error(value):
+    # every number setting at a far value on the whole built-in line run: the
+    # random sweep rarely draws one, and a domain too wide for the arithmetic
+    # shows as a warning, which pytest raises
+    for key in sorted(NUMBER_SETTINGS):
+        try:
+            run_scenario(get_scenario("line", ["%s=%r" % (key, value)]))
+        except ConfigError:
+            pass
+        except Exception as exc:
+            raise AssertionError("%s=%r" % (key, value)) from exc

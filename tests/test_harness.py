@@ -775,30 +775,37 @@ class TestRunner:
 
     def test_sensors_sample_truth_at_their_steps(self):
         # noiseless sensors and an instant link: frame time f sees the truth
-        # of the first step k with f <= t_k + dt/2, and a telemetry row at
-        # t_k reports the truth depth of step k
-        s = get_scenario("pump_test")
-        s.duration = 20.0
-        s.command_script = [c for c in s.command_script if c[0] <= s.duration]
-        for key in ("camera.translation_noise_sigma", "camera.rotation_noise_sigma",
-                    "camera.timestamp_jitter_sigma", "camera.dropout_prob",
-                    "depth_noise_sigma", "channel.latency"):
-            apply_setting(s, key, "0")
-        art = run_scenario(s)
-        truth, dt = art.truth, 1.0 / s.sim_rate
-        step_t = truth.t[:-1]
+        # of the first step k with f <= t_k + dt/2, from the camera pose the
+        # rig settings give, and a telemetry row at t_k reports the truth
+        # depth of step k
+        noiseless = ["%s=0" % key for key in (
+            "camera.translation_noise_sigma", "camera.rotation_noise_sigma",
+            "camera.timestamp_jitter_sigma", "camera.dropout_prob", "depth_noise_sigma",
+            "channel.latency")]
+        poses = []
+        for rig in ([], ["camera_height=3", "camera_tilt_y_deg=-1.5", "tank_side_ft=12"]):
+            s = get_scenario("pump_test", [*noiseless, *rig])
+            s.duration = 20.0
+            s.command_script = [c for c in s.command_script if c[0] <= s.duration]
+            art = run_scenario(s)
+            truth, dt = art.truth, 1.0 / s.sim_rate
+            step_t = truth.t[:-1]
 
-        steps = np.searchsorted(step_t + 0.5 * dt, art.detections.t)
-        cam = s.build_camera().pose
-        position = np.column_stack([truth.x, truth.y, truth.z])[steps]
-        expected = np.array([cam.rotation.T @ (p - cam.translation) for p in position])
-        assert len(art.detections) > 0
-        np.testing.assert_array_equal(art.detections.q, expected)
+            steps = np.searchsorted(step_t + 0.5 * dt, art.detections.t)
+            cam = s.camera_pose()
+            poses.append(cam)
+            position = np.column_stack([truth.x, truth.y, truth.z])[steps]
+            expected = np.array([cam.rotation.T @ (p - cam.translation) for p in position])
+            assert len(art.detections) > 0
+            np.testing.assert_array_equal(art.detections.q, expected)
 
-        rows = np.searchsorted(step_t, art.telemetry[:, 0])
-        np.testing.assert_array_equal(step_t[rows], art.telemetry[:, 0])
-        assert len(rows) > 0
-        np.testing.assert_array_equal(art.telemetry[:, 1], np.round(truth.z[rows] * 1000))
+            rows = np.searchsorted(step_t, art.telemetry[:, 0])
+            np.testing.assert_array_equal(step_t[rows], art.telemetry[:, 0])
+            assert len(rows) > 0
+            np.testing.assert_array_equal(art.telemetry[:, 1], np.round(truth.z[rows] * 1000))
+        # the moved rig moved and turned the camera
+        assert not np.any(poses[0].translation == poses[1].translation)
+        assert not np.array_equal(poses[0].rotation, poses[1].rotation)
 
     def test_paper_plot_frame_flips_yaw(self, tmp_path):
         s = tiny_line()

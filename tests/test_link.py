@@ -68,7 +68,7 @@ SPEC = [
     (Pump, MSG_PUMP, ">BH", [("mode", 0, 2), ("duration_ms", 0, 0xFFFF)]),
     (StartSequence, MSG_START_SEQUENCE, ">B", [("seq_id", 0, 255)]),
     (Telemetry, MSG_TELEMETRY, ">H9BBB",
-     [("depth_mm", 0, 0xFFFF), *[("ir channel", 0, 255)] * 9,
+     [("depth_mm", 0, 0xFFFF), *[("ir%d" % i, 0, 255) for i in range(9)],
       ("fill_est_tenth_ml", 0, 255), ("flags", 0, 255)]),
 ]
 

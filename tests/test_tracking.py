@@ -573,6 +573,28 @@ class TestCsvRoundTrip:
         with pytest.raises(TrackingError, match=re.escape(message)):
             recompute_metrics(str(run))
 
+    @pytest.mark.parametrize("line,row,text", [
+        (8, "output_rate", "'output_rate', not two cells"),
+        (3, "seed,11,extra", "'seed,11,extra', not two cells"),
+        (1, "name,value", "'name,value', not key,value"),
+        (1, None, "'', not key,value"),
+    ], ids=["1-cell row", "3-cell row", "wrong header", "empty file"])
+    def test_malformed_meta_row(self, line_run_dir, tmp_path, line, row, text):
+        # a meta.csv row of other than two cells, or a header other than
+        # key,value, is refused naming the file and the line
+        run = tmp_path / "run"
+        run.mkdir()
+        for src in line_run_dir.glob("*.csv"):
+            (run / src.name).write_bytes(src.read_bytes())
+        lines = (run / "meta.csv").read_text().splitlines(keepends=True)
+        assert lines[:3] == ["key,value\n", "scenario,line\n", "seed,11\n"]
+        assert lines[7].startswith("output_rate,")
+        damaged = [] if row is None else [*lines[:line - 1], row + "\n", *lines[line:]]
+        (run / "meta.csv").write_text("".join(damaged))
+        message = "%s: line %d is %s" % (run / "meta.csv", line, text)
+        with pytest.raises(TrackingError, match="^%s$" % re.escape(message)):
+            recompute_metrics(str(run))
+
 
 def reference_table_bytes(header, table):
     """``write_table``'s file written a row at a time, every number through
