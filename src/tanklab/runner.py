@@ -182,13 +182,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
                               *(truth[c][steps] for c in ("x", "y", "z", "psi"))])
     detections = Detections(observe(frames, pose, s.camera, s.tag, rng_camera))
 
-    # Telemetry tick j, due at j periods (accumulated): the first step after
-    # tick j - 1 with t_k + 1e-12 >= due.
-    after = step_t + 1e-12
-    ticks, k, due, period = [], -1, 0.0, 1.0 / s.telemetry_rate
-    while (k := max(k + 1, int(np.searchsorted(after, due)))) < n_steps:
-        ticks.append(k)
-        due += period
+    ticks = telemetry_ticks(step_t, 1.0 / s.telemetry_rate)
     t, z, fill = (truth[c][ticks] for c in ("t", "z", "fill"))
     messages = telemetry_table(fill, z, s.ambient_ir, s.depth_noise_sigma, params, rng_vehicle)
     # one loss draw per tick; a frame sent arrives at the first step with
@@ -229,6 +223,24 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     if out_dir is not None:
         write_artifacts(artifacts, out_dir)
     return artifacts
+
+
+def telemetry_ticks(step_t: np.ndarray, period: float) -> np.ndarray:
+    """The step of each telemetry tick: tick ``j``, due at ``j`` periods
+    (summed one period at a time), goes at the first step after tick
+    ``j - 1`` with ``t_k + 1e-12 >= due``, and ticks past the last step
+    are dropped.
+
+    That is ``k_j = max(k_{j-1} + 1, s_j)`` with ``s_j`` the first step
+    the due passes, so ``k_j - j`` is the running maximum of ``s_i - i``:
+    one ``searchsorted`` and one ``maximum.accumulate`` over the dues.
+    ``k_j >= j``, so ``len(step_t) + 1`` dues reach past the last step."""
+    n = len(step_t)
+    due = np.full(n + 1, period)
+    due[0] = 0.0
+    j = np.arange(n + 1)
+    k = j + np.maximum.accumulate(np.searchsorted(step_t + 1e-12, np.add.accumulate(due)) - j)
+    return k[k < n]
 
 
 def telemetry_table(fill, z, ambient, noise_sigma, params, rng) -> np.ndarray:

@@ -44,8 +44,8 @@ class ConfigError(ValueError):
 
 
 # Plant steps (duration * sim_rate) a run may take: with every rate at sim_rate
-# a run peaks at 1,003-1,013 B a step under tracemalloc (178-226 B at the
-# built-ins' rates), so about 1 GB at most; 69 minutes at 240 Hz.
+# a run peaks at 894-973 B a step under tracemalloc (172 B at pump_test's own
+# rates), so about 1 GB at most; 69 minutes at 240 Hz.
 MAX_STEPS = 10**6
 
 # Every number setting by domain: the interval it must lie in, whole numbers
@@ -112,9 +112,9 @@ class Scenario:
     plot_frame: str = "ned"             # or "paper" (yaw positive clockwise)
 
     def validate(self) -> None:
-        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
-            raise ConfigError("name", "must be one path component: not '', '.' or '..', and"
-                              " no '/' or NUL, got %r" % self.name)
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\0\n\r"):
+            raise ConfigError("name", "must be one path component on one line: not '', '.' or"
+                              " '..', and no '/', NUL, CR or LF, got %r" % self.name)
         for domain, keys in _DOMAINS.items():
             for key in keys:
                 value = getattr(*_field(self, key))

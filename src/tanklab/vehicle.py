@@ -133,12 +133,14 @@ def step(
     values.  Depth is clamped to [0, tank_depth] with heave zeroed at
     contact (surface float / bottom rest).  The planar channel (motor lag,
     ``u``, ``v``, ``r``, ``psi``, ``x``, ``y``) and the heave channel
-    (``fill``, ``w``, ``z``) share no variable, so each is integrated in
-    its own loop, in plain floats, and ``n`` steps give the same bits as
-    ``n`` calls.  A channel whose first step leaves its state's bytes
-    unchanged is at a fixed point under the held command: its other steps
-    repeat it without computing it.  The probe runs once per call, so a
-    channel that comes to rest later in the call is computed to its end.
+    (``fill``, ``w``, ``z``) share no variable, so each is integrated on
+    its own: the planar channel in one loop of plain floats, the heave
+    channel's fill and buoyancy as columns and only its ``w`` and ``z`` in
+    a loop, with the same bits, so ``n`` steps give the same bits as ``n``
+    calls.  A channel whose first step leaves its state's bytes unchanged
+    is at a fixed point under the held command: its other steps repeat it
+    without computing it.  The probe runs once per call, so a channel that
+    comes to rest later in the call is computed to its end.
     When ``rows`` is given, a pair ``(planar, heave)`` of
     ``array.array("d")``, each step's pre-step state is appended to them:
     ``PLANAR_FIELDS`` to ``planar`` and ``HEAVE_FIELDS`` to ``heave``.
@@ -194,28 +196,56 @@ def _planar_steps(planar, cmd, dt, p, m, out):
 
 def _heave_steps(heave, dfill, dt, p, m, out):
     """``m`` steps of the heave channel ``(z, w, fill)``; each pre-step
-    state is appended to ``out``."""
-    capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
-    mass, c_w = p.mass, p.drag_heave
+    state is appended to ``out``.
+
+    The fill and the buoyancy do not depend on the motion, so after the
+    first step, the fixed-point probe, each is one column over the call;
+    only ``w`` and ``z`` are stepped one at a time (``_motion_steps``)."""
+    if m < 1:
+        return heave
+    capacity, neutral = p.syringe_capacity, p.neutral_fill
     g_rho = GRAVITY * WATER_DENSITY
+    zs, ws = array("d"), array("d")
 
-    z, w, fill = heave
-    for i in range(m):
-        out.extend((z, w, fill))
-        fill += dfill
-        fill = 0.0 if fill < 0.0 else capacity if fill > capacity else fill
-        buoy = g_rho * (fill - neutral) * 1e-6  # N, +down
+    fill = _clamp(heave[2] + dfill, 0.0, capacity)
+    z, w = _motion_steps(heave[0], heave[1], [g_rho * (fill - neutral) * 1e-6], dt, p, zs, ws)
+    if _same_bits((z, w, fill), heave):
+        out.extend(array("d", heave) * m)  # a fixed point: repeat it
+        return heave
 
+    # each step's fill: add.accumulate adds left to right, one rounding per
+    # add as ``fill += dfill``; the sums are monotone, so clamping them holds
+    # the fill at a bound from the first step that passes it
+    fills = np.full(m, dfill)
+    fills[0] = fill
+    np.add.accumulate(fills, out=fills)
+    np.minimum(fills, capacity, out=fills)
+    np.maximum(fills, 0.0, out=fills)
+    buoy = g_rho * (fills[1:] - neutral) * 1e-6  # N, +down
+    z, w = _motion_steps(z, w, memoryview(buoy), dt, p, zs, ws)
+    block = np.empty((m, 3))
+    block[:, 0], block[:, 1] = zs, ws
+    block[0, 2], block[1:, 2] = heave[2], fills[:-1]
+    out.frombytes(memoryview(block).cast("B"))
+    return z, w, float(fills[-1])
+
+
+def _motion_steps(z, w, buoys, dt, p, zs, ws):
+    """Step ``(z, w)`` once under each buoyancy (N) of ``buoys``, clamped
+    at the surface and the bottom; each pre-step ``z`` and ``w`` is
+    appended to ``zs`` and ``ws``."""
+    mass, c_w, depth = p.mass, p.drag_heave, p.tank_depth
+    push_z, push_w = zs.append, ws.append
+    for buoy in buoys:
+        push_z(z)
+        push_w(w)
         w = w + dt * (buoy - c_w * w * abs(w)) / mass
         z = z + dt * w
         if z < 0.0:
             z, w = 0.0, 0.0
         elif z > depth:
             z, w = depth, 0.0
-        if not i and _same_bits((z, w, fill), heave):
-            out.extend(array("d", heave) * (m - 1))  # a fixed point: repeat it
-            break
-    return z, w, fill
+    return z, w
 
 
 def _same_bits(a: tuple, b: tuple) -> bool:

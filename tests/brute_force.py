@@ -1,13 +1,14 @@
 """Independent straight-line reimplementations of the estimation pipeline,
 the detection gate and gap split, the camera model, the segment residuals,
-the depth-reversal counter, the turn counter and the telemetry sensors.
+the depth-reversal counter, the turn counter, the telemetry sensors and
+the plant's heave channel.
 
 Deliberately naive: one detection at a time through the z gate,
 least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
 mean, one camera frame at a time, every truth channel interpolated at both
 the compared and the lagged times, and one depth or yaw-rate sample at a
-time, and one telemetry tick at a time.  Used to
+time, one telemetry tick at a time, and one heave step at a time.  Used to
 cross-check the production code sample by sample.
 """
 
@@ -16,7 +17,9 @@ import statistics
 
 import numpy as np
 
-from tanklab.link import FLAG_FILL_VALID, FLAG_IR_DEGRADED, Telemetry, encode
+from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL,
+                          PUMP_MODE_INTAKE, Telemetry, encode)
+from tanklab.vehicle import GRAVITY, WATER_DENSITY
 
 
 def bf_segment_stream(table, max_gap, outlier_z_jump):
@@ -316,3 +319,32 @@ def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):
             max(0, min(0xFFFF, round(depth * 1000))),
             tuple(max(0, min(255, round(c * 255))) for c in reading), fill_tenth, flags)))
     return frames
+
+
+def bf_heave_steps(heave, pump, dt, p, m):
+    """``m`` steps of the heave channel ``(z, w, fill)`` under a pump mode,
+    every quantity stepped in plain floats: the scalar model's per-step
+    loop, without its fixed-point probe, so every step is computed.
+    Returns the pre-step ``(z, w, fill)`` of each step, flat, and the
+    state after the last."""
+    rate = p.pump_max_rate / 60.0
+    dfill = {PUMP_MODE_INTAKE: rate * dt, PUMP_MODE_EXPEL: -(rate * dt)}.get(pump, 0.0)
+    capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
+    mass, c_w = p.mass, p.drag_heave
+    g_rho = GRAVITY * WATER_DENSITY
+
+    out = []
+    z, w, fill = heave
+    for _ in range(m):
+        out.extend((z, w, fill))
+        fill += dfill
+        fill = 0.0 if fill < 0.0 else capacity if fill > capacity else fill
+        buoy = g_rho * (fill - neutral) * 1e-6  # N, +down
+
+        w = w + dt * (buoy - c_w * w * abs(w)) / mass
+        z = z + dt * w
+        if z < 0.0:
+            z, w = 0.0, 0.0
+        elif z > depth:
+            z, w = depth, 0.0
+    return out, (z, w, fill)

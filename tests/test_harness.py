@@ -25,7 +25,7 @@ from tanklab.metrics import (
     truth_series,
 )
 from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario,
-                            score_run, telemetry_table)
+                            score_run, telemetry_table, telemetry_ticks)
 from tanklab.scenarios import (
     BUILTIN_SCENARIOS,
     MAX_STEPS,
@@ -713,6 +713,22 @@ class TestRunner:
                                                         bf_rng)
         assert rng.bit_generator.state == bf_rng.bit_generator.state
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(sim_rate=st.sampled_from([20.0, 240.0]) | st.floats(20.0, 1000.0),
+           share=st.sampled_from([1.0, 0.5, 5.0 / 240.0]) | st.floats(1e-3, 1.0),
+           duration=st.floats(1e-3, 30.0))
+    def test_telemetry_ticks_match_tick_loop(self, sim_rate, share, duration):
+        # a share of 1 is a tick at every step
+        n_steps = int(round(duration * sim_rate))
+        step_t = np.arange(n_steps) * (1.0 / sim_rate)
+        period = 1.0 / (sim_rate * share)
+        after = step_t + 1e-12
+        ticks, k, due = [], -1, 0.0
+        while (k := max(k + 1, int(np.searchsorted(after, due)))) < n_steps:
+            ticks.append(k)
+            due += period
+        assert telemetry_ticks(step_t, period).tolist() == ticks
+
     def test_telemetry_table_covers_every_branch(self):
         # fills at 0, capacity and between, under ambient light that gives
         # each quality, and depths past both ends of the depth field
@@ -971,14 +987,22 @@ class TestCli:
                          "--out", str(tmp_path / "file" / "out")]) == 3
         assert "config error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["..", ".", "", "a/b", "/abs", "../up", "a/", "nul\0"])
+    @pytest.mark.parametrize("name", ["..", ".", "", "a/b", "/abs", "../up", "a/", "nul\0",
+                                      "a\nb", "a\rb"])
     def test_name_outside_one_run_directory_exit_2(self, name, tmp_path, monkeypatch, capsys):
         # with no --out the run goes to runs/<name>: a name that is not one
-        # directory is refused before anything is written
+        # directory is refused before anything is written.  A line break
+        # would split meta.csv's scenario row over two lines: --set refuses
+        # it in any text, and validate in a scenario built in Python
         monkeypatch.chdir(tmp_path)
         assert cli.main(["run", "line", "--set", "name=" + name]) == 2
-        assert "name: must be one path component" in capsys.readouterr().err
+        rule = "text cannot hold" if "\n" in name or "\r" in name else "must be one path component"
+        assert "name: " + rule in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+        s = get_scenario("line")
+        s.name = name
+        with pytest.raises(ConfigError, match="^name: must be one path component on one line"):
+            s.validate()
 
     def test_metrics_damaged_meta_exit_3(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -232,6 +232,15 @@ def column(rows, name):
     return channel[fields.index(name) :: len(fields)]
 
 
+def near(*points):
+    """A float at one of ``points``, one ulp either side of it, or within
+    1e-9 or 1e-3 of it."""
+    def around(c):
+        return (st.sampled_from([c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)])
+                | st.floats(c - 1e-9, c + 1e-9) | st.floats(c - 1e-3, c + 1e-3))
+    return st.sampled_from(points).flatmap(around)
+
+
 def assert_n_steps_equal_n_calls(start, cmd, n, p):
     """``step(start, cmd, n=n, rows=rows)`` against ``n`` single calls and
     ``n`` ``reference_step`` calls, bit for bit, in the state it returns and
@@ -345,6 +354,21 @@ class TestStepN:
         assert bits(astuple(end)) == bits(astuple(calls[-1]))
         assert rows[0][:6].tolist() == [7.0] * 6 and rows[1][:3].tolist() == [8.0] * 3
         assert (rows[0][6:].tobytes(), rows[1][3:].tobytes()) == state_rows(calls[:-1])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(z=near(0.0, -0.0, TANK), w=st.sampled_from([0.0, -0.0]) | st.floats(-0.3, 0.3),
+           fill=near(0.0, -0.0, VehicleParams().neutral_fill, VehicleParams().syringe_capacity),
+           pump=st.sampled_from([PUMP_MODE_OFF, PUMP_MODE_INTAKE, PUMP_MODE_EXPEL]),
+           n=st.integers(1, 2000))
+    def test_heave_matches_scalar_oracle(self, z, w, fill, pump, n):
+        # the fill and buoyancy columns and the probe against a loop that
+        # steps every quantity of every step in plain floats
+        rows = array("d", [7.0] * 6), array("d", [8.0] * 3)
+        start = VehicleState(z=z, w=w, syringe_fill=fill)
+        end = step(start, ActuatorCommand(pump=pump), DT, n=n, rows=rows)
+        want_rows, want_end = bf.bf_heave_steps((z, w, fill), pump, DT, VehicleParams(), n)
+        assert rows[1].tobytes() == bits([8.0] * 3 + want_rows)
+        assert bits([end.z, end.w, end.syringe_fill]) == bits(want_end)
 
     def test_rows_optional(self):
         cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)
