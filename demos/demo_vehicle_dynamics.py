@@ -8,7 +8,6 @@ position.
 
 import math
 
-from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.vehicle import (
     ActuatorCommand,
     VehicleParams,
@@ -37,15 +36,15 @@ def main():
     # buoyancy cycle: fill the syringe, sink, expel, rise
     state = VehicleState()
     t = 0.0
-    phase = [("intake", PUMP_MODE_INTAKE, 8.0), ("off", PUMP_MODE_OFF, 12.0),
-             ("expel", PUMP_MODE_EXPEL, 15.0), ("off", PUMP_MODE_OFF, 20.0)]
+    # the pump command is a fill direction: +1 intake, -1 expel, 0 off
+    phase = [("intake", 1, 8.0), ("off", 0, 12.0), ("expel", -1, 15.0), ("off", 0, 20.0)]
     print("\nbuoyancy cycle (pump at %.0f mL/min):" % p.pump_max_rate)
     for name, pump, duration in phase:
         for _ in range(int(duration / DT)):
             state = step(state, ActuatorCommand(pump=pump), DT, p)
             t += duration and DT
         print("  t=%5.1f s  pump=%-6s  fill=%5.2f mL  depth=%.3f m"
-              % (t, name, state.syringe_fill, state.z))
+              % (t, name, state.fill, state.z))
 
     # IR plunger feedback, one row per fill
     print("\nIR plunger estimate (ambient 0.05):")

@@ -15,7 +15,7 @@ from .tracking import (
     PipelineConfig,
     run_pipeline_detailed,
     segment_stream,
-    state_series,
+    series,
 )
 from .vehicle import ActuatorCommand, VehicleParams, VehicleState
 
@@ -42,7 +42,7 @@ __all__ = [
     "runner",
     "scenarios",
     "segment_stream",
-    "state_series",
+    "series",
     "tracking",
     "vehicle",
     "world_rotation",

@@ -46,15 +46,6 @@ TRUTH_DTYPE = np.dtype(
 )
 
 
-def truth_series(table) -> np.recarray:
-    """Ground truth on the simulation grid: an ``(n, 10)`` table, columns in
-    ``TRUTH_DTYPE`` order, viewed (not copied) as a record array read by
-    column (``truth.u``).  The syringe fill is ``truth["fill"]``, since
-    ``truth.fill`` is ``ndarray.fill``."""
-    table = np.ascontiguousarray(table, dtype=float)
-    return table.view(TRUTH_DTYPE).reshape(-1).view(np.recarray)
-
-
 def residuals(
     truth: np.recarray,
     estimates: np.recarray,

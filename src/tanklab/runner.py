@@ -12,6 +12,7 @@ table, and the detection stream is run through the tracking pipeline.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from array import array
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 from . import link, metrics as metrics_mod, tracking, vehicle as vehicle_mod
 from .camera import frame_clock, observe
 from .link import (
-    PUMP_MODE_OFF,
+    PUMP_MODE_EXPEL,
+    PUMP_MODE_INTAKE,
     Channel,
     Pump,
     SetMotors,
@@ -35,11 +37,10 @@ from .metrics import (
     count_sign_changes,
     path_length,
     residuals,
-    truth_series,
 )
-from .scenarios import Scenario
-from .tracking import (STATE_DTYPE, Detections, fmt, read_table, rows_table, write_rows,
-                       write_table)
+from .scenarios import _DOMAINS, Scenario, _in_domain
+from .tracking import (ROTATION_HEADER, STATE_DTYPE, Detections, fmt, read_table, rows_table,
+                       series, write_rows, write_table)
 from .vehicle import (
     HEAVE_FIELDS,
     PLANAR_FIELDS,
@@ -57,8 +58,7 @@ R_HYSTERESIS = 0.05  # rad/s, for zig-zag turn counting
 # so that some lie past both smoothing edges: index, first and last estimate
 # time, then the origin and row-major rotation that map truth into the
 # segment's frame (``metrics.residuals``).
-ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz",
-                    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]
+ALIGNMENT_HEADER = ["segment", "t_start", "t_end", "ox", "oy", "oz", *ROTATION_HEADER]
 # One row per telemetry frame received: arrival time, then the message fields.
 TELEMETRY_HEADER = ["t", *(name for name, _, _ in link._WIRE[link.Telemetry][2])]
 
@@ -103,15 +103,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
     params = s.vehicle
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
-                         syringe_fill=params.neutral_fill)
+                         fill=params.neutral_fill)
 
     script = s.command_script  # validate() has checked the order
     script_idx = 0
 
     started = False
-    motor_left = 0.0
-    motor_right = 0.0
-    pump_mode = PUMP_MODE_OFF
+    cmd = ActuatorCommand()  # what the plant is doing, from the commands applied
     pump_until = -1.0
 
     command_log: list[CommandLogEntry] = []
@@ -141,35 +139,33 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             if isinstance(msg, StartSequence):
                 started = True
             elif isinstance(msg, SetMotors):
-                motor_left = msg.left / 100.0
-                motor_right = msg.right / 100.0
-            elif isinstance(msg, Pump):
-                pump_mode = msg.mode
+                cmd = ActuatorCommand(msg.left / 100.0, msg.right / 100.0, cmd.pump)
+            elif isinstance(msg, Pump):  # the wire's pump mode as a fill direction
+                pump = {PUMP_MODE_INTAKE: 1, PUMP_MODE_EXPEL: -1}.get(msg.mode, 0)
+                cmd = ActuatorCommand(cmd.motor_left, cmd.motor_right, pump)
                 pump_until = t + msg.duration_ms / 1000.0
 
-        if pump_mode != PUMP_MODE_OFF and t >= pump_until:
-            pump_mode = PUMP_MODE_OFF
+        if cmd.pump and t >= pump_until:
+            cmd = ActuatorCommand(cmd.motor_left, cmd.motor_right)
 
         # The command holds until the next event step: the first k whose t_k
         # passes one of the three tests above, each of the form x <= t_k.
-        upcoming = [pump_until] if pump_mode != PUMP_MODE_OFF else []
+        upcoming = [pump_until] if cmd.pump else []
         if script_idx < len(script):
             upcoming.append(script[script_idx][0])
         if (due := downlink.next_due()) is not None:
             upcoming.append(due)
         nxt = min(int(np.searchsorted(step_t, min(upcoming))), n_steps) if upcoming else n_steps
-        cmd = ActuatorCommand(motor_left, motor_right, pump_mode)
         state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, rows=rows)
         k = nxt
 
     table = np.empty((n_steps + 1, len(TRUTH_DTYPE)))
     table[:, 0] = step_t
-    table[-1, 1:] = (state.x, state.y, state.z, state.psi, state.u, state.v,
-                     state.w, state.r, state.syringe_fill)
+    table[-1, 1:] = [getattr(state, name) for name in TRUTH_DTYPE.names[1:]]
     for fields, channel in zip((PLANAR_FIELDS, HEAVE_FIELDS), rows):
         columns = [TRUTH_DTYPE.names.index(name) for name in fields]
         table[:-1, columns] = np.frombuffer(channel).reshape(-1, len(fields))
-    truth = truth_series(table)
+    truth = series(table, TRUTH_DTYPE)
     del rows  # a copy of truth: free it before the camera, pipeline and writers run
     step_t = step_t[:-1]
 
@@ -384,25 +380,49 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:
-    """Re-score a run directory: ``score_run`` on the tables it holds."""
+    """Re-score a run directory: ``score_run`` on the tables it holds, once
+    each ``meta.csv`` key it reads is there once with a value a run writes,
+    truth has rows, and the times of truth and estimates increase."""
     def path(name):
         return os.path.join(run_dir, name)
 
+    def refuse(name, what, *args):
+        return tracking.TrackingError("%s: %s" % (path(name), what % args))
+
     with open(path("meta.csv"), newline="") as fh:
         rows = list(csv.reader(fh)) or [[]]
+    meta = {}  # key -> (line, value), the header's too
     for line, row in enumerate(rows, 1):
         if len(row) != 2 or line == 1 and row != ["key", "value"]:
-            raise tracking.TrackingError("%s: line %d is %r, not %s" % (
-                path("meta.csv"), line, ",".join(row), "key,value" if line == 1 else "two cells"))
-    meta = dict(rows[1:])
-    settings = []
-    for kind, key in ((int, "smoothing_window"), (float, "output_rate"),
-                      (int, "n_detections"), (int, "n_frames")):
+            raise refuse("meta.csv", "line %d is %r, not %s", line, ",".join(row),
+                         "key,value" if line == 1 else "two cells")
+        if row[0] in meta:
+            raise refuse("meta.csv", "line %d repeats %r of line %d", line, row[0], meta[row[0]][0])
+        meta[row[0]] = line, row[1]
+    domains = {key: domain for domain, keys in _DOMAINS.items() for key in keys}
+    settings = {}  # score_run's keyword arguments
+    for key, kind in (("smoothing_window", int), ("output_rate", float),
+                      ("n_frames", int), ("n_detections", int)):
+        if key not in meta:
+            raise refuse("meta.csv", "%r is missing", key)
+        line, text = meta[key]
+        # the counts have no setting: whole numbers, no more detections than frames
+        domain = domains.get("pipeline." + key) or "an int in [0, %s" % (
+            "%d]" % settings["n_frames"] if "n_frames" in settings else "inf)")
         try:
-            settings.append(kind(meta[key]))
-        except (KeyError, ValueError):
-            found = "missing" if key not in meta else "%r, not %s" % (meta[key], kind.__name__)
-            raise tracking.TrackingError("%s: %r is %s" % (path("meta.csv"), key, found)) from None
-    return score_run(truth_series(read_table(path("truth.csv"), TRUTH_DTYPE.names)),
-                     tracking.read_states_csv(path("estimates.csv")),
-                     read_table(path("alignments.csv"), ALIGNMENT_HEADER), *settings)
+            settings[key] = kind(text)
+        except ValueError:
+            settings[key] = math.nan
+        if not _in_domain(domain, settings[key]):
+            raise refuse("meta.csv", "%r is %r on line %d, not %s", key, text, line, domain)
+
+    truth = series(read_table(path("truth.csv"), TRUTH_DTYPE.names), TRUTH_DTYPE)
+    estimates = tracking.read_states_csv(path("estimates.csv"))
+    if not len(truth):
+        raise refuse("truth.csv", "no rows")
+    for name, t in (("truth.csv", truth.t), ("estimates.csv", estimates.timestamp)):
+        if (stuck := np.flatnonzero(np.diff(t) <= 0)).size:  # np.interp needs increasing times
+            i = stuck[0] + 1
+            raise refuse(name, "line %d: time %s does not increase", i + 2, fmt(t[i]))
+    return score_run(truth, estimates, read_table(path("alignments.csv"), ALIGNMENT_HEADER),
+                     **settings)

@@ -27,10 +27,8 @@ class SegmentTooShort(TrackingError):
     pass
 
 
-DETECTION_CSV_HEADER = [
-    "t", "tag_id", "tx", "ty", "tz",
-    "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
-]
+ROTATION_HEADER = ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33"]  # row-major
+DETECTION_CSV_HEADER = ["t", "tag_id", "tx", "ty", "tz", *ROTATION_HEADER]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +82,13 @@ STATE_DTYPE = np.dtype(
 )
 
 
-def state_series(timestamp, x, y, psi, u, v, r) -> np.recarray:
-    """A state series: equal-length columns joined into a record array of
-    ``STATE_DTYPE``, read by column (``states.u``) or by row (``states[i].u``)."""
-    return np.rec.fromarrays([timestamp, x, y, psi, u, v, r], dtype=STATE_DTYPE)
+def series(table, dtype: np.dtype) -> np.recarray:
+    """An ``(n, len(dtype))`` float table viewed, not copied, as a record
+    array of ``dtype`` (``STATE_DTYPE``, ``metrics.TRUTH_DTYPE``), read by
+    column (``states.u``) or row (``states[i].u``).  Truth's fill is
+    ``truth["fill"]``: ``truth.fill`` is ``ndarray.fill``."""
+    table = np.ascontiguousarray(table, dtype=float)
+    return table.view(dtype).reshape(-1).view(np.recarray)
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
@@ -217,7 +218,7 @@ def run_pipeline_detailed(
                                    window)
 
     u, v, _ = frames.body_velocities(xdot, ydot, psi)
-    states = state_series(grid, x, y, frames.wrap_angle(psi), u, v, r)
+    states = series(np.column_stack([grid, x, y, frames.wrap_angle(psi), u, v, r]), STATE_DTYPE)
     return states, r_oc
 
 
@@ -272,9 +273,9 @@ def write_table(path, header, table) -> None:
 def read_table(path, header) -> np.ndarray:
     """Read a ``write_table`` file back as an ``(n, len(header))`` float array.
 
-    Raises ``TrackingError`` when the header differs or a cell is not
-    finite (``np.loadtxt`` parses ``nan`` and ``inf``).  A header-only file
-    gives ``n == 0``.
+    Raises ``TrackingError`` naming the path when the header differs, a
+    row's width differs, or a cell is not a finite number (``np.loadtxt``
+    parses ``nan`` and ``inf``).  A header-only file gives ``n == 0``.
     """
     with open(path, newline="") as fh:
         found = fh.readline().rstrip("\r\n").split(",")
@@ -282,7 +283,10 @@ def read_table(path, header) -> np.ndarray:
             raise TrackingError("%s: unexpected header %r" % (path, found))
         if not fh.read(1):
             return np.empty((0, len(header)))
-    table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    except ValueError as exc:  # a cell that is not a number, a ragged row
+        raise TrackingError("%s: %s" % (path, exc)) from None
     if table.shape[1] != len(header):
         raise TrackingError("%s: %d columns under a %d-column header"
                             % (path, table.shape[1], len(header)))
@@ -304,4 +308,4 @@ def write_states_csv(path, states: np.recarray) -> None:
 
 
 def read_states_csv(path) -> np.recarray:
-    return state_series(*read_table(path, STATE_CSV_HEADER).T)
+    return series(read_table(path, STATE_CSV_HEADER), STATE_DTYPE)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
-
 GRAVITY = 9.80665          # m/s^2
 WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
@@ -91,7 +89,7 @@ class VehicleState:
     v: float = 0.0
     w: float = 0.0
     r: float = 0.0
-    syringe_fill: float = 12.5           # mL
+    fill: float = 12.5                   # mL, syringe
     motor_thrust_left: float = 0.0       # N, lag state
     motor_thrust_right: float = 0.0
 
@@ -100,23 +98,11 @@ class VehicleState:
 class ActuatorCommand:
     motor_left: float = 0.0              # normalized [-1, 1]
     motor_right: float = 0.0
-    pump: int = PUMP_MODE_OFF            # link.PUMP_MODE_*
+    pump: int = 0                        # fill direction: +1 intake, -1 expel, 0 off
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
-
-
-def _pump_delta(pump_cmd: int, dt: float, params: VehicleParams) -> float:
-    """Fill change (mL) over one step under a ``link.PUMP_MODE_*`` code."""
-    rate = params.pump_max_rate / 60.0   # mL/s
-    if pump_cmd == PUMP_MODE_INTAKE:
-        return rate * dt
-    if pump_cmd == PUMP_MODE_EXPEL:
-        return -(rate * dt)
-    if pump_cmd != PUMP_MODE_OFF:
-        raise VehicleError("unknown pump command %r" % pump_cmd)
-    return 0.0
 
 
 def step(
@@ -148,20 +134,16 @@ def step(
     p = params or VehicleParams()
     if not (0.0 < dt <= MAX_DT):
         raise VehicleError("dt must be in (0, %g], got %r" % (MAX_DT, dt))
-    dfill = _pump_delta(cmd.pump, dt, p)
+    if cmd.pump not in (-1, 0, 1):
+        raise VehicleError("unknown pump command %r" % cmd.pump)
+    dfill = cmd.pump * (p.pump_max_rate / 60.0) * dt  # mL per step
     planar_rows, heave_rows = rows if rows is not None else (array("d"), array("d"))
 
     x, y, psi, u, v, r, tl, tr = _planar_steps(
         (state.x, state.y, state.psi, state.u, state.v, state.r,
          state.motor_thrust_left, state.motor_thrust_right), cmd, dt, p, n, planar_rows)
-    z, w, fill = _heave_steps((state.z, state.w, state.syringe_fill), dfill, dt, p, n, heave_rows)
-    return VehicleState(
-        x=x, y=y, z=z, psi=psi,
-        u=u, v=v, w=w, r=r,
-        syringe_fill=fill,
-        motor_thrust_left=tl,
-        motor_thrust_right=tr,
-    )
+    z, w, fill = _heave_steps((state.z, state.w, state.fill), dfill, dt, p, n, heave_rows)
+    return VehicleState(x, y, z, psi, u, v, w, r, fill, tl, tr)
 
 
 def _planar_steps(planar, cmd, dt, p, m, out):

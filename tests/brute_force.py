@@ -17,8 +17,7 @@ import statistics
 
 import numpy as np
 
-from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL,
-                          PUMP_MODE_INTAKE, Telemetry, encode)
+from tanklab.link import FLAG_FILL_VALID, FLAG_IR_DEGRADED, Telemetry, encode
 from tanklab.vehicle import GRAVITY, WATER_DENSITY
 
 
@@ -322,13 +321,13 @@ def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):
 
 
 def bf_heave_steps(heave, pump, dt, p, m):
-    """``m`` steps of the heave channel ``(z, w, fill)`` under a pump mode,
+    """``m`` steps of the heave channel ``(z, w, fill)`` under a fill direction,
     every quantity stepped in plain floats: the scalar model's per-step
     loop, without its fixed-point probe, so every step is computed.
     Returns the pre-step ``(z, w, fill)`` of each step, flat, and the
     state after the last."""
     rate = p.pump_max_rate / 60.0
-    dfill = {PUMP_MODE_INTAKE: rate * dt, PUMP_MODE_EXPEL: -(rate * dt)}.get(pump, 0.0)
+    dfill = {1: rate * dt, -1: -(rate * dt)}.get(pump, 0.0)
     capacity, neutral, depth = p.syringe_capacity, p.neutral_fill, p.tank_depth
     mass, c_w = p.mass, p.drag_heave
     g_rho = GRAVITY * WATER_DENSITY

@@ -189,9 +189,9 @@ def test_line_rmse_u_across_seeds(seed):
 def test_buoyancy():
     params = vehicle.VehicleParams()
     dt = 1.0 / 240.0
-    state, steps = vehicle.VehicleState(syringe_fill=0.0), 0
-    intake = vehicle.ActuatorCommand(pump=link.PUMP_MODE_INTAKE)
-    while state.syringe_fill < params.syringe_capacity:
+    state, steps = vehicle.VehicleState(fill=0.0), 0
+    intake = vehicle.ActuatorCommand(pump=1)  # fill direction: intake
+    while state.fill < params.syringe_capacity:
         state = vehicle.step(state, intake, dt, params)
         steps += 1
     fill_time_ok = abs(steps * dt - 15.0) <= dt + 1e-12

@@ -11,8 +11,7 @@ from conftest import TOOLS
 from tanklab import cli
 from tanklab.frames import rot_x, rot_z
 from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL, PUMP_MODE_INTAKE,
-                          PUMP_MODE_OFF, Channel, Pump, SetMotors, StartSequence, Telemetry,
-                          decode, encode)
+                          Channel, Pump, SetMotors, StartSequence, Telemetry, decode, encode)
 from tanklab.metrics import (
     TRUTH_DTYPE,
     MetricsError,
@@ -22,7 +21,6 @@ from tanklab.metrics import (
     count_sign_changes,
     path_length,
     residuals,
-    truth_series,
 )
 from tanklab.runner import (ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario,
                             score_run, telemetry_table, telemetry_ticks)
@@ -35,7 +33,7 @@ from tanklab.scenarios import (
     get_scenario,
     parse_command,
 )
-from tanklab.tracking import read_states_csv, read_table, state_series
+from tanklab.tracking import STATE_DTYPE, read_states_csv, read_table, series
 from tanklab.vehicle import ActuatorCommand, VehicleState, step
 
 
@@ -77,9 +75,9 @@ def flat_truth(duration=10.0, rate=240.0, **channels):
     def get(name, default=0.0):
         val = channels.get(name, default)
         return val if isinstance(val, np.ndarray) else np.full_like(t, val)
-    return truth_series(np.column_stack([
+    return series(np.column_stack([
         t, get("x"), get("y"), get("z"), get("psi"),
-        get("u"), get("v"), get("w"), get("r"), get("fill", 12.5)]))
+        get("u"), get("v"), get("w"), get("r"), get("fill", 12.5)]), TRUTH_DTYPE)
 
 
 class TestAlignment:
@@ -128,8 +126,9 @@ class TestAlignment:
 
 def constant_states(times, **channels):
     """A state series on ``times``; each channel a constant or an array."""
-    return state_series(times, *(np.broadcast_to(channels.get(name, 0.0), times.shape)
-                                 for name in ("x", "y", "psi", "u", "v", "r")))
+    return series(np.column_stack([times, *(np.broadcast_to(channels.get(name, 0.0), times.shape)
+                                            for name in ("x", "y", "psi", "u", "v", "r"))]),
+                  STATE_DTYPE)
 
 
 def random_rotation(gen, reflect):
@@ -153,7 +152,8 @@ def random_truth(gen, duration=10.0, rate=240.0):
 
 def random_states(gen, t0, n, rate=30.0):
     times = t0 + np.arange(n) / rate
-    return state_series(times, *(gen.normal(0, scale, n) for scale in (1, 1, 4, 0.3, 0.3, 1)))
+    return series(np.column_stack([times, *(gen.normal(0, scale, n)
+                                            for scale in (1, 1, 4, 0.3, 0.3, 1))]), STATE_DTYPE)
 
 
 class TestResidualsOracle:
@@ -548,19 +548,19 @@ def per_step_loop(s):
                                      for i in (0, 3, 4))
     downlink, uplink = Channel(s.channel, rng_down), Channel(s.channel, rng_up)
     state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
-                         syringe_fill=s.vehicle.neutral_fill)
+                         fill=s.vehicle.neutral_fill)
     script = list(s.command_script)
-    started, left, right, pump, pump_until = False, 0.0, 0.0, PUMP_MODE_OFF, -1.0
+    started, left, right, pump, pump_until = False, 0.0, 0.0, 0, -1.0  # pump: fill direction
     due = 0.0
     log, rows, telemetry = [], [], []
     for k in range(n_steps + 1):
         t = k * dt
         rows.append((t, state.x, state.y, state.z, state.psi, state.u, state.v,
-                     state.w, state.r, state.syringe_fill))
+                     state.w, state.r, state.fill))
         if k == n_steps:
             break
         if t + 1e-12 >= due:  # at most one telemetry tick per step
-            frame, = bf.bf_telemetry([state.syringe_fill], [state.z], s.ambient_ir,
+            frame, = bf.bf_telemetry([state.fill], [state.z], s.ambient_ir,
                                      s.depth_noise_sigma, s.vehicle, rng_vehicle)
             uplink.send(frame, t, state.z)
             due += 1.0 / s.telemetry_rate
@@ -581,9 +581,10 @@ def per_step_loop(s):
             elif isinstance(msg, SetMotors):
                 left, right = msg.left / 100.0, msg.right / 100.0
             elif isinstance(msg, Pump):
-                pump, pump_until = msg.mode, t + msg.duration_ms / 1000.0
-        if pump != PUMP_MODE_OFF and t >= pump_until:
-            pump = PUMP_MODE_OFF
+                pump = {PUMP_MODE_INTAKE: 1, PUMP_MODE_EXPEL: -1}.get(msg.mode, 0)
+                pump_until = t + msg.duration_ms / 1000.0
+        if pump and t >= pump_until:
+            pump = 0
         state = step(state, ActuatorCommand(left, right, pump), dt, s.vehicle, n=1)
     return (np.array(rows), [tuple(entry) for entry in log],
             np.array(telemetry, dtype=float).reshape(-1, len(TELEMETRY_HEADER)))
@@ -842,7 +843,7 @@ def test_tree_alignment_rows_are_scored(tree_dir):
     for run_dir in sorted(tree_dir.iterdir()):
         with open(run_dir / "meta.csv", newline="") as fh:
             meta = dict(list(csv.reader(fh))[1:])
-        truth = truth_series(read_table(run_dir / "truth.csv", TRUTH_DTYPE.names))
+        truth = series(read_table(run_dir / "truth.csv", TRUTH_DTYPE.names), TRUTH_DTYPE)
         estimates = read_states_csv(run_dir / "estimates.csv")
         alignments = read_table(run_dir / "alignments.csv", ALIGNMENT_HEADER)
         ends = np.searchsorted(estimates.timestamp, alignments[:, 2], side="right")

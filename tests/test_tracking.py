@@ -9,12 +9,13 @@ import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab.frames import (GeometryError, PlaneCoefficients, extract_yaw, rot_x, rot_y, rot_z,
                             world_rotation)
-from tanklab.metrics import TRUTH_DTYPE, residuals, truth_series
+from tanklab.metrics import TRUTH_DTYPE, residuals
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
 from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
+    STATE_DTYPE,
     TABLE_CHUNK,
     Detections,
     PipelineConfig,
@@ -27,6 +28,7 @@ from tanklab.tracking import (
     resample_uniform,
     run_pipeline_detailed,
     segment_stream,
+    series,
     write_detections_csv,
     write_states_csv,
     write_table,
@@ -38,6 +40,16 @@ def line_run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("line")
     run_scenario(get_scenario("line"), out_dir=str(out))
     return out
+
+
+@pytest.fixture
+def line_run_copy(line_run_dir, tmp_path):
+    """A copy of ``line_run_dir``'s CSVs that a test may damage."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for src in line_run_dir.glob("*.csv"):
+        (run / src.name).write_bytes(src.read_bytes())
+    return run
 
 
 class TestUnwrap:
@@ -399,7 +411,7 @@ class TestPipeline:
         states, _ = run_pipeline_detailed(level_detections(times, times * 0.3), cfg)
         assert len(states) == 2 * window + 1
         t = np.arange(481) / 240
-        truth = truth_series(np.column_stack([t, 0.3 * t, *np.zeros((8, t.size))]))
+        truth = series(np.column_stack([t, 0.3 * t, *np.zeros((8, t.size))]), TRUTH_DTYPE)
         res = residuals(truth, states, np.eye(3), np.zeros(3), window, rate)
         assert res["t"].tolist() == [states.timestamp[window]]
 
@@ -535,13 +547,10 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("name", ["detections.csv", "truth.csv"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_cell(self, line_run_dir, tmp_path, name, cell):
+    def test_non_finite_cell(self, line_run_copy, name, cell):
         # an edited table with one non-finite cell is refused, naming the
         # file, instead of switching the z gate off or scoring NaN
-        run = tmp_path / "run"
-        run.mkdir()
-        for src in line_run_dir.glob("*.csv"):
-            (run / src.name).write_bytes(src.read_bytes())
+        run = line_run_copy
         lines = (run / name).read_text().splitlines(keepends=True)
         cells = lines[5].split(",")
         cells[4] = cell
@@ -554,13 +563,10 @@ class TestCsvRoundTrip:
                 recompute_metrics(str(run))
 
     @pytest.mark.parametrize("damage", ["key missing", "header only", "not a number"])
-    def test_damaged_meta(self, line_run_dir, tmp_path, damage):
+    def test_damaged_meta(self, line_run_copy, damage):
         # a meta.csv value that is missing or does not parse is refused,
         # naming the file and the key, as a bad table names its file
-        run = tmp_path / "run"
-        run.mkdir()
-        for src in line_run_dir.glob("*.csv"):
-            (run / src.name).write_bytes(src.read_bytes())
+        run = line_run_copy
         lines = (run / "meta.csv").read_text().splitlines(keepends=True)
         assert "smoothing_window,12\n" in lines
         damaged = {
@@ -579,13 +585,10 @@ class TestCsvRoundTrip:
         (1, "name,value", "'name,value', not key,value"),
         (1, None, "'', not key,value"),
     ], ids=["1-cell row", "3-cell row", "wrong header", "empty file"])
-    def test_malformed_meta_row(self, line_run_dir, tmp_path, line, row, text):
+    def test_malformed_meta_row(self, line_run_copy, line, row, text):
         # a meta.csv row of other than two cells, or a header other than
         # key,value, is refused naming the file and the line
-        run = tmp_path / "run"
-        run.mkdir()
-        for src in line_run_dir.glob("*.csv"):
-            (run / src.name).write_bytes(src.read_bytes())
+        run = line_run_copy
         lines = (run / "meta.csv").read_text().splitlines(keepends=True)
         assert lines[:3] == ["key,value\n", "scenario,line\n", "seed,11\n"]
         assert lines[7].startswith("output_rate,")
@@ -593,6 +596,66 @@ class TestCsvRoundTrip:
         (run / "meta.csv").write_text("".join(damaged))
         message = "%s: line %d is %s" % (run / "meta.csv", line, text)
         with pytest.raises(TrackingError, match="^%s$" % re.escape(message)):
+            recompute_metrics(str(run))
+
+    @pytest.mark.parametrize("row,message", [
+        ("output_rate,0", "'output_rate' is '0' on line 8, not in (0, inf)"),
+        ("output_rate,nan", "'output_rate' is 'nan' on line 8, not in (0, inf)"),
+        ("output_rate,inf", "'output_rate' is 'inf' on line 8, not in (0, inf)"),
+        ("smoothing_window,0", "'smoothing_window' is '0' on line 7, not an int in [1, inf)"),
+        ("smoothing_window,-3", "'smoothing_window' is '-3' on line 7, not an int in [1, inf)"),
+        ("n_frames,-1", "'n_frames' is '-1' on line 5, not an int in [0, inf)"),
+        ("n_frames,0", "'n_detections' is '{n_detections}' on line 6, not an int in [0, 0]"),
+        ("n_detections,-245",
+         "'n_detections' is '-245' on line 6, not an int in [0, {n_frames}]"),
+        ("n_detections,2.5", "'n_detections' is '2.5' on line 6, not an int in [0, {n_frames}]"),
+        (None, "line 10 repeats 'smoothing_window' of line 7"),
+    ], ids=["rate 0", "rate nan", "rate inf", "window 0", "window -3", "frames -1",
+            "more detections than frames", "detections -245", "detections 2.5", "repeated key"])
+    def test_meta_value_out_of_domain(self, line_run_copy, row, message):
+        # a meta.csv value that parses but no run writes is refused, naming the
+        # file, the key and the line: the window and the rate through their
+        # settings' domains, the counts as whole numbers, no more detections
+        # than frames; a second row of a key is refused, not read over the first
+        run = line_run_copy
+        lines = (run / "meta.csv").read_text().splitlines(keepends=True)
+        meta = dict(line.rstrip("\n").split(",") for line in lines)
+        if row is None:
+            lines.append("smoothing_window,5\n")
+        else:
+            key = row.split(",")[0]
+            lines = [row + "\n" if line.startswith(key + ",") else line for line in lines]
+        (run / "meta.csv").write_text("".join(lines))
+        expected = "%s: %s" % (run / "meta.csv", message.format(**meta))
+        with pytest.raises(TrackingError, match="^%s$" % re.escape(expected)):
+            recompute_metrics(str(run))
+
+    @pytest.mark.parametrize("name,damage,message", [
+        ("truth.csv", "not a number", "could not convert string 'abc' to float64"),
+        ("truth.csv", "ragged row", "the number of columns changed from 10 to 11"),
+        ("truth.csv", "header only", "no rows"),
+        ("truth.csv", "swapped rows", "line 5: time"),
+        ("estimates.csv", "duplicated row", "line 5: time"),
+        ("estimates.csv", "swapped rows", "line 5: time"),
+    ])
+    def test_damaged_table_names_its_file(self, line_run_copy, name, damage, message):
+        # a table that does not parse, or whose times np.interp cannot use,
+        # is refused naming its path, not scored or failed on a bare message
+        run = line_run_copy
+        lines = (run / name).read_text().splitlines(keepends=True)
+        assert len(lines) > 5
+        if damage == "not a number":
+            lines[4] = "abc" + lines[4][lines[4].index(","):]
+        elif damage == "ragged row":
+            lines[4] = lines[4].rstrip("\n") + ",1\n"
+        elif damage == "header only":
+            lines = lines[:1]
+        elif damage == "duplicated row":
+            lines.insert(4, lines[3])
+        else:
+            lines[3], lines[4] = lines[4], lines[3]
+        (run / name).write_text("".join(lines))
+        with pytest.raises(TrackingError, match="^%s" % re.escape("%s: %s" % (run / name, message))):
             recompute_metrics(str(run))
 
 
@@ -661,3 +724,13 @@ def test_config_validation():
         with pytest.raises(ConfigError) as exc:
             get_scenario("line", [setting]).validate()
         assert exc.value.field_name == setting.split("=")[0]
+
+
+def test_series_views_its_table():
+    # a record series is its float table read by field, not a copy of it
+    table = np.arange(21.0).reshape(3, 7)
+    states = series(table, STATE_DTYPE)
+    assert np.shares_memory(states, table)
+    np.testing.assert_array_equal(states.u, table[:, 4])
+    assert states[1].timestamp == 7.0
+    assert len(series(np.empty((0, 7)), STATE_DTYPE)) == 0

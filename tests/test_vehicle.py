@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import brute_force as bf
 from tanklab import vehicle
-from tanklab.link import PUMP_MODE_EXPEL, PUMP_MODE_INTAKE, PUMP_MODE_OFF
 from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.vehicle import (
     GRAVITY,
@@ -29,6 +28,7 @@ from tanklab.vehicle import (
 )
 
 DT = 1.0 / 240.0
+INTAKE, EXPEL, OFF = 1, -1, 0  # ActuatorCommand.pump's fill directions
 
 
 def run_steps(state, cmd, n, dt=DT, params=None):
@@ -54,29 +54,30 @@ class TestPump:
 
     def test_rate(self):
         # 100 mL/min -> exactly 1/12 mL per 0.05 s
-        s = step(VehicleState(syringe_fill=12.5), ActuatorCommand(pump=PUMP_MODE_INTAKE), 0.05)
-        assert s.syringe_fill == pytest.approx(12.5 + 100.0 / 1200.0, abs=1e-12)
+        s = step(VehicleState(fill=12.5), ActuatorCommand(pump=INTAKE), 0.05)
+        assert s.fill == pytest.approx(12.5 + 100.0 / 1200.0, abs=1e-12)
 
     def test_full_stroke_duration(self):
         # 0 -> 25 mL at 100 mL/min takes exactly 15 s
         p = VehicleParams()
-        s, t = VehicleState(syringe_fill=0.0), 0.0
-        while s.syringe_fill < p.syringe_capacity:
-            s = step(s, ActuatorCommand(pump=PUMP_MODE_INTAKE), DT, p)
+        s, t = VehicleState(fill=0.0), 0.0
+        while s.fill < p.syringe_capacity:
+            s = step(s, ActuatorCommand(pump=INTAKE), DT, p)
             t += DT
         assert t == pytest.approx(15.0, abs=2 * DT)
 
     def test_saturation(self):
-        intake, expel = ActuatorCommand(pump=PUMP_MODE_INTAKE), ActuatorCommand(pump=PUMP_MODE_EXPEL)
-        assert step(VehicleState(syringe_fill=24.999), intake, 0.05).syringe_fill == 25.0
-        assert step(VehicleState(syringe_fill=0.001), expel, 0.05).syringe_fill == 0.0
+        intake, expel = ActuatorCommand(pump=INTAKE), ActuatorCommand(pump=EXPEL)
+        assert step(VehicleState(fill=24.999), intake, 0.05).fill == 25.0
+        assert step(VehicleState(fill=0.001), expel, 0.05).fill == 0.0
 
     def test_off_is_identity(self):
-        assert step(VehicleState(syringe_fill=7.0), ActuatorCommand(), 0.05).syringe_fill == 7.0
+        assert step(VehicleState(fill=7.0), ActuatorCommand(), 0.05).fill == 7.0
 
     def test_unknown_command(self):
-        with pytest.raises(VehicleError):
-            step(VehicleState(), ActuatorCommand(pump=3), DT)  # not a PUMP_MODE_* code
+        for pump in (2, 3):  # 2 is the wire's expel code, not a direction
+            with pytest.raises(VehicleError):
+                step(VehicleState(), ActuatorCommand(pump=pump), DT)
 
 
 class TestStep:
@@ -133,12 +134,12 @@ class TestStep:
         assert s.w == 0.0
 
     def test_full_syringe_sinks(self):
-        s0 = VehicleState(syringe_fill=25.0)
+        s0 = VehicleState(fill=25.0)
         s = run_steps(s0, ActuatorCommand(), 240 * 2)
         assert s.z > 0.01 and s.w > 0.0
 
     def test_empty_syringe_rises(self):
-        s0 = VehicleState(z=1.0, syringe_fill=0.0)
+        s0 = VehicleState(z=1.0, fill=0.0)
         s = run_steps(s0, ActuatorCommand(), 240 * 2)
         assert s.z < 1.0 and s.w < 0.0
 
@@ -146,17 +147,17 @@ class TestStep:
         # 12.5 mL of excess water: F = g * rho * 12.5e-6 ~ 0.1226 N
         f = GRAVITY * WATER_DENSITY * 12.5e-6
         assert f == pytest.approx(0.12258, abs=1e-4)
-        s = step(VehicleState(syringe_fill=25.0), ActuatorCommand(), DT)
+        s = step(VehicleState(fill=25.0), ActuatorCommand(), DT)
         assert s.w == pytest.approx(DT * f / VehicleParams().mass, rel=1e-9)
 
     def test_surface_clamp(self):
-        s0 = VehicleState(z=0.001, w=-0.5, syringe_fill=0.0)
+        s0 = VehicleState(z=0.001, w=-0.5, fill=0.0)
         s = step(s0, ActuatorCommand(), DT)
         assert s.z == 0.0 and s.w == 0.0
 
     def test_bottom_clamp(self):
         p = VehicleParams()
-        s0 = VehicleState(z=p.tank_depth - 0.001, w=0.5, syringe_fill=25.0)
+        s0 = VehicleState(z=p.tank_depth - 0.001, w=0.5, fill=25.0)
         s = step(s0, ActuatorCommand(), DT, p)
         assert s.z == p.tank_depth and s.w == 0.0
 
@@ -193,8 +194,8 @@ def reference_step(state, cmd, dt, p):
     tl = state.motor_thrust_left + k * (target_l - state.motor_thrust_left)
     tr = state.motor_thrust_right + k * (target_r - state.motor_thrust_right)
     rate = p.pump_max_rate / 60.0
-    dfill = {PUMP_MODE_OFF: 0.0, PUMP_MODE_INTAKE: rate * dt, PUMP_MODE_EXPEL: -(rate * dt)}
-    fill = clamp(state.syringe_fill + dfill[cmd.pump], 0.0, p.syringe_capacity)
+    dfill = {OFF: 0.0, INTAKE: rate * dt, EXPEL: -(rate * dt)}
+    fill = clamp(state.fill + dfill[cmd.pump], 0.0, p.syringe_capacity)
     buoy = GRAVITY * WATER_DENSITY * (fill - p.neutral_fill) * 1e-6
     u = state.u + dt * (tl + tr - p.drag_surge * state.u * abs(state.u)) / p.mass
     v = state.v + dt * (-p.drag_sway * state.v * abs(state.v)) / p.mass
@@ -219,10 +220,7 @@ def bits(values):
 
 def state_rows(states):
     """The bytes of the ``(planar, heave)`` rows of these states."""
-    def value(s, name):
-        return s.syringe_fill if name == "fill" else getattr(s, name)
-
-    return tuple(bits([value(s, name) for s in states for name in fields])
+    return tuple(bits([getattr(s, name) for s in states for name in fields])
                  for fields in (PLANAR_FIELDS, HEAVE_FIELDS))
 
 
@@ -262,14 +260,17 @@ class TestStepN:
 
     @pytest.mark.parametrize("pump, start, contact", [
         # empty syringe rising onto the surface
-        (PUMP_MODE_OFF, VehicleState(z=0.02, w=-0.1, syringe_fill=0.0), ("z", 0.0)),
+        (OFF, VehicleState(z=0.02, w=-0.1, fill=0.0), ("z", 0.0)),
         # filling to capacity while sinking onto the bottom
-        (PUMP_MODE_INTAKE, VehicleState(z=TANK - 0.02, w=0.1, syringe_fill=24.0),
+        (INTAKE, VehicleState(z=TANK - 0.02, w=0.1, fill=24.0),
          ("z", TANK)),
-        (PUMP_MODE_INTAKE, VehicleState(z=0.5, syringe_fill=24.0), ("fill", 25.0)),
+        (INTAKE, VehicleState(z=0.5, fill=24.0), ("fill", 25.0)),
         # emptying while rising to the surface
-        (PUMP_MODE_EXPEL, VehicleState(z=0.05, w=-0.05, syringe_fill=1.0), ("fill", 0.0)),
-        (PUMP_MODE_EXPEL, VehicleState(z=0.05, w=-0.05, syringe_fill=1.0), ("z", 0.0)),
+        (EXPEL, VehicleState(z=0.05, w=-0.05, fill=1.0), ("fill", 0.0)),
+        (EXPEL, VehicleState(z=0.05, w=-0.05, fill=1.0), ("z", 0.0)),
+    ], ids=[  # the pump by its wire code: 0 off, 1 intake, 2 expel
+        "0-start0-contact0", "1-start1-contact1", "1-start2-contact2",
+        "2-start3-contact3", "2-start4-contact4",
     ])
     def test_n_steps_equal_n_calls(self, pump, start, contact):
         cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
@@ -280,24 +281,24 @@ class TestStepN:
 
     @pytest.mark.parametrize("start, cmd, resting, first_rest_row", [
         # planar at rest, heave sinking
-        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, syringe_fill=20.0),
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, fill=20.0),
          ActuatorCommand(), PLANAR_FIELDS, 0),
         # heave at rest on the surface at neutral fill, planar driven
         (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7), HEAVE_FIELDS, 0),
         # both at rest
         (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand(), FIELDS, 0),
         # a -0.0 at rest becomes +0.0 in one step: no fixed point until step 2
-        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
-        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
+        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
+        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
         (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7), HEAVE_FIELDS, 1),
         (VehicleState(x=1.5, motor_thrust_left=-0.0),
-         ActuatorCommand(pump=PUMP_MODE_INTAKE), PLANAR_FIELDS, 1),
+         ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
         # empty syringe floating at the surface, pump still expelling
-        (VehicleState(syringe_fill=0.0), ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL),
+        (VehicleState(fill=0.0), ActuatorCommand(0.3, -0.7, EXPEL),
          HEAVE_FIELDS, 0),
         # full syringe resting on the bottom, pump still taking in water
-        (VehicleState(z=TANK, syringe_fill=25.0),
-         ActuatorCommand(0.3, -0.7, PUMP_MODE_INTAKE), HEAVE_FIELDS, 0),
+        (VehicleState(z=TANK, fill=25.0),
+         ActuatorCommand(0.3, -0.7, INTAKE), HEAVE_FIELDS, 0),
     ])
     def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
         rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
@@ -323,8 +324,8 @@ class TestStepN:
         # an empty syringe rises onto the surface and floats there: the heave
         # channel comes to rest after the call's first step, so it is computed
         # to the call's end
-        start = VehicleState(z=0.02, w=-0.1, syringe_fill=0.0)
-        cmd = ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL)
+        start = VehicleState(z=0.02, w=-0.1, fill=0.0)
+        cmd = ActuatorCommand(0.3, -0.7, EXPEL)
         rows = assert_n_steps_equal_n_calls(start, cmd, 2 * 512 + 7, VehicleParams())
         z = column(rows, "z")
         assert z[0] > 0.0 and z[-1] == 0.0
@@ -332,16 +333,16 @@ class TestStepN:
     @pytest.mark.parametrize("n", [1, 2, 3, 5000])
     @pytest.mark.parametrize("start, cmd", [
         # planar at a fixed point, heave sinking
-        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, syringe_fill=20.0), ActuatorCommand()),
+        (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.3, fill=20.0), ActuatorCommand()),
         # heave at a fixed point on the surface, planar driven
         (VehicleState(x=1.5, y=2.0, psi=0.4), ActuatorCommand(0.3, -0.7)),
         (VehicleState(x=1.5, y=2.0, psi=0.4, z=0.7), ActuatorCommand()),
         # a -0.0 is not at a fixed point until step 2
-        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=PUMP_MODE_INTAKE)),
+        (VehicleState(x=1.5, u=-0.0), ActuatorCommand(pump=INTAKE)),
         (VehicleState(z=0.7, w=-0.0), ActuatorCommand(0.3, -0.7)),
         # comes to rest on the surface during the call
-        (VehicleState(z=0.02, w=-0.1, syringe_fill=0.0),
-         ActuatorCommand(0.3, -0.7, PUMP_MODE_EXPEL)),
+        (VehicleState(z=0.02, w=-0.1, fill=0.0),
+         ActuatorCommand(0.3, -0.7, EXPEL)),
     ], ids=["planar", "heave", "both", "planar_-0", "heave_-0", "rest_mid_call"])
     def test_fixed_point_block(self, start, cmd, n):
         # the block repeated at a fixed point is appended after the rows
@@ -358,20 +359,20 @@ class TestStepN:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(z=near(0.0, -0.0, TANK), w=st.sampled_from([0.0, -0.0]) | st.floats(-0.3, 0.3),
            fill=near(0.0, -0.0, VehicleParams().neutral_fill, VehicleParams().syringe_capacity),
-           pump=st.sampled_from([PUMP_MODE_OFF, PUMP_MODE_INTAKE, PUMP_MODE_EXPEL]),
+           pump=st.sampled_from([OFF, INTAKE, EXPEL]),
            n=st.integers(1, 2000))
     def test_heave_matches_scalar_oracle(self, z, w, fill, pump, n):
         # the fill and buoyancy columns and the probe against a loop that
         # steps every quantity of every step in plain floats
         rows = array("d", [7.0] * 6), array("d", [8.0] * 3)
-        start = VehicleState(z=z, w=w, syringe_fill=fill)
+        start = VehicleState(z=z, w=w, fill=fill)
         end = step(start, ActuatorCommand(pump=pump), DT, n=n, rows=rows)
         want_rows, want_end = bf.bf_heave_steps((z, w, fill), pump, DT, VehicleParams(), n)
         assert rows[1].tobytes() == bits([8.0] * 3 + want_rows)
-        assert bits([end.z, end.w, end.syringe_fill]) == bits(want_end)
+        assert bits([end.z, end.w, end.fill]) == bits(want_end)
 
     def test_rows_optional(self):
-        cmd = ActuatorCommand(0.5, 0.2, PUMP_MODE_INTAKE)
+        cmd = ActuatorCommand(0.5, 0.2, INTAKE)
         assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
 
     def test_errors_leave_rows_unchanged(self):
