@@ -38,7 +38,7 @@ from .metrics import (
     path_length,
     residuals,
 )
-from .scenarios import _DOMAINS, Scenario, _in_domain
+from .scenarios import _DOMAINS, Scenario, _in_domain, window_error
 from .tracking import (ROTATION_HEADER, STATE_DTYPE, Detections, fmt, read_table, rows_table,
                        series, write_rows, write_table)
 from .vehicle import (
@@ -230,12 +230,24 @@ def telemetry_ticks(step_t: np.ndarray, period: float) -> np.ndarray:
     That is ``k_j = max(k_{j-1} + 1, s_j)`` with ``s_j`` the first step
     the due passes, so ``k_j - j`` is the running maximum of ``s_i - i``:
     one ``searchsorted`` and one ``maximum.accumulate`` over the dues.
-    ``k_j >= j``, so ``len(step_t) + 1`` dues reach past the last step."""
+
+    Only dues ``0 .. m - 1`` are built, as the later ones send no tick.
+    ``k_j >= j``, so ``m = n + 1`` would do for ``n`` steps.  And a due past
+    ``a = step_t[-1] + 1e-12`` passes no step, so, as the dues never
+    decrease, ``m`` is enough once due ``m`` is past ``a``.  Summed with one
+    rounding per add, each at most ``u = 2**-53`` relative, due ``m`` is at
+    least ``m * period * (1 - u)**m``.  ``m = int(x) + 1`` exceeds ``x``,
+    ``a / period`` times ``1 + 2 (n + 4) u`` with two roundings, so with
+    ``m <= n + 1`` due ``m`` is at least ``a`` times
+    ``(1 + 2 (n + 4) u) (1 - u)**(n + 3) > 1``, for any ``n`` below 2**50."""
     n = len(step_t)
-    due = np.full(n + 1, period)
+    after = step_t + 1e-12
+    last = after[-1] if n else 0.0
+    m = min(n, int(last / period * (1 + (n + 4) * 2.0**-52))) + 1
+    due = np.full(m, period)
     due[0] = 0.0
-    j = np.arange(n + 1)
-    k = j + np.maximum.accumulate(np.searchsorted(step_t + 1e-12, np.add.accumulate(due)) - j)
+    j = np.arange(m)
+    k = j + np.maximum.accumulate(np.searchsorted(after, np.add.accumulate(due)) - j)
     return k[k < n]
 
 
@@ -382,7 +394,9 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
 def recompute_metrics(run_dir: str) -> dict[str, float]:
     """Re-score a run directory: ``score_run`` on the tables it holds, once
     each ``meta.csv`` key it reads is there once with a value a run writes,
-    truth has rows, and the times of truth and estimates increase."""
+    the run's ``duration`` leaves room for its smoothing window
+    (``window_error``, as ``Scenario.validate`` checks), truth has rows,
+    and the times of truth and estimates increase."""
     def path(name):
         return os.path.join(run_dir, name)
 
@@ -400,14 +414,14 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
             raise refuse("meta.csv", "line %d repeats %r of line %d", line, row[0], meta[row[0]][0])
         meta[row[0]] = line, row[1]
     domains = {key: domain for domain, keys in _DOMAINS.items() for key in keys}
-    settings = {}  # score_run's keyword arguments
+    settings = {}  # score_run's keyword arguments, and the duration
     for key, kind in (("smoothing_window", int), ("output_rate", float),
-                      ("n_frames", int), ("n_detections", int)):
+                      ("n_frames", int), ("n_detections", int), ("duration", float)):
         if key not in meta:
             raise refuse("meta.csv", "%r is missing", key)
         line, text = meta[key]
         # the counts have no setting: whole numbers, no more detections than frames
-        domain = domains.get("pipeline." + key) or "an int in [0, %s" % (
+        domain = domains.get(key) or domains.get("pipeline." + key) or "an int in [0, %s" % (
             "%d]" % settings["n_frames"] if "n_frames" in settings else "inf)")
         try:
             settings[key] = kind(text)
@@ -415,6 +429,10 @@ def recompute_metrics(run_dir: str) -> dict[str, float]:
             settings[key] = math.nan
         if not _in_domain(domain, settings[key]):
             raise refuse("meta.csv", "%r is %r on line %d, not %s", key, text, line, domain)
+    duration = settings.pop("duration")
+    if why := window_error(settings["smoothing_window"], duration, settings["output_rate"]):
+        line, text = meta["smoothing_window"]
+        raise refuse("meta.csv", "'smoothing_window' is %r on line %d: %s", text, line, why)
 
     truth = series(read_table(path("truth.csv"), TRUTH_DTYPE.names), TRUTH_DTYPE)
     estimates = tracking.read_states_csv(path("estimates.csv"))

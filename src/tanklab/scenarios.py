@@ -87,6 +87,17 @@ def _in_domain(domain: str, value) -> bool:
             and (not kind or value == int(value)))
 
 
+def window_error(window: int, duration: float, rate: float) -> str | None:
+    """Why no segment of a ``duration`` s run resampled at ``rate`` Hz can
+    fill a smoothing ``window``, or ``None`` if one can.  A segment needs
+    ``2 * window + 1`` resampled states, one past both smoothing edges; the
+    longest possible one, a whole run, has ``floor(duration * rate) + 1``."""
+    if 2 * window >= math.floor(duration * rate) + 1:
+        return ("%d needs %g s of uninterrupted detections, run is %g s"
+                % (window, 2 * window / rate, duration))
+    return None
+
+
 @dataclass
 class Scenario:
     name: str
@@ -153,14 +164,9 @@ class Scenario:
         if not (load < 1):
             raise ConfigError("sim_rate", "a %g s step is %.3g times the longest that vehicle.%s"
                               " allow" % (1.0 / self.sim_rate, load, ", vehicle.".join(fields)))
-        # a segment needs 2 * window + 1 resampled states, one past both
-        # smoothing edges; the longest possible one, a whole run, has
-        # floor(duration * rate) + 1
-        window, rate = self.pipeline.smoothing_window, self.pipeline.output_rate
-        if 2 * window >= math.floor(self.duration * rate) + 1:
-            raise ConfigError("pipeline.smoothing_window",
-                              "%d needs %g s of uninterrupted detections, run is %g s"
-                              % (window, 2 * window / rate, self.duration))
+        if why := window_error(self.pipeline.smoothing_window, self.duration,
+                               self.pipeline.output_rate):
+            raise ConfigError("pipeline.smoothing_window", why)
 
     def camera_pose(self) -> Pose:
         """The camera in the world frame: above the tank's center, tilted."""

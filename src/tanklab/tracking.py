@@ -8,6 +8,7 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 from __future__ import annotations
 
 import csv
+import os
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -231,10 +232,25 @@ def fmt(x: float) -> str:
     return NUMBER_FORMAT % x
 
 
+def _create(path):
+    """Open ``path`` for writing as a new file, text with Unix line endings:
+    a file or link already there is unlinked first, not truncated.
+
+    On ext4 (default ``auto_da_alloc``), truncating a file that still holds
+    a previous run's pages waits on the disk, and so does closing it after
+    the rewrite; a new inode drops the old pages instead of writing them
+    back.  A link's target is untouched."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "x", newline="\n")
+
+
 def write_rows(path, header, rows) -> None:
     """Write a header and already formatted text rows as CSV with Unix line
     endings; for the text tables, whose cells may need quoting."""
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -258,7 +274,7 @@ def write_table(path, header, table) -> None:
         raise TrackingError("%s: a %s table under a %d-column header"
                             % (path, table.shape, len(header)))
     table = np.asarray(table, dtype=float)
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         if not len(table):
             return
@@ -275,7 +291,8 @@ def read_table(path, header) -> np.ndarray:
 
     Raises ``TrackingError`` naming the path when the header differs, a
     row's width differs, or a cell is not a finite number (``np.loadtxt``
-    parses ``nan`` and ``inf``).  A header-only file gives ``n == 0``.
+    parses ``nan`` and ``inf``); a row that ``np.loadtxt`` refuses is named
+    by its file line.  A header-only file gives ``n == 0``.
     """
     with open(path, newline="") as fh:
         found = fh.readline().rstrip("\r\n").split(",")
@@ -286,13 +303,42 @@ def read_table(path, header) -> np.ndarray:
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     except ValueError as exc:  # a cell that is not a number, a ragged row
-        raise TrackingError("%s: %s" % (path, exc)) from None
+        raise TrackingError("%s: %s" % (path, _bad_line(path, len(header)) or exc)) from None
     if table.shape[1] != len(header):
         raise TrackingError("%s: %d columns under a %d-column header"
                             % (path, table.shape[1], len(header)))
     if not np.isfinite(table).all():
         raise TrackingError("%s: a cell is not finite" % path)
     return table
+
+
+def _bad_line(path, width) -> str | None:
+    """The first data line of ``path`` that is not ``width`` numbers, named
+    by its file line counted from 1, header included; ``None`` if there is
+    none.  Lines split as ``np.loadtxt`` splits them: a ``#`` starts a
+    comment, and a line that is empty then is skipped.  Only the error path
+    of ``read_table`` reads the file this way."""
+    with open(path, newline="") as fh:
+        for number, line in enumerate(fh, 1):
+            cells = line.split("#", 1)[0].rstrip("\r\n").split(",")
+            if number == 1 or cells == [""]:
+                continue
+            if len(cells) != width:
+                return "line %d has %d cells, not %d" % (number, len(cells), width)
+            for cell in cells:
+                if not _is_number(cell):
+                    return "line %d: %r is not a number" % (number, cell)
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: as ``float`` does,
+    less the underscores and non-ASCII digits that only ``float`` reads."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
 
 
 def write_detections_csv(path, detections: Detections) -> None:

@@ -198,13 +198,13 @@ def _heave_steps(heave, dfill, dt, p, m, out):
     # each step's fill: add.accumulate adds left to right, one rounding per
     # add as ``fill += dfill``; the sums are monotone, so clamping them holds
     # the fill at a bound from the first step that passes it
-    fills = np.full(m, dfill)
+    fills = np.empty(m)
+    fills.fill(dfill)
     fills[0] = fill
     np.add.accumulate(fills, out=fills)
-    np.minimum(fills, capacity, out=fills)
-    np.maximum(fills, 0.0, out=fills)
-    buoy = g_rho * (fills[1:] - neutral) * 1e-6  # N, +down
-    z, w = _motion_steps(z, w, memoryview(buoy), dt, p, zs, ws)
+    fills.clip(0.0, capacity, out=fills)
+    buoy = g_rho * (fills - neutral) * 1e-6  # N, +down; the probe took buoy[0]
+    z, w = _motion_steps(z, w, memoryview(buoy)[1:], dt, p, zs, ws)
     block = np.empty((m, 3))
     block[:, 0], block[:, 1] = zs, ws
     block[0, 2], block[1:, 2] = heave[2], fills[:-1]

@@ -8,10 +8,11 @@ least-squares via numpy lstsq, loop-based angle unwrap,
 explicit endpoint/interior difference formulas, a direct O(n*w) trailing
 mean, one camera frame at a time, every truth channel interpolated at both
 the compared and the lagged times, and one depth or yaw-rate sample at a
-time, one telemetry tick at a time, and one heave step at a time.  Used to
-cross-check the production code sample by sample.
+time, one telemetry tick's step and its message at a time, and one heave
+step at a time.  Used to cross-check the production code sample by sample.
 """
 
+import bisect
 import math
 import statistics
 
@@ -287,6 +288,18 @@ def bf_signal_quality(reading):
     if floor > 0.5 or sum(c >= 0.999 for c in reading) >= 3:
         return "degraded"
     return "ok"
+
+
+def bf_telemetry_ticks(step_t, period):
+    """The step of each telemetry tick, one tick at a time: the first step
+    after the last tick with ``t_k + 1e-12 >= due``, the due advanced by
+    one period a tick, until a tick falls past the last step."""
+    after, n = (step_t + 1e-12).tolist(), len(step_t)
+    ticks, k, due = [], -1, 0.0
+    while (k := max(k + 1, bisect.bisect_left(after, due))) < n:
+        ticks.append(k)
+        due += period
+    return ticks
 
 
 def bf_telemetry(fill, z, ambient, noise_sigma, params, rng):

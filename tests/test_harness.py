@@ -717,18 +717,22 @@ class TestRunner:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(sim_rate=st.sampled_from([20.0, 240.0]) | st.floats(20.0, 1000.0),
            share=st.sampled_from([1.0, 0.5, 5.0 / 240.0]) | st.floats(1e-3, 1.0),
+           period=st.sampled_from([None, 1 / 7, 1 / 30]),
            duration=st.floats(1e-3, 30.0))
-    def test_telemetry_ticks_match_tick_loop(self, sim_rate, share, duration):
-        # a share of 1 is a tick at every step
+    def test_telemetry_ticks_match_tick_loop(self, sim_rate, share, period, duration):
+        # a share of 1 is a tick at every step; 1/7 s and 1/30 s are not
+        # binary fractions, so every summed due is rounded
         n_steps = int(round(duration * sim_rate))
         step_t = np.arange(n_steps) * (1.0 / sim_rate)
-        period = 1.0 / (sim_rate * share)
-        after = step_t + 1e-12
-        ticks, k, due = [], -1, 0.0
-        while (k := max(k + 1, int(np.searchsorted(after, due)))) < n_steps:
-            ticks.append(k)
-            due += period
-        assert telemetry_ticks(step_t, period).tolist() == ticks
+        period = period or 1.0 / (sim_rate * share)
+        assert telemetry_ticks(step_t, period).tolist() == bf.bf_telemetry_ticks(step_t, period)
+
+    @pytest.mark.parametrize("sim_rate, period", [(240.0, 1 / 7), (240.0, 1 / 30), (20.0, 1 / 7)])
+    def test_telemetry_ticks_match_tick_loop_over_max_steps(self, sim_rate, period):
+        # the longest run a scenario may take, where the summed dues have
+        # drifted furthest from whole multiples of the period
+        step_t = np.arange(MAX_STEPS) * (1.0 / sim_rate)
+        assert telemetry_ticks(step_t, period).tolist() == bf.bf_telemetry_ticks(step_t, period)
 
     def test_telemetry_table_covers_every_branch(self):
         # fills at 0, capacity and between, under ambient light that gives

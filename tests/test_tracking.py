@@ -1,5 +1,8 @@
+import ast
 import math
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import brute_force as bf
 from conftest import camera_pose, detection_row, synthetic_detections
+from tanklab import tracking
 from tanklab.frames import (GeometryError, PlaneCoefficients, extract_yaw, rot_x, rot_y, rot_z,
                             world_rotation)
 from tanklab.metrics import TRUTH_DTYPE, residuals
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
-from tanklab.scenarios import ConfigError, get_scenario
+from tanklab.scenarios import ConfigError, get_scenario, window_error
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
@@ -609,14 +613,17 @@ class TestCsvRoundTrip:
         ("n_detections,-245",
          "'n_detections' is '-245' on line 6, not an int in [0, {n_frames}]"),
         ("n_detections,2.5", "'n_detections' is '2.5' on line 6, not an int in [0, {n_frames}]"),
+        ("duration,0", "'duration' is '0' on line 4, not in (0, inf)"),
         (None, "line 10 repeats 'smoothing_window' of line 7"),
     ], ids=["rate 0", "rate nan", "rate inf", "window 0", "window -3", "frames -1",
-            "more detections than frames", "detections -245", "detections 2.5", "repeated key"])
+            "more detections than frames", "detections -245", "detections 2.5", "duration 0",
+            "repeated key"])
     def test_meta_value_out_of_domain(self, line_run_copy, row, message):
         # a meta.csv value that parses but no run writes is refused, naming the
-        # file, the key and the line: the window and the rate through their
-        # settings' domains, the counts as whole numbers, no more detections
-        # than frames; a second row of a key is refused, not read over the first
+        # file, the key and the line: the window, the rate and the duration
+        # through their settings' domains, the counts as whole numbers, no more
+        # detections than frames; a second row of a key is refused, not read
+        # over the first
         run = line_run_copy
         lines = (run / "meta.csv").read_text().splitlines(keepends=True)
         meta = dict(line.rstrip("\n").split(",") for line in lines)
@@ -631,8 +638,6 @@ class TestCsvRoundTrip:
             recompute_metrics(str(run))
 
     @pytest.mark.parametrize("name,damage,message", [
-        ("truth.csv", "not a number", "could not convert string 'abc' to float64"),
-        ("truth.csv", "ragged row", "the number of columns changed from 10 to 11"),
         ("truth.csv", "header only", "no rows"),
         ("truth.csv", "swapped rows", "line 5: time"),
         ("estimates.csv", "duplicated row", "line 5: time"),
@@ -644,11 +649,7 @@ class TestCsvRoundTrip:
         run = line_run_copy
         lines = (run / name).read_text().splitlines(keepends=True)
         assert len(lines) > 5
-        if damage == "not a number":
-            lines[4] = "abc" + lines[4][lines[4].index(","):]
-        elif damage == "ragged row":
-            lines[4] = lines[4].rstrip("\n") + ",1\n"
-        elif damage == "header only":
+        if damage == "header only":
             lines = lines[:1]
         elif damage == "duplicated row":
             lines.insert(4, lines[3])
@@ -657,6 +658,154 @@ class TestCsvRoundTrip:
         (run / name).write_text("".join(lines))
         with pytest.raises(TrackingError, match="^%s" % re.escape("%s: %s" % (run / name, message))):
             recompute_metrics(str(run))
+
+    @pytest.mark.parametrize("line,damage,message", [
+        (5, "bad cell", "line 5: 'abc' is not a number"),
+        (5, "short row", "line 5 has 9 cells, not 10"),
+        (5, "long row", "line 5 has 11 cells, not 10"),
+        (2, "short row", "line 2 has 9 cells, not 10"),
+        (7, "bad cell", "line 7: '1_0' is not a number"),
+    ], ids=["bad cell", "short row", "long row", "short first row", "underscore"])
+    def test_bad_row_named_by_its_line(self, line_run_copy, line, damage, message):
+        # a row np.loadtxt refuses is named by its file line, counted from 1
+        # with the header as line 1, as recompute_metrics names lines; a
+        # comment and a blank line before it are lines too
+        run = line_run_copy
+        lines = (run / "truth.csv").read_text().splitlines(keepends=True)
+        lines[2:4] = ["# a comment\n", "\n"]
+        cells = lines[line - 1].rstrip("\n").split(",")
+        cells = {"bad cell": ["abc" if line == 5 else "1_0", *cells[1:]],
+                 "short row": cells[:-1], "long row": [*cells, "1"]}[damage]
+        lines[line - 1] = ",".join(cells) + "\n"
+        (run / "truth.csv").write_text("".join(lines))
+        expected = "%s: %s" % (run / "truth.csv", message)
+        with pytest.raises(TrackingError, match="^%s$" % re.escape(expected)):
+            read_table(run / "truth.csv", TRUTH_DTYPE.names)
+        with pytest.raises(TrackingError, match="^%s$" % re.escape(expected)):
+            recompute_metrics(str(run))
+
+    @pytest.mark.parametrize("window", [126, 500])
+    def test_window_no_segment_fills(self, line_run_copy, window):
+        # a window inside its domain that not even the whole 8.35 s run at
+        # 30 Hz (251 states) leaves room for is refused, by the rule
+        # Scenario.validate applies, instead of scoring no segment
+        run = line_run_copy
+        text = (run / "meta.csv").read_text()
+        assert "smoothing_window,12\n" in text and "duration,8.35\n" in text
+        (run / "meta.csv").write_text(text.replace("smoothing_window,12\n",
+                                                   "smoothing_window,%d\n" % window))
+        why = window_error(window, 8.35, 30.0)
+        expected = "%s: 'smoothing_window' is '%d' on line 7: %s" % (run / "meta.csv", window, why)
+        with pytest.raises(TrackingError, match="^%s$" % re.escape(expected)):
+            recompute_metrics(str(run))
+        with pytest.raises(ConfigError, match=re.escape(why)):
+            get_scenario("line", ["pipeline.smoothing_window=%d" % window]).validate()
+
+    def test_window_that_fits_is_scored(self, line_run_copy):
+        # 2 * 125 + 1 = 251 states: the rule's edge, accepted by both
+        run = line_run_copy
+        text = (run / "meta.csv").read_text()
+        (run / "meta.csv").write_text(text.replace("smoothing_window,12\n", "smoothing_window,125\n"))
+        assert window_error(125, 8.35, 30.0) is None
+        get_scenario("line", ["pipeline.smoothing_window=125"]).validate()
+        assert recompute_metrics(str(run))["n_frames"] > 0
+
+
+def run_dir_files(run):
+    """Every file under a run directory, by its path relative to it."""
+    return {p.relative_to(run): p for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+class TestRewrite:
+    """A run directory written over an earlier one: every artifact is a new
+    file with the bytes of a fresh write, and what was there is untouched."""
+
+    def test_over_longer_different_files(self, line_run_dir, tmp_path):
+        fresh = run_dir_files(line_run_dir)
+        run = tmp_path / "run"
+        for rel, src in fresh.items():
+            (run / rel).parent.mkdir(parents=True, exist_ok=True)
+            (run / rel).write_bytes(b"stale," + src.read_bytes() * 2)
+        run_scenario(get_scenario("line"), out_dir=str(run))
+        got = run_dir_files(run)
+        assert got.keys() == fresh.keys()
+        for rel, src in fresh.items():
+            assert got[rel].read_bytes() == src.read_bytes(), rel
+
+    def test_each_artifact_is_a_new_file(self, line_run_dir, tmp_path):
+        # a second link to each old file keeps its inode allocated, so a
+        # new file cannot reuse it; a file truncated in place keeps it, and
+        # the second link would then read the new bytes
+        run, kept = tmp_path / "run", tmp_path / "kept"
+        for rel, src in run_dir_files(line_run_dir).items():
+            for d in (run, kept):
+                (d / rel).parent.mkdir(parents=True, exist_ok=True)
+            (run / rel).write_bytes(b"old " + str(rel).encode())
+            os.link(run / rel, kept / rel)
+        run_scenario(get_scenario("line"), out_dir=str(run))
+        for rel, old in run_dir_files(kept).items():
+            assert (run / rel).stat().st_ino != old.stat().st_ino, rel
+            assert old.read_bytes() == b"old " + str(rel).encode()
+
+    def test_link_is_replaced_not_followed(self, line_run_dir, tmp_path):
+        # each artifact a symbolic link, one of them dangling: each becomes
+        # a regular file and no target is written or created
+        run, targets = tmp_path / "run", tmp_path / "targets"
+        targets.mkdir()
+        fresh = run_dir_files(line_run_dir)
+        for i, rel in enumerate(fresh):
+            (run / rel).parent.mkdir(parents=True, exist_ok=True)
+            target = targets / ("%d.csv" % i)
+            if rel.name != "metrics.csv":
+                target.write_bytes(b"target\n")
+            (run / rel).symlink_to(target)
+        run_scenario(get_scenario("line"), out_dir=str(run))
+        for rel, src in fresh.items():
+            assert not (run / rel).is_symlink(), rel
+            assert (run / rel).read_bytes() == src.read_bytes(), rel
+        assert {p.read_bytes() for p in targets.iterdir()} == {b"target\n"}
+        assert len(list(targets.iterdir())) == len(fresh) - 1
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``open`` or an ``.open``
+    whose mode is not a read-only literal, ``os.open`` or ``os.fdopen``
+    whatever its flags, ``write_text`` or ``write_bytes``."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+    owner = getattr(getattr(f, "value", None), "id", "")
+    if owner == "os":
+        return name in ("open", "fdopen")
+    if name == "open":
+        mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                    call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+    return name in ("write_text", "write_bytes")
+
+
+def write_mode_opens(tree):
+    """The innermost enclosing function of each call in a module that opens
+    a file for writing."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and opens_for_writing(child):
+                found.append(fn)
+            visit(child, getattr(child, "name", fn) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_place_opens_for_writing():
+    # every artifact is created through one helper, so none can go back to
+    # being truncated in place behind it
+    src = Path(tracking.__file__).resolve().parent
+    found = [(path.name, fn) for path in sorted(src.glob("*.py"))
+             for fn in write_mode_opens(ast.parse(path.read_text()))]
+    assert found == [("tracking.py", "_create")]
 
 
 def reference_table_bytes(header, table):
