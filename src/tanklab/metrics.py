@@ -40,12 +40,6 @@ def circle_fit(points: Sequence[Sequence[float]]) -> tuple[tuple[float, float], 
     return (float(cx), float(cy)), float(math.sqrt(rad2))
 
 
-# One record per simulation step of ground truth; psi is continuous (unwrapped).
-TRUTH_DTYPE = np.dtype(
-    [(name, float) for name in ("t", "x", "y", "z", "psi", "u", "v", "w", "r", "fill")]
-)
-
-
 def residuals(
     truth: np.recarray,
     estimates: np.recarray,

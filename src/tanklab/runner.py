@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .link import (
     encode,
 )
 from .metrics import (
-    TRUTH_DTYPE,
     count_reversals,
     count_sign_changes,
     path_length,
@@ -42,8 +40,7 @@ from .scenarios import _DOMAINS, Scenario, _in_domain, window_error
 from .tracking import (ROTATION_HEADER, STATE_DTYPE, Detections, fmt, read_table, rows_table,
                        series, write_rows, write_table)
 from .vehicle import (
-    HEAVE_FIELDS,
-    PLANAR_FIELDS,
+    TRUTH_DTYPE,
     ActuatorCommand,
     VehicleState,
     depth_reading,
@@ -114,7 +111,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
 
     command_log: list[CommandLogEntry] = []
     step_t = np.arange(n_steps + 1) * dt  # t_k, bit-equal to k * dt
-    rows = array("d"), array("d")  # each step's pre-step (planar, heave), appended by step
+    table = np.empty((n_steps + 1, len(TRUTH_DTYPE)))  # truth: step fills each row but t
+    table[:, 0] = step_t
 
     k = 0
     while k < n_steps:
@@ -156,17 +154,11 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         if (due := downlink.next_due()) is not None:
             upcoming.append(due)
         nxt = min(int(np.searchsorted(step_t, min(upcoming))), n_steps) if upcoming else n_steps
-        state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, rows=rows)
+        state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, out=table[k:nxt])
         k = nxt
 
-    table = np.empty((n_steps + 1, len(TRUTH_DTYPE)))
-    table[:, 0] = step_t
     table[-1, 1:] = [getattr(state, name) for name in TRUTH_DTYPE.names[1:]]
-    for fields, channel in zip((PLANAR_FIELDS, HEAVE_FIELDS), rows):
-        columns = [TRUTH_DTYPE.names.index(name) for name in fields]
-        table[:-1, columns] = np.frombuffer(channel).reshape(-1, len(fields))
     truth = series(table, TRUTH_DTYPE)
-    del rows  # a copy of truth: free it before the camera, pipeline and writers run
     step_t = step_t[:-1]
 
     # Nothing in the loop reacts to the camera or the uplink, so both sample

@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 
 
 # Plant steps (duration * sim_rate) a run may take: with every rate at sim_rate
-# a run peaks at 894-973 B a step under tracemalloc (172 B at pump_test's own
+# a run peaks at 869-947 B a step under tracemalloc (146 B at pump_test's own
 # rates), so about 1 GB at most; 69 minutes at 240 Hz.
 MAX_STEPS = 10**6
 

@@ -8,6 +8,7 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import statistics
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ STATE_DTYPE = np.dtype(
 
 def series(table, dtype: np.dtype) -> np.recarray:
     """An ``(n, len(dtype))`` float table viewed, not copied, as a record
-    array of ``dtype`` (``STATE_DTYPE``, ``metrics.TRUTH_DTYPE``), read by
+    array of ``dtype`` (``STATE_DTYPE``, ``vehicle.TRUTH_DTYPE``), read by
     column (``states.u``) or row (``states[i].u``).  Truth's fill is
     ``truth["fill"]``: ``truth.fill`` is ``ndarray.fill``."""
     table = np.ascontiguousarray(table, dtype=float)
@@ -289,10 +290,11 @@ def write_table(path, header, table) -> None:
 def read_table(path, header) -> np.ndarray:
     """Read a ``write_table`` file back as an ``(n, len(header))`` float array.
 
-    Raises ``TrackingError`` naming the path when the header differs, a
-    row's width differs, or a cell is not a finite number (``np.loadtxt``
-    parses ``nan`` and ``inf``); a row that ``np.loadtxt`` refuses is named
-    by its file line.  A header-only file gives ``n == 0``.
+    Raises ``TrackingError`` naming the path when the header differs, or
+    naming the path and the file line (``_bad_line``) when a row's width
+    differs from the header's or a cell is not a finite number
+    (``np.loadtxt`` parses ``nan`` and ``inf``).  A header-only file gives
+    ``n == 0``.
     """
     with open(path, newline="") as fh:
         found = fh.readline().rstrip("\r\n").split(",")
@@ -303,21 +305,21 @@ def read_table(path, header) -> np.ndarray:
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     except ValueError as exc:  # a cell that is not a number, a ragged row
-        raise TrackingError("%s: %s" % (path, _bad_line(path, len(header)) or exc)) from None
-    if table.shape[1] != len(header):
-        raise TrackingError("%s: %d columns under a %d-column header"
-                            % (path, table.shape[1], len(header)))
-    if not np.isfinite(table).all():
-        raise TrackingError("%s: a cell is not finite" % path)
+        table, why = None, exc
+    else:
+        why = "a row is not %d finite numbers" % len(header)
+    if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+        raise TrackingError("%s: %s" % (path, _bad_line(path, len(header)) or why))
     return table
 
 
 def _bad_line(path, width) -> str | None:
-    """The first data line of ``path`` that is not ``width`` numbers, named
-    by its file line counted from 1, header included; ``None`` if there is
-    none.  Lines split as ``np.loadtxt`` splits them: a ``#`` starts a
-    comment, and a line that is empty then is skipped.  Only the error path
-    of ``read_table`` reads the file this way."""
+    """The first data line of ``path`` that is not ``width`` finite numbers
+    (``nan``, ``inf`` and ``1e999`` are not), named by its file line counted
+    from 1, header included; ``None`` if there is none.  Lines split as
+    ``np.loadtxt`` splits them: a ``#`` starts a comment, and a line that is
+    empty then is skipped.  Only the error path of ``read_table`` reads the
+    file this way."""
     with open(path, newline="") as fh:
         for number, line in enumerate(fh, 1):
             cells = line.split("#", 1)[0].rstrip("\r\n").split(",")
@@ -332,13 +334,13 @@ def _bad_line(path, width) -> str | None:
 
 
 def _is_number(cell: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``cell`` as a float: as ``float`` does,
-    less the underscores and non-ASCII digits that only ``float`` reads."""
+    """Whether ``np.loadtxt`` reads ``cell`` as a finite float: as ``float``
+    does, less the underscores and non-ASCII digits that only ``float``
+    reads."""
     try:
-        float(cell)
+        return math.isfinite(float(cell)) and cell.isascii() and "_" not in cell
     except ValueError:
         return False
-    return cell.isascii() and "_" not in cell
 
 
 def write_detections_csv(path, detections: Detections) -> None:

@@ -9,8 +9,8 @@ z is depth, positive down.
 The two channels share no variable, so ``step`` integrates each on its
 own.  A channel at rest under the held command (heave in a surface run,
 the planar drive in a buoyancy run) is at a fixed point: one step leaves
-its state's bytes unchanged, and its later rows are one ``array`` block
-repeated, not computed.
+its state's bytes unchanged, and its later rows are that state broadcast,
+not computed.
 
 The sensors (IR response, signal quality, plunger estimate, depth) each
 take a column with one row per telemetry tick and return a column.
@@ -34,9 +34,15 @@ MAX_DT = 0.05              # s, longest step the explicit integrator accepts
 # M dv/dt = F - c v|v| at full command F, linearised at its terminal speed
 # sqrt(F / c), by 1 - 2 dt sqrt(c F) / M, so dt sqrt(c F) < M (step_load).
 
-# the fields of one row of each channel's array in step's rows
+# One record per simulation step of ground truth; psi is continuous (unwrapped).
+TRUTH_DTYPE = np.dtype(
+    [(name, float) for name in ("t", "x", "y", "z", "psi", "u", "v", "w", "r", "fill")]
+)
+# each channel's fields, and their columns in a truth row, which step writes
 PLANAR_FIELDS = ("x", "y", "psi", "u", "v", "r")
 HEAVE_FIELDS = ("z", "w", "fill")
+PLANAR_COLUMNS, HEAVE_COLUMNS = ([TRUTH_DTYPE.names.index(name) for name in fields]
+                                 for fields in (PLANAR_FIELDS, HEAVE_FIELDS))
 
 
 class VehicleError(ValueError):
@@ -111,7 +117,7 @@ def step(
     dt: float,
     params: VehicleParams | None = None,
     n: int = 1,
-    rows=None,
+    out: np.ndarray | None = None,
 ) -> VehicleState:
     """Semi-implicit Euler update over ``n`` time steps under one command.
 
@@ -127,9 +133,9 @@ def step(
     is at a fixed point under the held command: its other steps repeat it
     without computing it.  The probe runs once per call, so a channel that
     comes to rest later in the call is computed to its end.
-    When ``rows`` is given, a pair ``(planar, heave)`` of
-    ``array.array("d")``, each step's pre-step state is appended to them:
-    ``PLANAR_FIELDS`` to ``planar`` and ``HEAVE_FIELDS`` to ``heave``.
+    When ``out`` is given, an ``(n, len(TRUTH_DTYPE))`` float table (a
+    slice of the truth table), its row ``i`` gets step ``i``'s pre-step
+    state in every column but the time, column 0, which the caller fills.
     """
     p = params or VehicleParams()
     if not (0.0 < dt <= MAX_DT):
@@ -137,18 +143,19 @@ def step(
     if cmd.pump not in (-1, 0, 1):
         raise VehicleError("unknown pump command %r" % cmd.pump)
     dfill = cmd.pump * (p.pump_max_rate / 60.0) * dt  # mL per step
-    planar_rows, heave_rows = rows if rows is not None else (array("d"), array("d"))
+    out = np.empty((n, len(TRUTH_DTYPE))) if out is None else out
 
     x, y, psi, u, v, r, tl, tr = _planar_steps(
         (state.x, state.y, state.psi, state.u, state.v, state.r,
-         state.motor_thrust_left, state.motor_thrust_right), cmd, dt, p, n, planar_rows)
-    z, w, fill = _heave_steps((state.z, state.w, state.fill), dfill, dt, p, n, heave_rows)
+         state.motor_thrust_left, state.motor_thrust_right), cmd, dt, p, n, out)
+    z, w, fill = _heave_steps((state.z, state.w, state.fill), dfill, dt, p, n, out)
     return VehicleState(x, y, z, psi, u, v, w, r, fill, tl, tr)
 
 
 def _planar_steps(planar, cmd, dt, p, m, out):
     """``m`` steps of the planar channel ``(x, y, psi, u, v, r, tl, tr)``;
-    each pre-step ``(x, y, psi, u, v, r)`` is appended to ``out``."""
+    each pre-step ``(x, y, psi, u, v, r)`` goes to ``out``'s
+    ``PLANAR_COLUMNS``."""
     target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
     target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
     k = dt / p.motor_time_constant
@@ -157,8 +164,9 @@ def _planar_steps(planar, cmd, dt, p, m, out):
     cos, sin = math.cos, math.sin
 
     x, y, psi, u, v, r, tl, tr = planar
+    rows = array("d")
     for i in range(m):
-        out.extend((x, y, psi, u, v, r))
+        rows.extend((x, y, psi, u, v, r))
         tl = tl + k * (target_l - tl)
         tr = tr + k * (target_r - tr)
 
@@ -171,14 +179,15 @@ def _planar_steps(planar, cmd, dt, p, m, out):
         x = x + dt * (u * c - v * s)
         y = y + dt * (u * s + v * c)
         if not i and _same_bits((x, y, psi, u, v, r, tl, tr), planar):
-            out.extend(array("d", planar[:6]) * (m - 1))  # a fixed point: repeat it
-            break
+            out[:, PLANAR_COLUMNS] = planar[:6]  # a fixed point: every row is its state
+            return planar
+    out[:, PLANAR_COLUMNS] = np.frombuffer(rows).reshape(-1, 6)
     return x, y, psi, u, v, r, tl, tr
 
 
 def _heave_steps(heave, dfill, dt, p, m, out):
     """``m`` steps of the heave channel ``(z, w, fill)``; each pre-step
-    state is appended to ``out``.
+    state goes to ``out``'s ``HEAVE_COLUMNS``.
 
     The fill and the buoyancy do not depend on the motion, so after the
     first step, the fixed-point probe, each is one column over the call;
@@ -192,7 +201,7 @@ def _heave_steps(heave, dfill, dt, p, m, out):
     fill = _clamp(heave[2] + dfill, 0.0, capacity)
     z, w = _motion_steps(heave[0], heave[1], [g_rho * (fill - neutral) * 1e-6], dt, p, zs, ws)
     if _same_bits((z, w, fill), heave):
-        out.extend(array("d", heave) * m)  # a fixed point: repeat it
+        out[:, HEAVE_COLUMNS] = heave  # a fixed point: every row is its state
         return heave
 
     # each step's fill: add.accumulate adds left to right, one rounding per
@@ -205,10 +214,9 @@ def _heave_steps(heave, dfill, dt, p, m, out):
     fills.clip(0.0, capacity, out=fills)
     buoy = g_rho * (fills - neutral) * 1e-6  # N, +down; the probe took buoy[0]
     z, w = _motion_steps(z, w, memoryview(buoy)[1:], dt, p, zs, ws)
-    block = np.empty((m, 3))
-    block[:, 0], block[:, 1] = zs, ws
-    block[0, 2], block[1:, 2] = heave[2], fills[:-1]
-    out.frombytes(memoryview(block).cast("B"))
+    z_col, w_col, fill_col = HEAVE_COLUMNS
+    out[:, z_col], out[:, w_col] = zs, ws
+    out[0, fill_col], out[1:, fill_col] = heave[2], fills[:-1]
     return z, w, float(fills[-1])
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import brute_force as bf
 import numpy as np
@@ -13,7 +14,6 @@ from tanklab.frames import rot_x, rot_z
 from tanklab.link import (FLAG_FILL_VALID, FLAG_IR_DEGRADED, PUMP_MODE_EXPEL, PUMP_MODE_INTAKE,
                           Channel, Pump, SetMotors, StartSequence, Telemetry, decode, encode)
 from tanklab.metrics import (
-    TRUTH_DTYPE,
     MetricsError,
     NoOverlap,
     circle_fit,
@@ -34,7 +34,8 @@ from tanklab.scenarios import (
     parse_command,
 )
 from tanklab.tracking import STATE_DTYPE, read_states_csv, read_table, series
-from tanklab.vehicle import ActuatorCommand, VehicleState, step
+from tanklab.vehicle import (GRAVITY, TRUTH_DTYPE, WATER_DENSITY, ActuatorCommand, VehicleState,
+                             step)
 
 
 class TestCircleFit:
@@ -456,6 +457,35 @@ class TestScenarios:
                 s.validate()
             assert exc.value.field_name == "sim_rate"
 
+    @pytest.mark.parametrize("field, power, at_one, fields", [
+        # each channel's load, dt over its longest step, is a power of the
+        # field, and at_one(p, dt) is the field's value at a load of 1; the
+        # heave channel's force is the buoyancy of a full syringe
+        ("motor_time_constant", -1, lambda p, dt: dt / 2, ("motor_time_constant",)),
+        ("drag_surge", 0.5, lambda p, dt: (p.mass / dt) ** 2 / (2 * p.max_thrust_per_prop),
+         ("drag_surge", "max_thrust_per_prop", "mass")),
+        ("drag_yaw", 0.5,
+         lambda p, dt: (p.yaw_inertia / dt) ** 2 / (p.max_thrust_per_prop * p.propeller_separation),
+         ("drag_yaw", "max_thrust_per_prop", "propeller_separation", "yaw_inertia")),
+        ("drag_heave", 0.5,
+         lambda p, dt: (p.mass / dt) ** 2
+         / (GRAVITY * WATER_DENSITY * (p.syringe_capacity - p.neutral_fill) * 1e-6),
+         ("drag_heave", "syringe_capacity", "mass")),
+    ], ids=["motor lag", "surge", "yaw", "heave"])
+    def test_validate_step_load_boundary(self, field, power, at_one, fields):
+        # a load just below 1 passes and one just above is refused, naming the
+        # channel's fields: dt sqrt(c F) < M on a drag channel, dt < 2 tau
+        s = get_scenario("line")
+        value = at_one(s.vehicle, 1.0 / s.sim_rate)
+        setattr(s.vehicle, field, value * (1 - 1e-6) ** (1 / power))
+        s.validate()
+        setattr(s.vehicle, field, value * (1 + 1e-6) ** (1 / power))
+        with pytest.raises(ConfigError) as exc:
+            s.validate()
+        assert exc.value.field_name == "sim_rate"
+        assert str(exc.value).endswith(" the longest that vehicle.%s allow"
+                                       % ", vehicle.".join(fields))
+
     @pytest.mark.parametrize("duration, fits", [(0.75, False), (1.0, True)])
     def test_validate_window_bound(self, duration, fits):
         # a whole run at 4 Hz yields floor(4 * duration) + 1 states, and a
@@ -465,7 +495,9 @@ class TestScenarios:
         if fits:
             s.validate()
         else:
-            with pytest.raises(ConfigError, match="smoothing_window"):
+            message = ("pipeline.smoothing_window: 2 needs 1 s of uninterrupted detections,"
+                       " run is 0.75 s")
+            with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
                 s.validate()
 
     @pytest.mark.parametrize("key", ["initial_x", "initial_y"])

@@ -13,7 +13,7 @@ from conftest import camera_pose, detection_row, synthetic_detections
 from tanklab import tracking
 from tanklab.frames import (GeometryError, PlaneCoefficients, extract_yaw, rot_x, rot_y, rot_z,
                             world_rotation)
-from tanklab.metrics import TRUTH_DTYPE, residuals
+from tanklab.metrics import residuals
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
 from tanklab.scenarios import ConfigError, get_scenario, window_error
 from tanklab.tracking import (
@@ -37,6 +37,7 @@ from tanklab.tracking import (
     write_states_csv,
     write_table,
 )
+from tanklab.vehicle import TRUTH_DTYPE
 
 
 @pytest.fixture(scope="module")
@@ -665,17 +666,23 @@ class TestCsvRoundTrip:
         (5, "long row", "line 5 has 11 cells, not 10"),
         (2, "short row", "line 2 has 9 cells, not 10"),
         (7, "bad cell", "line 7: '1_0' is not a number"),
-    ], ids=["bad cell", "short row", "long row", "short first row", "underscore"])
+        (5, "nan", "line 5: 'nan' is not a number"),
+        (6, "inf", "line 6: 'inf' is not a number"),
+        (9, "-inf", "line 9: '-inf' is not a number"),
+    ], ids=["bad cell", "short row", "long row", "short first row", "underscore",
+            "nan", "inf", "-inf"])
     def test_bad_row_named_by_its_line(self, line_run_copy, line, damage, message):
-        # a row np.loadtxt refuses is named by its file line, counted from 1
-        # with the header as line 1, as recompute_metrics names lines; a
-        # comment and a blank line before it are lines too
+        # a row np.loadtxt refuses, or reads with a non-finite cell, is named
+        # by its file line, counted from 1 with the header as line 1, as
+        # recompute_metrics names lines; a comment and a blank line before
+        # it are lines too
         run = line_run_copy
         lines = (run / "truth.csv").read_text().splitlines(keepends=True)
         lines[2:4] = ["# a comment\n", "\n"]
         cells = lines[line - 1].rstrip("\n").split(",")
         cells = {"bad cell": ["abc" if line == 5 else "1_0", *cells[1:]],
-                 "short row": cells[:-1], "long row": [*cells, "1"]}[damage]
+                 "short row": cells[:-1], "long row": [*cells, "1"]}.get(
+                     damage, [*cells[:4], damage, *cells[5:]])
         lines[line - 1] = ",".join(cells) + "\n"
         (run / "truth.csv").write_text("".join(lines))
         expected = "%s: %s" % (run / "truth.csv", message)

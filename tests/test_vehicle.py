@@ -13,8 +13,10 @@ from tanklab import vehicle
 from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.vehicle import (
     GRAVITY,
+    HEAVE_COLUMNS,
     HEAVE_FIELDS,
     PLANAR_FIELDS,
+    TRUTH_DTYPE,
     WATER_DENSITY,
     ActuatorCommand,
     VehicleError,
@@ -219,15 +221,19 @@ def bits(values):
 
 
 def state_rows(states):
-    """The bytes of the ``(planar, heave)`` rows of these states."""
-    return tuple(bits([getattr(s, name) for s in states for name in fields])
-                 for fields in (PLANAR_FIELDS, HEAVE_FIELDS))
+    """The bytes of these states' truth rows without the time, column 0."""
+    return bits([getattr(s, name) for s in states for name in TRUTH_DTYPE.names[1:]])
 
 
-def column(rows, name):
-    """One field's column of ``step``'s ``(planar, heave)`` rows."""
-    fields, channel = (PLANAR_FIELDS, rows[0]) if name in PLANAR_FIELDS else (HEAVE_FIELDS, rows[1])
-    return channel[fields.index(name) :: len(fields)]
+def column(out, name):
+    """One field's column of a truth table that ``step`` wrote."""
+    return out[:, TRUTH_DTYPE.names.index(name)]
+
+
+def untouched(table):
+    """Whether every cell that ``step`` does not own, column 0 and the first
+    and last row, still holds the NaN that ``table`` was filled with."""
+    return np.isnan(table[:, 0]).all() and np.isnan(table[[0, -1]]).all()
 
 
 def near(*points):
@@ -240,23 +246,23 @@ def near(*points):
 
 
 def assert_n_steps_equal_n_calls(start, cmd, n, p):
-    """``step(start, cmd, n=n, rows=rows)`` against ``n`` single calls and
+    """``step(start, cmd, n=n, out=out)`` against ``n`` single calls and
     ``n`` ``reference_step`` calls, bit for bit, in the state it returns and
-    in both arrays of its rows; returns the rows."""
-    rows = array("d"), array("d")
-    got = step(start, cmd, DT, p, n=n, rows=rows)
+    in every column of ``out`` but the time; returns ``out``."""
+    out = np.full((n, len(TRUTH_DTYPE)), np.nan)
+    got = step(start, cmd, DT, p, n=n, out=out)
 
     calls, refs = [start], [start]
     for _ in range(n):
         calls.append(step(calls[-1], cmd, DT, p))
         refs.append(reference_step(refs[-1], cmd, DT, p))
     assert bits(astuple(got)) == bits(astuple(calls[-1])) == bits(astuple(refs[-1]))
-    assert tuple(r.tobytes() for r in rows) == state_rows(calls[:-1]) == state_rows(refs[:-1])
-    return rows
+    assert out[:, 1:].tobytes() == state_rows(calls[:-1]) == state_rows(refs[:-1])
+    return out
 
 
 class TestStepN:
-    """``step(..., n=N, rows=rows)`` is ``N`` single calls, bit for bit."""
+    """``step(..., n=N, out=out)`` is ``N`` single calls, bit for bit."""
 
     @pytest.mark.parametrize("pump, start, contact", [
         # empty syringe rising onto the surface
@@ -274,9 +280,9 @@ class TestStepN:
     ])
     def test_n_steps_equal_n_calls(self, pump, start, contact):
         cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
-        rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
+        out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         name, value = contact
-        col = column(rows, name).tolist()
+        col = column(out, name).tolist()
         assert value in col[1:] and col[0] != value  # reached during the run
 
     @pytest.mark.parametrize("start, cmd, resting, first_rest_row", [
@@ -301,12 +307,12 @@ class TestStepN:
          ActuatorCommand(0.3, -0.7, INTAKE), HEAVE_FIELDS, 0),
     ])
     def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
-        rows = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
+        out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         # the case holds what it says: the resting channel's columns never
         # move from its first row at rest, and the other channel moves
         still = set()
         for name in FIELDS:
-            col = np.frombuffer(column(rows, name))[first_rest_row:].view(np.int64)
+            col = column(out, name)[first_rest_row:].view(np.int64)
             if (col == col[0]).all():
                 still.add(name)
         assert still >= set(resting)
@@ -315,9 +321,9 @@ class TestStepN:
     def test_motor_lag_alone_is_not_at_rest(self):
         # thrust below the resolution of u: the first step moves only the
         # motor lag states, and u follows steps later
-        rows = assert_n_steps_equal_n_calls(
+        out = assert_n_steps_equal_n_calls(
             VehicleState(x=1.5), ActuatorCommand(1e-320, 1e-320), 600, VehicleParams())
-        u = column(rows, "u")
+        u = column(out, "u")
         assert u[1] == 0.0 and u[-1] > 0.0
 
     def test_comes_to_rest_mid_call(self):
@@ -326,8 +332,8 @@ class TestStepN:
         # to the call's end
         start = VehicleState(z=0.02, w=-0.1, fill=0.0)
         cmd = ActuatorCommand(0.3, -0.7, EXPEL)
-        rows = assert_n_steps_equal_n_calls(start, cmd, 2 * 512 + 7, VehicleParams())
-        z = column(rows, "z")
+        out = assert_n_steps_equal_n_calls(start, cmd, 2 * 512 + 7, VehicleParams())
+        z = column(out, "z")
         assert z[0] > 0.0 and z[-1] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5000])
@@ -345,16 +351,16 @@ class TestStepN:
          ActuatorCommand(0.3, -0.7, EXPEL)),
     ], ids=["planar", "heave", "both", "planar_-0", "heave_-0", "rest_mid_call"])
     def test_fixed_point_block(self, start, cmd, n):
-        # the block repeated at a fixed point is appended after the rows
-        # already there, with the bytes of n single calls
-        rows = array("d", [7.0] * 6), array("d", [8.0] * 3)
-        end = step(start, cmd, DT, n=n, rows=rows)
+        # the state broadcast at a fixed point fills only out's slice of the
+        # table, with the bytes of n single calls
+        table = np.full((n + 2, len(TRUTH_DTYPE)), np.nan)
+        end = step(start, cmd, DT, n=n, out=table[1:-1])
         calls = [start]
         for _ in range(n):
             calls.append(step(calls[-1], cmd, DT))
         assert bits(astuple(end)) == bits(astuple(calls[-1]))
-        assert rows[0][:6].tolist() == [7.0] * 6 and rows[1][:3].tolist() == [8.0] * 3
-        assert (rows[0][6:].tobytes(), rows[1][3:].tobytes()) == state_rows(calls[:-1])
+        assert untouched(table)
+        assert table[1:-1, 1:].tobytes() == state_rows(calls[:-1])
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(z=near(0.0, -0.0, TANK), w=st.sampled_from([0.0, -0.0]) | st.floats(-0.3, 0.3),
@@ -364,11 +370,12 @@ class TestStepN:
     def test_heave_matches_scalar_oracle(self, z, w, fill, pump, n):
         # the fill and buoyancy columns and the probe against a loop that
         # steps every quantity of every step in plain floats
-        rows = array("d", [7.0] * 6), array("d", [8.0] * 3)
+        table = np.full((n + 2, len(TRUTH_DTYPE)), np.nan)
         start = VehicleState(z=z, w=w, fill=fill)
-        end = step(start, ActuatorCommand(pump=pump), DT, n=n, rows=rows)
+        end = step(start, ActuatorCommand(pump=pump), DT, n=n, out=table[1:-1])
         want_rows, want_end = bf.bf_heave_steps((z, w, fill), pump, DT, VehicleParams(), n)
-        assert rows[1].tobytes() == bits([8.0] * 3 + want_rows)
+        assert untouched(table)
+        assert table[1:-1, HEAVE_COLUMNS].tobytes() == bits(want_rows)
         assert bits([end.z, end.w, end.fill]) == bits(want_end)
 
     def test_rows_optional(self):
@@ -376,12 +383,13 @@ class TestStepN:
         assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
 
     def test_errors_leave_rows_unchanged(self):
-        rows = array("d", [1.0, 2.0]), array("d", [3.0])
+        out = np.arange(5.0 * len(TRUTH_DTYPE)).reshape(5, -1)
+        before = out.tobytes()
         with pytest.raises(VehicleError, match="dt must be in"):
-            step(VehicleState(), ActuatorCommand(), 0.1, n=5, rows=rows)
+            step(VehicleState(), ActuatorCommand(), 0.1, n=5, out=out)
         with pytest.raises(VehicleError):
-            step(VehicleState(), ActuatorCommand(pump=3), DT, n=5, rows=rows)
-        assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0]]
+            step(VehicleState(), ActuatorCommand(pump=3), DT, n=5, out=out)
+        assert out.tobytes() == before
 
 class TestIr:
     """The sensor functions take a column, one row per tick, and return one."""

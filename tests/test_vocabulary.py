@@ -11,9 +11,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from tanklab import tracking, vehicle
-from tanklab.metrics import TRUTH_DTYPE
 from tanklab.runner import ALIGNMENT_HEADER
-from tanklab.vehicle import HEAVE_FIELDS, PLANAR_FIELDS, VehicleState
+from tanklab.vehicle import (HEAVE_COLUMNS, HEAVE_FIELDS, PLANAR_COLUMNS, PLANAR_FIELDS,
+                             TRUTH_DTYPE, VehicleState)
 
 SRC = Path(vehicle.__file__).resolve().parent
 
@@ -39,7 +39,11 @@ def test_state_fields_are_truth_columns():
 
 
 def test_channel_fields_are_truth_columns():
-    assert sorted(PLANAR_FIELDS + HEAVE_FIELDS) == sorted(TRUTH_DTYPE.names[1:])
+    # step's two channels write truth columns 1-9, each once, and each by
+    # its field's name; column 0, the time, is the caller's
+    columns = PLANAR_COLUMNS + HEAVE_COLUMNS
+    assert sorted(columns) == list(range(1, len(TRUTH_DTYPE)))
+    assert [TRUTH_DTYPE.names[c] for c in columns] == list(PLANAR_FIELDS + HEAVE_FIELDS)
 
 
 def test_rotation_columns_named_once():
