@@ -154,6 +154,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
         if (due := downlink.next_due()) is not None:
             upcoming.append(due)
         nxt = min(int(np.searchsorted(step_t, min(upcoming))), n_steps) if upcoming else n_steps
+        if nxt <= k:  # an event due now but left undone would stop the clock
+            raise RuntimeError("step %d: an event due at %s was not taken" % (k, min(upcoming)))
         state = vehicle_mod.step(state, cmd, dt, params, n=nxt - k, out=table[k:nxt])
         k = nxt
 

@@ -8,6 +8,7 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import statistics
@@ -226,16 +227,85 @@ def run_pipeline_detailed(
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
 NUMBER_FORMAT = "%.12g"  # the one number format of every CSV artifact
-TABLE_CHUNK = 128  # rows formatted by one ``%`` in write_table
+TABLE_CELLS = 2048  # varying cells formatted by one pass of write_table
 
 
 def fmt(x: float) -> str:
     return NUMBER_FORMAT % x
 
 
-def _create(path):
-    """Open ``path`` for writing as a new file, text with Unix line endings:
-    a file or link already there is unlinked first, not truncated.
+_SIGNED, _FULL, _LAST, _TRAIL, _DOT, _DOT_TRAIL, _EXP = 0, 2000, 12000, 13000, 23000, 24000, 25000
+# each word's section with the zeros before an integer's first nonzero digit
+# or after a fraction's last as NULs, and with every digit
+_MASKED = np.array([_SIGNED, _SIGNED, _LAST, _DOT_TRAIL, _TRAIL, _TRAIL, 0])
+_WHOLE = np.array([_SIGNED, _FULL, _FULL, _DOT, _FULL, _FULL, 0])
+# by decade k (|v| >= _DECADES[k - 1], zeros in 0): f and the integer part %g prints
+_DECADES = 10.0 ** np.arange(-11, 11)
+_FRACTION = np.append(15, np.arange(22, 0, -1))
+_POINT = np.where(_FRACTION > 15, 11, _FRACTION)  # an exponent below 1e-4
+_SCALE, _UNIT, _SHIFT = (np.array([float(10 ** int(e)) for e in n])  # exact
+                         for n in (_FRACTION, _POINT, 15 - _POINT))
+_LAST_WORD = np.where(_FRACTION > 15, _EXP + _FRACTION - 16, _TRAIL)
+CELL_BYTES = 28  # one cell's text in write_table, padded with NULs or spaces
+
+
+@functools.cache  # on first use, so that a process that writes no table never holds it
+def _digit_words() -> np.ndarray:
+    """``_cell_records``' 4-byte words, filled in place (100 kB, no temporary):
+    sign and 3 digits, 4 digits with zeros as NULs or not, ``.`` and 3, ``e-05``.."""
+    words = np.zeros((25007, 4), np.uint8)
+    full, trail = words[_FULL:_LAST], words[_TRAIL:_DOT]
+    lead, last = words[_SIGNED : _SIGNED + 1000], words[_LAST:_TRAIL]  # below 1000
+    for place in range(4):  # ASCII "0".."9", stepping every 10**(3 - place) words
+        full.reshape(-1, 10, 10 ** (3 - place), 4)[..., place] = np.arange(48, 58)[:, None]
+    lead[:], trail[:] = full[:1000], full
+    for place in range(4):  # zeros before the first nonzero digit, after the last
+        lead[: 10 ** (3 - place), place] = trail[:: 10 ** (place + 1), 3 - place] = 0
+    last[:], last[0, 3] = lead, ord("0")
+    words[_SIGNED + 1000 : _FULL] = lead
+    words[_DOT:_DOT_TRAIL], words[_DOT_TRAIL:_EXP] = full[:1000], trail[:1000]
+    words[_SIGNED + 1000 : _FULL, 0], words[_DOT:_EXP, 0], words[_DOT_TRAIL] = ord("-"), ord("."), 0
+    words[_EXP:] = np.frombuffer(b"e-05e-06e-07e-08e-09e-10e-11", np.uint8).reshape(7, 4)
+    return words.view(np.uint32).ravel()
+
+
+def _cell_records(v: np.ndarray) -> np.ndarray:
+    """The ``%.12g`` text of each float of ``v``, ``(len(v), CELL_BYTES)`` uint8
+    padded with NULs and spaces: 7 ``_digit_words`` (sign, 11 integer digits, ``.``,
+    15 fraction digits or 11 and an exponent) for a zero or ``1e-11 <= |v| <
+    1e11`` whose ``s = |v| * 10**f`` lies in ``[1e11, 1e12 - 0.5)``, not within
+    2**-10 of a half, so that ``rint(s)`` is its 12 digits (README); ``%`` else."""
+    s = np.fmin(np.abs(v), 1e11)  # NaN and inf too, which are left out
+    k = np.searchsorted(_DECADES, s, side="right")
+    s *= _SCALE[k]
+    m, unit = np.rint(s), _UNIT[k]
+    ok = (np.abs(s - 549999999999.75) <= 449999999999.75) & (np.abs(s - m) < 0.5 - 2.0 ** -10)
+    i = np.floor(np.divide(m, unit, out=s), out=s)
+    x = (m - i * unit) * _SHIFT[k]  # the fraction, as 15 digits
+    del m, unit  # each pass holds as few cell-long arrays as it can
+    records, words = np.empty((len(v), 7), np.uint32), _digit_words()
+
+    def put(w, group, masked):  # word w: its group of digits, and its zeros as NULs or not
+        records[:, w] = words[(group + np.where(masked, _MASKED[w], _WHOLE[w])).astype(np.intp)]
+
+    for w, scale in ((3, 1e12), (4, 1e8), (5, 1e4)):
+        group = np.floor(x / scale)
+        x -= group * scale
+        put(w, group, x == 0)
+    put(6, x + _LAST_WORD[k], True)
+    put(0, (hi := np.floor(i / 1e8)) + 1000 * np.signbit(v), True)
+    put(1, (i4 := np.floor(i / 1e4)) - hi * 1e4, i < 1e7)
+    put(2, i - i4 * 1e4, i < 1e3)
+    records = records.view(np.uint8)
+    rest = np.flatnonzero(~ok & (v != 0))
+    text = b"".join(b"%28.12g" % value for value in v[rest].tolist())
+    records[rest] = np.frombuffer(text, np.uint8).reshape(-1, CELL_BYTES)
+    return records
+
+
+def _create(path, mode="x"):
+    """Open ``path`` for writing as a new file, text with Unix line endings
+    (or binary, mode ``"xb"``): a file or link there is unlinked, not truncated.
 
     On ext4 (default ``auto_da_alloc``), truncating a file that still holds
     a previous run's pages waits on the disk, and so does closing it after
@@ -245,7 +315,7 @@ def _create(path):
         os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, "x", newline="\n")
+    return open(path, mode, newline=None if "b" in mode else "\n")
 
 
 def write_rows(path, header, rows) -> None:
@@ -267,24 +337,32 @@ def write_table(path, header, table) -> None:
     float fields, as ``read_table`` reads it.
 
     A column whose values are bit for bit the same in every row is formatted
-    once, into the row template; the other columns fill it, one ``%`` per
-    chunk of ``TABLE_CHUNK`` rows."""
+    once, into the row template; the other columns fill its slots, up to
+    ``TABLE_CELLS`` a pass, from ``_cell_records``, padding deleted."""
     if table.dtype.names:
         table = np.asarray(table).view((float, len(table.dtype.names)))
     if table.ndim != 2 or table.shape[1] != len(header):
         raise TrackingError("%s: a %s table under a %d-column header"
                             % (path, table.shape, len(header)))
     table = np.asarray(table, dtype=float)
-    with _create(path) as fh:
-        fh.write(",".join(header) + "\n")
+    with _create(path, "xb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if not len(table):
             return
         varying = [j for j, col in enumerate(table.view(np.int64).T) if (col != col[0]).any()]
-        line = ",".join(NUMBER_FORMAT if j in varying else fmt(x)
-                        for j, x in enumerate(table[0].tolist())) + "\n"
-        for start in range(0, len(table), TABLE_CHUNK):
-            chunk = table[start : start + TABLE_CHUNK, varying]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        line = ",".join("\0" if j in varying else fmt(x) for j, x in enumerate(table[0].tolist()))
+        pieces = [piece.encode() for piece in (line + "\n").split("\0")]
+        slots = np.cumsum([len(piece) + CELL_BYTES for piece in pieces[:-1]]) - CELL_BYTES
+        rows = max(1, TABLE_CELLS // max(len(varying), 1))
+        block = np.tile(np.frombuffer(bytes(CELL_BYTES).join(pieces), np.uint8),
+                        (min(rows, len(table)), 1))
+        for start in range(0, len(table), rows):
+            cells = table[start : start + rows, varying]
+            records = _cell_records(cells.ravel()).reshape(len(cells), len(varying), CELL_BYTES)
+            for j, slot in enumerate(slots.tolist()):
+                block[: len(cells), slot : slot + CELL_BYTES] = records[:, j]
+            del records  # not held beside the bytes of the block
+            fh.write(block[: len(cells)].tobytes().translate(None, b"\0 "))
 
 
 def read_table(path, header) -> np.ndarray:

@@ -1,6 +1,10 @@
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import brute_force as bf
 import numpy as np
@@ -657,6 +661,32 @@ class TestRunner:
         assert art.telemetry.shape == telemetry.shape
         assert art.telemetry.tobytes() == telemetry.tobytes()
         assert "applied" in {status for _, status, _ in log}
+
+    def test_event_left_undone_raises(self):
+        # A downlink that holds back a command due at this very step would
+        # leave the loop stepping zero steps forever (Channel.poll with `<`
+        # for `<=` hung `line` at latency 0); the runner raises instead.  The
+        # run is a subprocess, so a regression fails on the timeout.
+        code = textwrap.dedent("""
+            from tanklab import link, runner
+            from tanklab.scenarios import get_scenario
+
+            def late_poll(self, t):
+                out = []
+                while self._queue and self._queue[0][0] < t:
+                    out.append(self._queue.popleft()[1])
+                return out
+
+            link.Channel.poll = late_poll
+            runner.run_scenario(get_scenario("line", ["channel.latency=0"]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(TOOLS.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 1
+        assert re.search(r"RuntimeError: step \d+: an event due at \S+ was not taken$",
+                         proc.stderr.strip()), proc.stderr
 
     def test_line_run_basics(self):
         art = run_scenario(tiny_line())

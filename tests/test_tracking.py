@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,12 @@ from tanklab.frames import (GeometryError, PlaneCoefficients, extract_yaw, rot_x
                             world_rotation)
 from tanklab.metrics import residuals
 from tanklab.runner import ALIGNMENT_HEADER, TELEMETRY_HEADER, recompute_metrics, run_scenario
-from tanklab.scenarios import ConfigError, get_scenario, window_error
+from tanklab.scenarios import BUILTIN_SCENARIOS, ConfigError, get_scenario, window_error
 from tanklab.tracking import (
     DETECTION_CSV_HEADER,
     STATE_CSV_HEADER,
     STATE_DTYPE,
-    TABLE_CHUNK,
+    TABLE_CELLS,
     Detections,
     PipelineConfig,
     SegmentTooShort,
@@ -828,8 +829,9 @@ def reference_table_bytes(header, table):
 @st.composite
 def repeating_tables(draw):
     """Float tables whose columns draw from pools of one to three values, so
-    constant columns, nearly constant ones and signed zeros are common."""
-    n = draw(st.integers(0, 2 * TABLE_CHUNK + 3))
+    constant columns, nearly constant ones and signed zeros are common; with
+    two varying columns or more, a table can take more than one pass."""
+    n = draw(st.integers(0, TABLE_CELLS // 2 + 3))
     values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
     pools = draw(st.lists(st.lists(values, min_size=1, max_size=3), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -840,14 +842,14 @@ class TestWriteTableBytes:
     """``write_table`` writes the bytes of ``reference_table_bytes``."""
 
     @pytest.mark.parametrize("table", [
-        np.full((TABLE_CHUNK + 5, 3), 0.25),                               # all constant
+        np.full((TABLE_CELLS + 5, 3), 0.25),                               # all constant
         np.column_stack([np.arange(7.0), [0.0, -0.0] * 3 + [0.0]]),       # signed zeros
         np.column_stack([np.full(4, -0.0), np.arange(4.0)]),              # constant -0.0
         np.column_stack([np.full(5, np.nan), [np.inf, -np.inf] * 2 + [np.nan],
                          np.full(5, -np.inf), np.arange(5.0)]),
         np.array([[1.5, -0.0, 1e-300]]),                                  # one row
         np.empty((0, 3)),
-        np.arange(3 * (2 * TABLE_CHUNK + 1), dtype=float).reshape(-1, 3),  # no constant
+        np.arange(3 * (2 * (TABLE_CELLS // 3) + 1), dtype=float).reshape(-1, 3),  # 3 passes
     ], ids=["constant", "signed-zeros", "constant-minus-zero", "nan-inf", "one-row",
             "no-rows", "chunks"])
     def test_table(self, tmp_path, table):
@@ -872,6 +874,106 @@ class TestWriteTableBytes:
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         write_table(path, header, table)
         assert path.read_bytes() == reference_table_bytes(header, table)
+
+
+def written_cells(tmp_path, values):
+    """The cells of a one-column ``write_table`` file of ``values``."""
+    path = tmp_path / "cells.csv"
+    write_table(path, ["c"], np.asarray(values, dtype=float).reshape(-1, 1))
+    return path.read_bytes().split(b"\n")[1:-1]
+
+
+def percent_cells(values):
+    return [b"%.12g" % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+def around(values, ulps):
+    """``values`` and their ``ulps`` neighbours on either side."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        x = out[0]
+        for _ in range(ulps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+class TestCellText:
+    """``write_table`` writes every cell as ``b"%.12g" % x`` does, byte for
+    byte, whether numpy or ``%`` formats it."""
+
+    def test_powers_of_ten(self, tmp_path):
+        # each decade's edge and its neighbours, across the numpy path's
+        # bounds (1e-11, 1e11) and %g's switches to exponents (1e-4, 1e12)
+        powers = 10.0 ** np.arange(-13, 14)
+        values = around(np.concatenate([powers, -powers]), 4)
+        assert written_cells(tmp_path, values) == percent_cells(values)
+
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_half_way_at_the_twelfth_digit(self, tmp_path, exponent):
+        # (k + 0.5) units of the 12th digit, which %g rounds by the exact
+        # binary value, and the floats on either side of each
+        k = np.random.default_rng(exponent + 12).integers(10**11, 10**12, 400)
+        values = around((k + 0.5) * 10.0 ** (exponent - 11), 1)
+        assert written_cells(tmp_path, values) == percent_cells(values)
+
+    def test_specials(self, tmp_path):
+        tiny = np.finfo(float).smallest_subnormal
+        values = [1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -2.5e-320,
+                  np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max, 1e-4, 1e12]
+        assert written_cells(tmp_path, values) == percent_cells(values)
+
+    @pytest.mark.parametrize("sim_rate", [240, 37])
+    def test_step_time_grid(self, tmp_path, sim_rate):
+        values = np.arange(20000) * (1.0 / sim_rate)
+        assert written_cells(tmp_path, values) == percent_cells(values)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=60))
+    def test_any_bit_pattern(self, tmp_path_factory, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(float)
+        assert written_cells(tmp_path_factory.getbasetemp(), values) == percent_cells(values)
+
+
+@pytest.fixture(scope="module")
+def builtin_runs():
+    return {name: run_scenario(get_scenario(name)) for name in BUILTIN_SCENARIOS}
+
+
+@pytest.mark.parametrize("table", ["truth", "detections", "estimates"])
+def test_few_cells_left_to_percent(builtin_runs, table):
+    # The numpy path formats all but a few of the cells a run writes; a
+    # regression that sends them back to `%` would keep the bytes and lose
+    # the speed, so count them: only `%` pads a cell's text with spaces.
+    for name, art in builtin_runs.items():
+        values = {"truth": art.truth, "detections": art.detections.table,
+                  "estimates": art.estimates}[table]
+        values = np.asarray(values).view(float).reshape(len(values), -1)
+        bits = values.view(np.int64)
+        cells = values[:, bits.min(axis=0) != bits.max(axis=0)].ravel()
+        share = np.mean((tracking._cell_records(cells) == ord(" ")).any(axis=1))
+        assert cells.size > 0 and share < 0.01, (name, share)
+
+
+def test_write_table_memory_follows_the_pass(builtin_runs, tmp_path):
+    # One pass holds, per cell: its value and at most a dozen cell-long
+    # float64 or index arrays while it is formatted (~100 B), its 28-byte
+    # text, and its share of the row block (its 28-byte slot and the constant
+    # columns' text, ~40 B); then the block's bytes and those bytes with the
+    # padding deleted (~80 B) take the place of the text and the arrays:
+    # under 200 B.  A truth table of 61,444 varying cells formatted in one
+    # piece would hold some 10 MB.
+    bound = 200 * TABLE_CELLS
+    truth = builtin_runs["pump_test"].truth
+    path = tmp_path / "truth.csv"
+    write_table(path, TRUTH_DTYPE.names, truth)  # untraced: a first write builds the digit table
+    tracemalloc.start()
+    try:
+        write_table(path, TRUTH_DTYPE.names, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def test_config_validation():

@@ -15,8 +15,11 @@ tree that goes first alternating from pair to pair, after one untimed
 warm-up pass per tree; building the scenario is not timed.
 
 Printed per op: the median time on each tree, the median change/base ratio
-with a seeded bootstrap 95% interval, and whether the two trees wrote the
-same CSV bytes.  The last line is one JSON object.
+with a seeded bootstrap 95% interval, whether the two trees wrote the same
+CSV bytes, and each tree's ``tracemalloc`` peak over one more, untimed run
+of the op, which pairs what the op itself holds at once (perfbench's
+``peak_rss_mb`` is one process's high-water mark).  The last line is one
+JSON object.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +114,16 @@ def main(argv: list[str]) -> int:
                 for side in order:
                     times[op][side].append(run_op(side, op))
 
+        def traced_peak(side: str, op: str) -> int:
+            tracemalloc.start()
+            try:
+                run_op(side, op)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = {op: {side: traced_peak(side, op) for side in trees} for op in ops}
+
     rng = np.random.default_rng(args.seed)
     result = {
         "base": base_sha,
@@ -118,8 +132,8 @@ def main(argv: list[str]) -> int:
             ", with edits" if git("status", "--porcelain", "src", text=True) else ""),
         "pairs": args.pairs, "seed": args.seed, "ops": {},
     }
-    print("%-20s %10s %10s %7s  %-15s %s" % ("op", "base_ms", "change_ms", "ratio", "95% interval",
-                                             "same_csv"))
+    print("%-20s %10s %10s %7s  %-15s %-8s %7s %9s" % (
+        "op", "base_ms", "change_ms", "ratio", "95% interval", "same_csv", "base_kb", "change_kb"))
     for op in ops:
         base, change = np.array(times[op]["base"]), np.array(times[op]["change"])
         ratios = change / base
@@ -133,11 +147,13 @@ def main(argv: list[str]) -> int:
             "ratio_hi": float(hi),
             "change_faster": int(np.sum(ratios < 1.0)),
             "same_csv": same[op.split(":")[-1]],
+            "base_peak_kb": peaks[op]["base"] / 1024,
+            "change_peak_kb": peaks[op]["change"] / 1024,
         }
         result["ops"][op] = row
-        print("%-20s %10.2f %10.2f %7.3f  [%.3f, %.3f]  %s" % (
+        print("%-20s %10.2f %10.2f %7.3f  [%.3f, %.3f]  %-8s %7.0f %9.0f" % (
             op, row["base_ms"], row["change_ms"], row["ratio"], lo, hi,
-            "yes" if row["same_csv"] else "NO"))
+            "yes" if row["same_csv"] else "NO", row["base_peak_kb"], row["change_peak_kb"]))
     print(json.dumps(result, sort_keys=True))
     return 0
 
