@@ -53,9 +53,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    for name, factory in BUILTIN_SCENARIOS.items():
-        doc = (factory.__doc__ or "").strip().splitlines()[0]
-        print("%-10s %s" % (name, doc))
+    for name, path in BUILTIN_SCENARIOS.items():
+        with open(path, encoding="utf-8") as fh:
+            print("%-10s %s" % (name, fh.readline().removeprefix("# ").rstrip()))
     return EXIT_OK
 
 

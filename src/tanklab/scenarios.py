@@ -1,10 +1,10 @@
-"""Scenario definitions: built-in experiments and declarative scenario files.
+"""Scenario definitions: declarative scenario files and the settings they hold.
 
-``get_scenario`` builds a built-in or reads a flat ``key = value`` file, then
-applies ``--set``'s ``key=value`` texts: each through ``apply_setting``, where
-a dotted key is the attribute path it sets (``vehicle.mass``), ``command``
-puts a message into the script in time order, and number keys suffixed
-``_ft`` or ``_in`` are converted to meters.
+``get_scenario`` reads a flat ``key = value`` file, either a built-in's under
+``experiments/`` or one at a path, then applies ``--set``'s ``key=value``
+texts: each through ``apply_setting``, where a dotted key is the attribute
+path it sets (``vehicle.mass``), ``command`` puts a message into the script in
+time order, and number keys suffixed ``_ft`` or ``_in`` are converted to meters.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, is_dataclass
+from pathlib import Path
 
 from .camera import CameraConfig, TagConfig
 from .frames import Pose, rot_x, rot_y, vec3
@@ -58,23 +59,26 @@ _DOMAINS = {
             "mass", "propeller_separation", "max_thrust_per_prop", "motor_time_constant",
             "drag_surge", "drag_sway", "drag_heave", "drag_yaw", "yaw_inertia",
             "syringe_capacity", "pump_max_rate", "tank_depth"))),
-    # lengths (m) that set the tag positions whose squares and products the plane
-    # fit sums, which overflow from about 1e154 m: an end far past any tank
+    # lengths (m) that set the tag positions, or move them, whose squares and
+    # products the plane fit sums, which overflow from about 1e154 m (a far
+    # offset loses the tilt from about 1e16 m): an end far past any tank
     "in (0, 1e6]": ("tank_side", "camera_height"),
+    "in [0, 1e6]": ("camera.translation_noise_sigma",),
+    "in [-1e6, 1e6]": ("camera.spurious_z_offset",),
     # plant steps of at most vehicle.MAX_DT
     "in [%g, inf)" % (1 / MAX_DT): ("sim_rate",),
     "in [0, inf)": (
-        "depth_noise_sigma", "camera.timestamp_jitter_sigma", "camera.translation_noise_sigma",
-        "camera.rotation_noise_sigma", "camera.visibility_depth", "channel.d0", "channel.latency"),
+        "depth_noise_sigma", "camera.timestamp_jitter_sigma", "camera.rotation_noise_sigma",
+        "camera.visibility_depth", "channel.d0", "channel.latency"),
     "in [0, 1]": ("camera.dropout_prob", "camera.spurious_z_prob", "channel.base_loss"),
     "an int in [0, inf)": ("seed",),
     "an int in [1, inf)": ("pipeline.smoothing_window",),
     # the %.12g id column of detections.csv holds these exactly
     "an int in [0, 1e12)": ("tag.tag_id",),
-    # positions, angles, a light level and an offset
+    # positions, angles and a light level
     "in (-inf, inf)": (
         "initial_x", "initial_y", "initial_psi", "camera_tilt_x_deg", "camera_tilt_y_deg",
-        "ambient_ir", "camera.spurious_z_offset"),
+        "ambient_ir"),
 }
 
 
@@ -175,61 +179,10 @@ class Scenario:
                     @ rot_y(math.radians(self.camera_tilt_y_deg)))
 
 
-def line_scenario() -> Scenario:
-    """Straight surface run sized to cover roughly 10 ft."""
-    return Scenario("line", 8.35, initial_x=0.5, initial_y=2.05, initial_psi=0.0, seed=11,
-                    command_script=[(0.2, StartSequence(1)), (0.3, SetMotors(50, 50))])
-
-
-def circle_scenario() -> Scenario:
-    """Constant differential producing a turn radius of about 6 ft."""
-    return Scenario("circle", 22.0, initial_x=TANK_SIDE / 2, initial_y=0.23, initial_psi=0.0,
-                    seed=12, command_script=[(0.2, StartSequence(1)), (0.3, SetMotors(40, 60))])
-
-
-def zigzag_scenario() -> Scenario:
-    """Two zig-zag maneuvers: five alternating differential phases."""
-    script: list[tuple[float, Message]] = [(0.2, StartSequence(1))]
-    phase = 2.5
-    for i in range(5):
-        left, right = (40, 20) if i % 2 == 0 else (20, 40)
-        script.append((0.3 + i * phase, SetMotors(left, right)))
-    return Scenario("zigzag", 13.5, initial_x=0.6, initial_y=0.6, initial_psi=math.pi / 4,
-                    seed=13, command_script=script)
-
-
-def pump_test_scenario() -> Scenario:
-    """Buoyancy cycling: sink toward 1 m, rise, and repeat.
-
-    Commands sent while the vehicle is deep are frequently lost, so pump
-    commands are retried; the schedule is tuned for the default seed.
-    """
-    script: list[tuple[float, Message]] = [
-        (0.2, StartSequence(1)),
-        (0.4, StartSequence(1)),
-        (0.5, Pump(PUMP_MODE_INTAKE, 8000)),
-        (0.8, Pump(PUMP_MODE_INTAKE, 8000)),
-        (1.1, Pump(PUMP_MODE_INTAKE, 8000)),
-    ]
-    # expel starts near 0.5 m so the slow pump turns the dive around near 1 m;
-    # retried because delivery degrades with depth
-    for i in range(10):
-        script.append((11.0 + 0.25 * i, Pump(PUMP_MODE_EXPEL, 15000)))
-    # back on the surface: refill (reliable) and sink again
-    for t in (38.0, 38.3, 38.6):
-        script.append((t, Pump(PUMP_MODE_INTAKE, 15000)))
-    for i in range(10):
-        script.append((48.5 + 0.25 * i, Pump(PUMP_MODE_EXPEL, 15000)))
-    return Scenario("pump_test", 64.0, initial_x=TANK_SIDE / 2, initial_y=TANK_SIDE / 2,
-                    seed=14, command_script=script)
-
-
-BUILTIN_SCENARIOS = {
-    "line": line_scenario,
-    "circle": circle_scenario,
-    "zigzag": zigzag_scenario,
-    "pump_test": pump_test_scenario,
-}
+# The paper's experiments, each an ordinary scenario file whose first line is
+# a "# " comment that `tanklab list-scenarios` prints.
+BUILTIN_SCENARIOS = {name: Path(__file__).with_name("experiments") / (name + ".scenario")
+                     for name in ("line", "circle", "zigzag", "pump_test")}
 
 
 _UNIT_FACTORS = {"_ft": FT, "_in": IN, "_ml": 1.0, "_mL": 1.0}
@@ -299,19 +252,18 @@ def apply_setting(scenario: Scenario, key: str, value_str: str) -> None:
 
 
 def get_scenario(name_or_path: str, settings=()) -> Scenario:
-    """The built-in ``name_or_path``, or the scenario its file describes, with
-    each ``key=value`` of ``settings`` applied after the file's lines.  It is
-    not validated here: ``run_scenario`` validates."""
-    if name_or_path in BUILTIN_SCENARIOS:
-        scenario, lines = BUILTIN_SCENARIOS[name_or_path](), []
-    else:
-        scenario = Scenario(name="custom", duration=10.0)
-        try:
-            with open(name_or_path, encoding="utf-8") as fh:
-                lines = [("line %d" % n, line) for n, raw in enumerate(fh, 1)
-                         if (line := raw.split("#", 1)[0].strip())]
-        except (IsADirectoryError, UnicodeDecodeError) as exc:
-            raise ConfigError(str(name_or_path), "not a scenario file: %s" % exc) from exc
+    """The scenario that the file of the built-in ``name_or_path``, or the file
+    at that path, describes, with each ``key=value`` of ``settings`` applied
+    after the file's lines.  It is not validated here: ``run_scenario``
+    validates."""
+    path = BUILTIN_SCENARIOS.get(name_or_path, name_or_path)
+    scenario = Scenario(name="custom", duration=10.0)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [("line %d" % n, line) for n, raw in enumerate(fh, 1)
+                     if (line := raw.split("#", 1)[0].strip())]
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(name_or_path), "not a scenario file: %s" % exc) from exc
     for where, text in [*lines, *zip(settings, settings)]:
         key, eq, value = text.partition("=")
         if not eq:

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script, and README's library example, runs to completion against
+the current library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,11 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_use(capsys):
+    # the package-level names README imports are the ones the package keeps
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

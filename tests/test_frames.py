@@ -66,6 +66,11 @@ class TestFitPlane:
         with pytest.raises(DegenerateConfiguration, match="at least 3 points"):
             fit_plane([[0, 0, 0], [1, 0, 0]])
 
+    @pytest.mark.parametrize("pts", [np.zeros(6), np.zeros((4, 2)), np.zeros((2, 2, 3))])
+    def test_not_n_by_3(self, pts):
+        with pytest.raises(GeometryError, match="Nx3"):
+            fit_plane(pts)
+
     def test_collinear_points(self):
         t = np.linspace(0, 1, 20)
         pts = np.column_stack([t, 2 * t, 3 * t])

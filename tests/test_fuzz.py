@@ -224,11 +224,18 @@ def test_number_sweep_raises_only_config_error(name, values):
 def test_far_values_raise_only_config_error(value):
     # every number setting at a far value on the whole built-in line run: the
     # random sweep rarely draws one, and a domain too wide for the arithmetic
-    # shows as a warning, which pytest raises
-    for key in sorted(NUMBER_SETTINGS):
+    # shows as a warning, which pytest raises.  Two settings act only with
+    # another: the offset when spurious z is drawn, a far position noise when
+    # the z gate lets far detections through
+    runs = [["%s=%r" % (key, value)] for key in sorted(NUMBER_SETTINGS)]
+    runs += [[enable, "%s=%r" % (key, value)]
+             for enable, key in (("camera.spurious_z_prob=1", "camera.spurious_z_offset"),
+                                 ("pipeline.outlier_z_jump=1e300",
+                                  "camera.translation_noise_sigma"))]
+    for texts in runs:
         try:
-            run_scenario(get_scenario("line", ["%s=%r" % (key, value)]))
+            run_scenario(get_scenario("line", texts))
         except ConfigError:
             pass
         except Exception as exc:
-            raise AssertionError("%s=%r" % (key, value)) from exc
+            raise AssertionError(", ".join(texts)) from exc

@@ -548,6 +548,14 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             s.validate()
 
+    def test_validate_rejects_a_script_out_of_order(self):
+        # a script built in Python: files and --set insert commands in order
+        s = Scenario(name="t", duration=5.0,
+                     command_script=[(0.3, SetMotors(50, 50)), (0.2, StartSequence(1))])
+        with pytest.raises(ConfigError, match="non-decreasing") as exc:
+            s.validate()
+        assert exc.value.field_name == "command_script"
+
     def test_unencodable_script_command_fails_before_the_run(self):
         # a script built in Python, not parsed from text: a ConfigError up
         # front, not a LinkError from the encoder mid-run
@@ -923,10 +931,13 @@ def test_tree_alignment_rows_are_scored(tree_dir):
 
 class TestCli:
     def test_list_scenarios(self, capsys):
+        # each built-in's name and the first line of its file, in order
         assert cli.main(["list-scenarios"]) == 0
-        out = capsys.readouterr().out
-        for name in BUILTIN_SCENARIOS:
-            assert name in out
+        assert capsys.readouterr().out == (
+            "line       Straight surface run sized to cover roughly 10 ft.\n"
+            "circle     Constant differential producing a turn radius of about 6 ft.\n"
+            "zigzag     Two zig-zag maneuvers: five alternating differential phases.\n"
+            "pump_test  Buoyancy cycling: sink toward 1 m, rise, and repeat.\n")
 
     def test_run_builtin(self, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "out"),
@@ -1020,6 +1031,14 @@ class TestCli:
         "tank_side=1e300",
         "camera_height=1e154",
         "camera_height=1e300",
+        # a spurious-z offset and a position noise that would move the tags as
+        # far, when a run enables the offset or lets far detections through
+        "camera.spurious_z_offset=1e200",
+        "camera.spurious_z_offset=-1e200",
+        "camera.translation_noise_sigma=1e154",
+        "camera.translation_noise_sigma=1e200",
+        # a plot frame that is neither 'ned' nor 'paper'
+        "plot_frame=north",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),

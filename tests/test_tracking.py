@@ -144,6 +144,11 @@ class TestResample:
         with pytest.raises(TrackingError, match="strictly increasing"):
             resample_uniform([0.0, 0.5, 0.5], [1, 2, 3], 30.0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples(self, n):
+        with pytest.raises(SegmentTooShort, match="at least 2 samples"):
+            resample_uniform([0.5] * n, [1.0] * n, 30.0)
+
 
 def level_detections(times, xs=None):
     """Identity-rotation detections 2.4 m below the camera, x from ``xs``

@@ -378,6 +378,14 @@ class TestStepN:
         assert table[1:-1, HEAVE_COLUMNS].tobytes() == bits(want_rows)
         assert bits([end.z, end.w, end.fill]) == bits(want_end)
 
+    def test_zero_steps(self):
+        # the pump running: the state comes back as it was, and no row is written
+        start = VehicleState(x=1.0, z=0.3, w=0.01, u=0.2, fill=10.0, motor_thrust_left=0.1)
+        table = np.full((3, len(TRUTH_DTYPE)), np.nan)
+        end = step(start, ActuatorCommand(0.5, 0.2, INTAKE), DT, n=0, out=table[1:1])
+        assert end == start
+        assert np.isnan(table).all()
+
     def test_rows_optional(self):
         cmd = ActuatorCommand(0.5, 0.2, INTAKE)
         assert step(VehicleState(), cmd, DT, n=50) == run_steps(VehicleState(), cmd, 50)
