@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .scenarios import _DOMAINS, Scenario, _in_domain, window_error
 from .tracking import (ROTATION_HEADER, STATE_DTYPE, Detections, fmt, read_table, rows_table,
-                       series, write_rows, write_table)
+                       series, write_rows, write_table, write_tables)
 from .vehicle import (
     TRUTH_DTYPE,
     ActuatorCommand,
@@ -361,7 +361,6 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             ["plot_frame", art.scenario.plot_frame],
         ],
     )
-    write_table(path("alignments.csv"), ALIGNMENT_HEADER, art.alignments)
     write_rows(
         path("command_log.csv"),
         ["t_sent", "message", "status", "t_applied", "depth_at_send"],
@@ -371,18 +370,21 @@ def write_artifacts(art: RunArtifacts, out_dir: str) -> None:
             for e in art.command_log
         ),
     )
-    write_table(path("telemetry.csv"), TELEMETRY_HEADER, telemetry)
 
+    # the small tables share formatting passes, and a time column is formatted once
     sign = -1.0 if art.scenario.plot_frame == "paper" else 1.0
-    for name, factor in (("u", 1.0), ("v", 1.0), ("psi", sign), ("r", sign)):
-        write_table(path("plotdata", "%s.csv" % name), ["t", name],
-                    np.column_stack([estimates.timestamp, factor * estimates[name]]))
-    write_table(path("plotdata", "track_xy.csv"), ["x", "y"],
-                np.column_stack([estimates.x, estimates.y]))
-    write_table(path("plotdata", "depth.csv"), ["t", "depth_m"],
-                np.column_stack([telemetry[:, 0], telemetry[:, 1] / 1000.0]))
-    write_table(path("plotdata", "ir.csv"), ["t", *("ch%d" % i for i in range(9))],
-                np.column_stack([telemetry[:, 0], telemetry[:, 2:11] / 255.0]))
+    write_tables([
+        (path("alignments.csv"), ALIGNMENT_HEADER, art.alignments),
+        (path("telemetry.csv"), TELEMETRY_HEADER, telemetry),
+        *((path("plotdata", "%s.csv" % name), ["t", name],
+           np.column_stack([estimates.timestamp, factor * estimates[name]]))
+          for name, factor in (("u", 1.0), ("v", 1.0), ("psi", sign), ("r", sign))),
+        (path("plotdata", "track_xy.csv"), ["x", "y"], np.column_stack([estimates.x, estimates.y])),
+        (path("plotdata", "depth.csv"), ["t", "depth_m"],
+         np.column_stack([telemetry[:, 0], telemetry[:, 1] / 1000.0])),
+        (path("plotdata", "ir.csv"), ["t", *("ch%d" % i for i in range(9))],
+         np.column_stack([telemetry[:, 0], telemetry[:, 2:11] / 255.0])),
+    ])
 
 
 def recompute_metrics(run_dir: str) -> dict[str, float]:

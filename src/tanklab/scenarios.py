@@ -46,7 +46,8 @@ class ConfigError(ValueError):
 
 # Plant steps (duration * sim_rate) a run may take: with every rate at sim_rate
 # a run peaks at 869-947 B a step under tracemalloc (146 B at pump_test's own
-# rates), so about 1 GB at most; 69 minutes at 240 Hz.
+# rates), and writing it adds at most about 0.5 MB, so about 1 GB at most;
+# 69 minutes at 240 Hz.
 MAX_STEPS = 10**6
 
 # Every number setting by domain: the interval it must lie in, whole numbers

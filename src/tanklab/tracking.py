@@ -7,6 +7,7 @@ extraction, resampling, finite differencing, and moving-average smoothing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -227,7 +228,7 @@ def run_pipeline_detailed(
 
 STATE_CSV_HEADER = ["t", "x", "y", "psi", "u", "v", "r"]
 NUMBER_FORMAT = "%.12g"  # the one number format of every CSV artifact
-TABLE_CELLS = 2048  # varying cells formatted by one pass of write_table
+TABLE_CELLS = 2048  # varying cells formatted by one pass of write_tables
 
 
 def fmt(x: float) -> str:
@@ -334,35 +335,100 @@ def rows_table(rows, header) -> np.ndarray:
 
 def write_table(path, header, table) -> None:
     """Write an ``(n, len(header))`` float table, or a record series of
-    float fields, as ``read_table`` reads it.
+    float fields, as ``read_table`` reads it: ``write_tables`` of one."""
+    write_tables([(path, header, table)])
+
+
+def write_tables(tables) -> None:
+    """Write each ``(path, header, table)`` of ``tables`` as ``read_table``
+    reads it; every table's width is checked against its header
+    (``TrackingError`` naming the path) before a file is created.
 
     A column whose values are bit for bit the same in every row is formatted
-    once, into the row template; the other columns fill its slots, up to
-    ``TABLE_CELLS`` a pass, from ``_cell_records``, padding deleted."""
-    if table.dtype.names:
-        table = np.asarray(table).view((float, len(table.dtype.names)))
-    if table.ndim != 2 or table.shape[1] != len(header):
-        raise TrackingError("%s: a %s table under a %d-column header"
-                            % (path, table.shape, len(header)))
-    table = np.asarray(table, dtype=float)
-    with _create(path, "xb") as fh:
+    once, into its table's row template; the other columns fill its slots.
+    Tables of one row count are written side by side, a chunk of rows at a
+    time, and a column bit for bit equal to one before it among them is
+    formatted once for both.  The chunks' cells share ``_cell_records``
+    passes of up to ``TABLE_CELLS``, across tables (``_write_pass``)."""
+    groups = {}  # row count -> its tables
+    for path, header, table in tables:
+        if table.dtype.names:
+            table = np.asarray(table).view((float, len(table.dtype.names)))
+        if table.ndim != 2 or table.shape[1] != len(header):
+            raise TrackingError("%s: a %s table under a %d-column header"
+                                % (path, table.shape, len(header)))
+        groups.setdefault(len(table), []).append((path, header, np.asarray(table, dtype=float)))
+    with contextlib.ExitStack() as files:
+        chunks, room = [], TABLE_CELLS
+        for n, group in groups.items():
+            sources, writers, width = _open_group(group, files)
+            a = 0
+            while a < n:
+                if room < width and chunks:  # the next row does not fit this pass
+                    _write_pass(chunks)
+                    chunks, room = [], TABLE_CELLS
+                rows = min(n - a, max(1, room // width))
+                chunks.append((sources, writers, a, a + rows))
+                room, a = room - rows * width, a + rows
+        if chunks:
+            _write_pass(chunks)
+
+
+def _open_group(group, files):
+    """Create the files of ``group``, tables of one row count, with their
+    headers.  Returns the ``(table, columns)`` sources whose cells are
+    formatted, each column once; for each table, its file, row block, cell
+    slots and the ``(source, column)`` that fills each slot; and the number
+    of columns formatted (at least 1), which sizes the blocks."""
+    sources, writers, seen = [], [], {}
+    for path, header, table in group:
+        fh = files.enter_context(_create(path, "xb"))
         fh.write((",".join(header) + "\n").encode())
         if not len(table):
-            return
-        varying = [j for j, col in enumerate(table.view(np.int64).T) if (col != col[0]).any()]
+            continue
+        bits = table.view(np.int64)
+        ends = bits[[0, -1]].T.tolist()
+        varying = [j for j, (col, (first, last)) in enumerate(zip(bits.T, ends))
+                   if first != last or (col != first).any()]
+        own, where = [], []
+        for j in varying:  # looked up by its first and last bits, then compared
+            col, same = bits[:, j], seen.setdefault(tuple(ends[j]), [])
+            at = next((at for at, other in same if (col == other).all()), None)
+            if at is None:
+                at = len(sources), len(own)
+                own.append(j)
+                same.append((at, col))
+            where.append(at)
+        sources.append((table, own))
         line = ",".join("\0" if j in varying else fmt(x) for j, x in enumerate(table[0].tolist()))
         pieces = [piece.encode() for piece in (line + "\n").split("\0")]
         slots = np.cumsum([len(piece) + CELL_BYTES for piece in pieces[:-1]]) - CELL_BYTES
-        rows = max(1, TABLE_CELLS // max(len(varying), 1))
-        block = np.tile(np.frombuffer(bytes(CELL_BYTES).join(pieces), np.uint8),
-                        (min(rows, len(table)), 1))
-        for start in range(0, len(table), rows):
-            cells = table[start : start + rows, varying]
-            records = _cell_records(cells.ravel()).reshape(len(cells), len(varying), CELL_BYTES)
-            for j, slot in enumerate(slots.tolist()):
-                block[: len(cells), slot : slot + CELL_BYTES] = records[:, j]
-            del records  # not held beside the bytes of the block
-            fh.write(block[: len(cells)].tobytes().translate(None, b"\0 "))
+        writers.append((fh, bytes(CELL_BYTES).join(pieces), slots.tolist(), where))
+    width = max(sum(len(cols) for _, cols in sources), 1)
+    rows = min(len(group[0][2]), max(1, TABLE_CELLS // width))
+    writers = [(fh, np.tile(np.frombuffer(template, np.uint8), (rows, 1)), slots, where)
+               for fh, template, slots, where in writers]
+    return sources, writers, width
+
+
+def _write_pass(chunks):
+    """Format the cells of each ``(sources, writers, a, b)`` chunk in one
+    ``_cell_records`` pass, then write rows ``a:b`` of each of its tables:
+    the text fills the row block's slots, and the block is written with its
+    padding deleted."""
+    cells = [table[a:b, cols].ravel() for sources, _, a, b in chunks for table, cols in sources]
+    records = _cell_records(cells[0] if len(cells) == 1 else np.concatenate(cells))
+    at = 0
+    for sources, writers, a, b in chunks:
+        texts = []  # each source's text, (rows, columns, CELL_BYTES)
+        for table, cols in sources:
+            size = (b - a) * len(cols)
+            texts.append(records[at : at + size].reshape(b - a, len(cols), CELL_BYTES))
+            at += size
+        for fh, block, slots, where in writers:
+            for slot, (source, col) in zip(slots, where):
+                block[: b - a, slot : slot + CELL_BYTES] = texts[source][:, col]
+            fh.write(block[: b - a].tobytes().translate(None, b"\0 "))
 
 
 def read_table(path, header) -> np.ndarray:

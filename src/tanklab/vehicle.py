@@ -29,6 +29,7 @@ WATER_DENSITY = 1000.0     # kg/m^3
 IR_SIGMA = 0.07            # reflectance falloff, normalized plunger travel
 IR_NOISE_FLOOR = 0.05      # minimum channel spread for a usable estimate
 MAX_DT = 0.05              # s, longest step the explicit integrator accepts
+PLANAR_BLOCK = 1024        # steps per column pass of the planar heading and position
 # A step dt must also shrink each channel's distance to its equilibrium:
 # motor lag scales it by 1 - dt / tau, so dt < 2 tau; a drag channel
 # M dv/dt = F - c v|v| at full command F, linearised at its terminal speed
@@ -126,10 +127,11 @@ def step(
     contact (surface float / bottom rest).  The planar channel (motor lag,
     ``u``, ``v``, ``r``, ``psi``, ``x``, ``y``) and the heave channel
     (``fill``, ``w``, ``z``) share no variable, so each is integrated on
-    its own: the planar channel in one loop of plain floats, the heave
-    channel's fill and buoyancy as columns and only its ``w`` and ``z`` in
-    a loop, with the same bits, so ``n`` steps give the same bits as ``n``
-    calls.  A channel whose first step leaves its state's bytes unchanged
+    its own.  Only what feeds back is stepped in a loop of plain floats:
+    motor lag, ``u`` and ``r``, ``v`` on its own, and the heave channel's
+    ``w`` and ``z``; the heading, position, fill and buoyancy are column
+    passes with the same float operations, so ``n`` steps give the same
+    bits as ``n`` calls.  A channel whose first step leaves its state's bytes unchanged
     is at a fixed point under the held command: its other steps repeat it
     without computing it.  The probe runs once per call, so a channel that
     comes to rest later in the call is computed to its end.
@@ -155,34 +157,80 @@ def step(
 def _planar_steps(planar, cmd, dt, p, m, out):
     """``m`` steps of the planar channel ``(x, y, psi, u, v, r, tl, tr)``;
     each pre-step ``(x, y, psi, u, v, r)`` goes to ``out``'s
-    ``PLANAR_COLUMNS``."""
+    ``PLANAR_COLUMNS``.
+
+    Only motor lag, ``u``, ``v`` and ``r`` feed back, so after the first
+    step, the fixed-point probe, only they are stepped one at a time (``v``
+    on its own, ``_sway``); the heading and the position are column passes
+    (``_pose_pass``) of up to ``PLANAR_BLOCK`` steps."""
     target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
     target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
     k = dt / p.motor_time_constant
     mass, inertia, arm = p.mass, p.yaw_inertia, p.propeller_separation
-    c_u, c_v, c_r = p.drag_surge, -p.drag_sway, p.drag_yaw
-    cos, sin = math.cos, math.sin
+    c_u, c_r = p.drag_surge, p.drag_yaw
 
     x, y, psi, u, v, r, tl, tr = planar
-    rows = array("d")
+    vs = _sway(v, dt, p, m)
+    us, rs = array("d", [u]), array("d", [r])
+    push_u, push_r = us.append, rs.append
     for i in range(m):
-        rows.extend((x, y, psi, u, v, r))
         tl = tl + k * (target_l - tl)
         tr = tr + k * (target_r - tr)
 
         u = u + dt * (tl + tr - c_u * u * abs(u)) / mass
-        v = v + dt * (c_v * v * abs(v)) / mass
         r = r + dt * ((tr - tl) * arm / 2.0 - c_r * r * abs(r)) / inertia
+        push_u(u)
+        push_r(r)
+        if not i:
+            v, heading = float(vs[1]), psi + dt * r
+            c, s = math.cos(heading), math.sin(heading)
+            if _same_bits((x + dt * (u * c - v * s), y + dt * (u * s + v * c), heading,
+                           u, v, r, tl, tr), planar):
+                out[:, PLANAR_COLUMNS] = planar[:6]  # a fixed point: every row is its state
+                return planar
+    velocities = np.frombuffer(us), vs, np.frombuffer(rs)
+    for j, column in zip(PLANAR_COLUMNS[3:], velocities):
+        out[:, j] = column[:-1]
+    for a in range(0, m, PLANAR_BLOCK):
+        rows = out[a : a + PLANAR_BLOCK]
+        x, y, psi = _pose_pass(x, y, psi, [column[a + 1 : a + 1 + len(rows)]
+                                           for column in velocities], dt, rows)
+    return x, y, psi, u, float(vs[-1]), r, tl, tr
 
-        psi = psi + dt * r
-        c, s = cos(psi), sin(psi)
-        x = x + dt * (u * c - v * s)
-        y = y + dt * (u * s + v * c)
-        if not i and _same_bits((x, y, psi, u, v, r, tl, tr), planar):
-            out[:, PLANAR_COLUMNS] = planar[:6]  # a fixed point: every row is its state
-            return planar
-    out[:, PLANAR_COLUMNS] = np.frombuffer(rows).reshape(-1, 6)
-    return x, y, psi, u, v, r, tl, tr
+
+def _sway(v, dt, p, m):
+    """The sway ``v`` before each of ``m`` steps and after the last, a
+    column of ``m + 1``.  Its drag is the only force on it, so it is
+    stepped on its own; a ``v`` that one step leaves unchanged (no built-in
+    run sways the hull) is that state broadcast."""
+    c_v, mass = -p.drag_sway, p.mass
+    vs = array("d", [v])
+    for i in range(m):
+        v = v + dt * (c_v * v * abs(v)) / mass
+        if not i and _same_bits((v,), vs):
+            return np.full(m + 1, v)
+        vs.append(v)
+    return np.frombuffer(vs)
+
+
+def _pose_pass(x, y, psi, uvr, dt, rows):
+    """Step ``(x, y, psi)`` once under each post-step ``u``, ``v`` and ``r``
+    of the columns ``uvr``: ``psi += dt * r``, then ``x += dt * (u * c - v
+    * s)`` and ``y += dt * (u * s + v * c)``.  Each pre-step ``(x, y, psi)``
+    goes to the ``PLANAR_COLUMNS[:3]`` of ``rows``; returns the last.  The
+    running sums are ``np.add.accumulate``, which adds left to right with
+    one rounding per add; ``c`` and ``s`` are ``math.cos`` and ``math.sin``
+    of each heading, since numpy's round some arguments differently."""
+    u, v, r = uvr
+    pose = np.empty((3, len(r) + 1))
+    pose[:, 0] = x, y, psi
+    np.multiply(dt, r, out=pose[2, 1:])
+    heading = np.add.accumulate(pose[2], out=pose[2])[1:].tolist()
+    c, s = (np.fromiter(map(f, heading), float, len(heading)) for f in (math.cos, math.sin))
+    pose[0, 1:], pose[1, 1:] = dt * (u * c - v * s), dt * (u * s + v * c)
+    np.add.accumulate(pose[:2], axis=1, out=pose[:2])
+    rows[:, PLANAR_COLUMNS[:3]] = pose[:, :-1].T
+    return pose[:, -1].tolist()
 
 
 def _heave_steps(heave, dfill, dt, p, m, out):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import brute_force as bf
 import numpy as np
@@ -525,6 +526,22 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="sim_rate") as exc:
             s.validate()
         assert exc.value.field_name == "duration"
+
+    def test_long_run_memory_per_step(self):
+        # MAX_STEPS rests on a run's traced peak growing by a fixed amount a
+        # step: `line` at 300 s (72,000 steps, no writes) peaks at 187 B a
+        # step.  The bound, 195 B, leaves it 4% (8 B); with the planar heading
+        # and position computed over a whole call, not in PLANAR_BLOCK blocks,
+        # the run peaks at 210 B a step.
+        run_scenario(get_scenario("line"))  # warm-up: first-use tables are not the run's
+        s = get_scenario("line", ["duration=300"])
+        tracemalloc.start()
+        try:
+            run_scenario(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (s.duration * s.sim_rate) < 195
 
     def test_tag_id_column_holds_the_largest_id(self, tmp_path):
         s = tiny_line()

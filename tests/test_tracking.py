@@ -37,6 +37,7 @@ from tanklab.tracking import (
     write_detections_csv,
     write_states_csv,
     write_table,
+    write_tables,
 )
 from tanklab.vehicle import TRUTH_DTYPE
 
@@ -879,6 +880,115 @@ class TestWriteTableBytes:
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         write_table(path, header, table)
         assert path.read_bytes() == reference_table_bytes(header, table)
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The size of each cell array handed to ``_cell_records``, one pass each."""
+    sizes = []
+    real = tracking._cell_records
+
+    def counting(v):
+        sizes.append(len(v))
+        return real(v)
+
+    monkeypatch.setattr(tracking, "_cell_records", counting)
+    return sizes
+
+
+def varying(n, start=0.0):
+    """A column of ``n`` distinct floats."""
+    return start + np.arange(n) / 7.0
+
+
+class TestWriteTables:
+    """``write_tables`` writes each file as ``write_table`` alone writes it,
+    every cell as ``b"%.12g" % x``, and formats the varying cells of its
+    tables in shared passes, each column of one row count once."""
+
+    @staticmethod
+    def check(tmp_path, tables, formatted=()):
+        """Write the ``(header, table)`` pairs in one call and compare each
+        file with ``write_table``'s and ``reference_table_bytes``; returns
+        the pass sizes of that one call, from ``formatted``."""
+        paths = [tmp_path / ("t%d.csv" % i) for i in range(len(tables))]
+        write_tables([(path, header, table) for path, (header, table) in zip(paths, tables)])
+        passes = list(formatted)
+        for path, (header, table) in zip(paths, tables):
+            alone = tmp_path / "alone.csv"
+            write_table(alone, header, table)
+            assert path.read_bytes() == alone.read_bytes() == reference_table_bytes(header, table)
+        return passes
+
+    def test_pass_spans_a_table_boundary(self, tmp_path, formatted):
+        small = np.column_stack([varying(100), varying(100, 1), varying(100, 2)])
+        large = np.column_stack([varying(TABLE_CELLS), varying(TABLE_CELLS, 0.5)])
+        passes = self.check(tmp_path, [(["a", "b", "c"], small), (["d", "e"], large)], formatted)
+        # the first pass takes the small table's 300 cells and the large one's head
+        assert passes == [TABLE_CELLS, TABLE_CELLS, 300]
+
+    def test_large_after_small(self, tmp_path, formatted):
+        small = np.array([[0.5, 1.5], [2.5, -3.5], [4.5, 5.5]])
+        large = np.column_stack([varying(3 * TABLE_CELLS), varying(3 * TABLE_CELLS, -1.0),
+                                 np.full(3 * TABLE_CELLS, 0.25)])  # one constant column
+        passes = self.check(tmp_path, [(["a", "b"], small), (["t", "x", "k"], large)], formatted)
+        assert passes == [TABLE_CELLS] * 6 + [6]
+
+    def test_empty_one_row_and_constant(self, tmp_path):
+        self.check(tmp_path, [
+            (["a", "b"], np.empty((0, 2))),
+            (["a", "b", "c"], np.array([[1.5, -0.0, 1e-300]])),
+            (["a", "b"], np.tile([0.25, -0.0], (TABLE_CELLS + 5, 1))),
+            (["a", "b"], np.column_stack([varying(40), varying(40, 3)])),
+            (["a"], np.empty((0, 1))),
+            (["a", "b"], np.array([[np.nan, np.inf]])),
+        ])
+
+    def test_column_in_three_tables(self, tmp_path, formatted):
+        t = varying(500)
+        tables = [(["t", name], np.column_stack([t, varying(500, k)]))
+                  for k, name in enumerate("uvw", 1)]
+        tables.append((["t", "x"], np.column_stack([varying(499), varying(499, 9)])))  # not t
+        passes = self.check(tmp_path, tables, formatted)
+        assert passes == [TABLE_CELLS, 500 * 4 + 499 * 2 - TABLE_CELLS]  # t formatted once
+
+    def test_signed_zero_differs(self, tmp_path, formatted):
+        # the same first and last cells, and equal under ==, but not the same bits
+        a = varying(300)
+        a[150] = 0.0
+        b = a.copy()
+        b[150] = -0.0
+        passes = self.check(tmp_path, [(["a"], a[:, None]), (["b"], b[:, None]),
+                                       (["a", "b"], np.column_stack([a, b]))], formatted)
+        assert passes == [2 * 300]
+
+    def test_negated_beside_its_source(self, tmp_path, formatted):
+        psi = np.linspace(-2.0, 2.0, 301)  # holds a 0.0, so its negation holds a -0.0
+        t = varying(301)
+        passes = self.check(tmp_path, [(["t", "psi"], np.column_stack([t, psi])),
+                                       (["t", "psi"], np.column_stack([t, -psi]))], formatted)
+        assert passes == [3 * 301]
+
+    def test_width_names_its_path_before_any_file(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        with pytest.raises(TrackingError, match=re.escape(str(bad))):
+            write_tables([(good, ["a"], np.zeros((3, 1))), (bad, ["a", "b"], np.zeros((3, 3)))])
+        assert not good.exists() and not bad.exists()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_fuzz(self, tmp_path_factory, data):
+        # tables drawn from one pool of columns, picked again and negated,
+        # between tables of other row counts
+        pool = data.draw(repeating_tables())
+        picks = st.lists(st.tuples(st.integers(0, pool.shape[1] - 1), st.booleans()),
+                         min_size=1, max_size=4)
+        tables = [np.stack([-pool[:, j] if minus else pool[:, j] for j, minus in pick], axis=1)
+                  for pick in data.draw(st.lists(picks, min_size=1, max_size=4))]
+        tables += data.draw(st.lists(repeating_tables(), max_size=2))
+        tables = data.draw(st.permutations(tables))
+        self.check(tmp_path_factory.getbasetemp(),
+                   [(["c%d" % j for j in range(t.shape[1])], t) for t in tables])
 
 
 def written_cells(tmp_path, values):

@@ -15,6 +15,7 @@ from tanklab.vehicle import (
     GRAVITY,
     HEAVE_COLUMNS,
     HEAVE_FIELDS,
+    PLANAR_BLOCK,
     PLANAR_FIELDS,
     TRUTH_DTYPE,
     WATER_DENSITY,
@@ -305,6 +306,8 @@ class TestStepN:
         # full syringe resting on the bottom, pump still taking in water
         (VehicleState(z=TANK, fill=25.0),
          ActuatorCommand(0.3, -0.7, INTAKE), HEAVE_FIELDS, 0),
+        # a -0.0 sway at rest: its own probe sees it become +0.0
+        (VehicleState(x=1.5, v=-0.0), ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
     ])
     def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
         out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
@@ -325,6 +328,40 @@ class TestStepN:
             VehicleState(x=1.5), ActuatorCommand(1e-320, 1e-320), 600, VehicleParams())
         u = column(out, "u")
         assert u[1] == 0.0 and u[-1] > 0.0
+
+    @pytest.mark.parametrize("n", [PLANAR_BLOCK, 2 * PLANAR_BLOCK + 7])
+    def test_straddles_block_edges(self, n):
+        # the heading and position passes end and start again at each block
+        # edge, carrying the pose across it
+        out = assert_n_steps_equal_n_calls(VehicleState(x=1.5, y=2.0, psi=0.4, v=0.05),
+                                           ActuatorCommand(0.3, -0.7), n, VehicleParams())
+        assert len(set(column(out, "psi").tolist())) == n
+
+    @pytest.mark.parametrize("start, cmd", [
+        (VehicleState(x=1.5, psi=3.0), ActuatorCommand(-1.0, 1.0)),
+        (VehicleState(x=1.5, psi=-3.0, r=-2.0), ActuatorCommand(1.0, -1.0)),
+    ], ids=["left", "right"])
+    def test_heading_past_pi(self, start, cmd):
+        # a fast spin: psi is unwrapped, and math.cos and math.sin take it
+        # past +-pi, 3 pi and on
+        p = VehicleParams(drag_yaw=0.001)
+        out = assert_n_steps_equal_n_calls(start, cmd, 1500, p)
+        turns = np.floor((column(out, "psi") + math.pi) / (2 * math.pi))
+        assert np.count_nonzero(np.diff(turns)) >= 4
+
+    @pytest.mark.parametrize("start, cmd, zeros", [
+        # -0.0 is 0.0 after one step of a moving call
+        (VehicleState(x=1.5, v=-0.0), ActuatorCommand(0.3, -0.7), ("v",)),
+        # equal thrusts: r turns 0.0 and the heading stays put
+        (VehicleState(x=1.5, r=-0.0), ActuatorCommand(0.5, 0.5), ("r",)),
+        (VehicleState(x=1.5, v=-0.0, r=-0.0), ActuatorCommand(0.5, 0.5), ("v", "r")),
+        # a sway that decays, stepped on its own
+        (VehicleState(x=1.5, v=0.2), ActuatorCommand(0.3, -0.7), ()),
+    ], ids=["v", "r", "v_r", "v_moving"])
+    def test_signed_zero_velocities(self, start, cmd, zeros):
+        out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
+        for name in zeros:
+            assert np.signbit(column(out, name)[:2]).tolist() == [True, False]
 
     def test_comes_to_rest_mid_call(self):
         # an empty syringe rises onto the surface and floats there: the heave
@@ -509,19 +546,20 @@ class TestDepthReading:
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def reorders(call):
-    """A call to ``np.exp``, ``np.power``, ``np.sum`` or a ``.sum()`` method."""
-    f = call.func
-    if not isinstance(f, ast.Attribute):
-        return False
-    on_numpy = isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
-    return f.attr == "sum" or on_numpy and f.attr in ("exp", "power")
+def reorders(node):
+    """``np.exp``, ``np.power``, ``np.cos`` or ``np.sin``, called or passed
+    on, or a call of ``np.sum`` or a ``.sum()`` method."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "sum"
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy") and node.attr in ("exp", "power", "cos", "sin"))
 
 
 def test_no_reordering_numpy_calls():
-    # np.exp and np.power round differently from math.exp and a Python float
-    # power, and np.sum adds in another order than the scalar model's channel
-    # loop: the sensor columns keep their bits only without them
+    # np.exp, np.power, np.cos and np.sin round some arguments differently
+    # from math.exp, a Python float power, math.cos and math.sin, and np.sum
+    # adds in another order than the scalar model's channel loop: the sensor
+    # columns and the planar heading and position keep their bits only
+    # without them
     tree = ast.parse(Path(vehicle.__file__).read_text())
-    assert [ast.unparse(node) for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and reorders(node)] == []
+    assert [ast.unparse(node) for node in ast.walk(tree) if reorders(node)] == []

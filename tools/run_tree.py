@@ -8,7 +8,8 @@ their default seeds under one override each, written to
 delivery or the step grid onto a step boundary, loses commands on the
 downlink, or takes a branch the defaults skip: spurious-z outliers, no
 rotation noise, degraded and absent IR signal, segments too short to score,
-and the level-plane fallback of a noiseless collinear track.  One more edge
+the level-plane fallback of a noiseless collinear track, and the paper plot
+frame, whose negated ``psi`` and ``r`` columns sit beside their NED text.  One more edge
 run, ``OUT/pump_test_pulses/``, is the scenario file ``PULSES``:
 ``src/tanklab/experiments/pump_test.scenario`` with shorter pump runs that
 stop mid-stroke (each of ``pump_test``'s own runs lasts until the syringe
@@ -60,6 +61,7 @@ EDGE_OVERRIDES = (
     "ambient_ir=1",  # IR signal quality "none": no fill estimate
     "pipeline.max_gap=0.05",  # segments too short to score, skipped
     "camera.translation_noise_sigma=0",  # a collinear track: the level-plane fallback
+    "plot_frame=paper",  # psi and r plotted negated, beside their NED text
 )
 PULSES = Path(__file__).resolve().parent / "pump_test_pulses.scenario"
 MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "tree.sha256"
