@@ -1,32 +1,24 @@
 """Overhead observation model: ground-truth states -> camera-frame tag poses.
 
 Detection is pose-level: the tag's world pose is composed with the camera
-extrinsics, then perturbed with translation/rotation noise, dropouts
-(elevated inside glare regions), and optional spurious z outliers.  As with
-the paper's recorded video, whose tags are found offline, one call observes
-every frame of a run.  Each frame the tag is not submerged in draws, in
-order: its dropout ``random()``; if seen, one ``standard_normal`` draw of its
-translation noise (3), rotation axis (3) and angle (1), scaled as ``normal``
-scales, then its spurious-z ``random()``; each only if its sigma or probability > 0.
+extrinsics, then perturbed with translation/rotation noise, dropouts and
+optional spurious z outliers.  As with the paper's recorded video, whose
+tags are found offline, one call observes every frame of a run.  Each frame
+the tag is not submerged in draws, in order: its dropout ``random()``; if
+seen, one ``standard_normal`` draw of its translation noise (3), rotation
+axis (3) and angle (1), scaled as ``normal`` scales, then its spurious-z
+``random()``; each only if its sigma or probability > 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import Pose
 from .tracking import DETECTION_CSV_HEADER
-
-
-@dataclass(frozen=True)
-class GlareRegion:
-    x: float
-    y: float
-    radius: float
-    dropout_prob: float
 
 
 @dataclass
@@ -36,7 +28,6 @@ class CameraConfig:
     translation_noise_sigma: float = 0.003
     rotation_noise_sigma: float = 0.01
     dropout_prob: float = 0.02
-    glare_regions: tuple[GlareRegion, ...] = ()
     spurious_z_prob: float = 0.0     # injects +spurious_z_offset outliers
     spurious_z_offset: float = 0.2
     visibility_depth: float = 0.05   # tag invisible when submerged deeper
@@ -45,7 +36,6 @@ class CameraConfig:
 @dataclass
 class TagConfig:
     tag_id: int = 0
-    mount_offset: Pose = field(default_factory=Pose.identity)  # body frame
 
 
 def observe(frames: np.ndarray, pose: Pose, cam: CameraConfig, tag: TagConfig,
@@ -62,14 +52,10 @@ def observe(frames: np.ndarray, pose: Pose, cam: CameraConfig, tag: TagConfig,
     sigma_t, sigma_r = cam.translation_noise_sigma, cam.rotation_noise_sigma
     width = 3 * (sigma_t > 0.0) + 4 * (sigma_r > 0.0)
     kept, normals, spurious = [], [], []
-    for i, (x, y, z) in enumerate(frames[:, 1:4].tolist()):
+    for i, z in enumerate(frames[:, 3].tolist()):
         if z > cam.visibility_depth:
             continue
-        dropout = cam.dropout_prob
-        for g in cam.glare_regions:
-            if math.hypot(x - g.x, y - g.y) <= g.radius:
-                dropout = max(dropout, g.dropout_prob)
-        if dropout > 0.0 and rng.random() < dropout:
+        if cam.dropout_prob > 0.0 and rng.random() < cam.dropout_prob:
             continue
         kept.append(i)
         if width:
@@ -86,10 +72,10 @@ def observe(frames: np.ndarray, pose: Pose, cam: CameraConfig, tag: TagConfig,
     c, s = np.array([math.cos(v) for v in psi]), np.array([math.sin(v) for v in psi])
     rz = np.zeros((n, 3, 3))
     rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1], rz[:, 2, 2] = c, -s, s, c, 1.0
-    mount, rc = tag.mount_offset, pose.rotation
-    d = seen[:, 1:4] + rz @ mount.translation - pose.translation
+    rc = pose.rotation
+    d = seen[:, 1:4] - pose.translation
     q = (rc.T @ d[:, :, None])[:, :, 0]
-    r_bc = rc.T @ (rz @ mount.rotation)
+    r_bc = rc.T @ rz
 
     if sigma_t > 0.0:
         q = q + (0.0 + sigma_t * normals[:, :3])

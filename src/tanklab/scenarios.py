@@ -58,8 +58,8 @@ _DOMAINS = {
         "pipeline.max_gap", "pipeline.outlier_z_jump",
         *("vehicle." + name for name in (
             "mass", "propeller_separation", "max_thrust_per_prop", "motor_time_constant",
-            "drag_surge", "drag_sway", "drag_heave", "drag_yaw", "yaw_inertia",
-            "syringe_capacity", "pump_max_rate", "tank_depth"))),
+            "drag_surge", "drag_heave", "drag_yaw", "yaw_inertia", "syringe_capacity",
+            "pump_max_rate", "tank_depth"))),
     # lengths (m) that set the tag positions, or move them, whose squares and
     # products the plane fit sums, which overflow from about 1e154 m (a far
     # offset loses the tilt from about 1e16 m): an end far past any tank

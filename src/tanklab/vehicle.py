@@ -1,10 +1,10 @@
 """Mini-UUV plant model: planar differential drive plus syringe buoyancy.
 
-The hull is modeled as a 3-DOF planar body (surge, sway, yaw) with an
+The hull is modeled as a planar body driven in surge and yaw, with an
 independent heave channel driven by the syringe fill relative to neutral.
-Quadratic drag on every axis, first-order motor lag, no added mass or
-cross-coupling.  Roll and pitch are frozen at zero.  World frame is NED:
-z is depth, positive down.
+Quadratic drag, first-order motor lag, no added mass or cross-coupling, so
+no force acts on sway and it stays at rest.  Roll and pitch are frozen at
+zero.  World frame is NED: z is depth, positive down.
 
 The two channels share no variable, so ``step`` integrates each on its
 own.  A channel at rest under the held command (heave in a surface run,
@@ -57,7 +57,6 @@ class VehicleParams:
     max_thrust_per_prop: float = 0.8     # N
     motor_time_constant: float = 0.15    # s
     drag_surge: float = 4.0              # N s^2/m^2
-    drag_sway: float = 12.0
     drag_heave: float = 20.0
     drag_yaw: float = 0.08               # N m s^2/rad^2
     yaw_inertia: float = 0.02            # kg m^2
@@ -125,16 +124,17 @@ def step(
     Velocities are advanced first and positions integrated with the new
     values.  Depth is clamped to [0, tank_depth] with heave zeroed at
     contact (surface float / bottom rest).  The planar channel (motor lag,
-    ``u``, ``v``, ``r``, ``psi``, ``x``, ``y``) and the heave channel
-    (``fill``, ``w``, ``z``) share no variable, so each is integrated on
-    its own.  Only what feeds back is stepped in a loop of plain floats:
-    motor lag, ``u`` and ``r``, ``v`` on its own, and the heave channel's
-    ``w`` and ``z``; the heading, position, fill and buoyancy are column
-    passes with the same float operations, so ``n`` steps give the same
-    bits as ``n`` calls.  A channel whose first step leaves its state's bytes unchanged
-    is at a fixed point under the held command: its other steps repeat it
-    without computing it.  The probe runs once per call, so a channel that
-    comes to rest later in the call is computed to its end.
+    ``u``, ``r``, ``psi``, ``x``, ``y``) and the heave channel (``fill``,
+    ``w``, ``z``) share no variable, so each is integrated on its own.  No
+    force acts on the sway ``v``, so it must be +0.0 and stays so.  Only
+    what feeds back is stepped in a loop of plain floats: motor lag, ``u``
+    and ``r``, and the heave channel's ``w`` and ``z``; the heading,
+    position, fill and buoyancy are column passes with the same float
+    operations, so ``n`` steps give the same bits as ``n`` calls.  A channel
+    whose first step leaves its state's bytes unchanged is at a fixed point
+    under the held command: its other steps repeat it without computing it.
+    The probe runs once per call, so a channel that comes to rest later in
+    the call is computed to its end.
     When ``out`` is given, an ``(n, len(TRUTH_DTYPE))`` float table (a
     slice of the truth table), its row ``i`` gets step ``i``'s pre-step
     state in every column but the time, column 0, which the caller fills.
@@ -144,6 +144,8 @@ def step(
         raise VehicleError("dt must be in (0, %g], got %r" % (MAX_DT, dt))
     if cmd.pump not in (-1, 0, 1):
         raise VehicleError("unknown pump command %r" % cmd.pump)
+    if not _same_bits((state.v,), (0.0,)):
+        raise VehicleError("sway v must be +0.0, no force acts on it, got %r" % state.v)
     dfill = cmd.pump * (p.pump_max_rate / 60.0) * dt  # mL per step
     out = np.empty((n, len(TRUTH_DTYPE))) if out is None else out
 
@@ -159,10 +161,10 @@ def _planar_steps(planar, cmd, dt, p, m, out):
     each pre-step ``(x, y, psi, u, v, r)`` goes to ``out``'s
     ``PLANAR_COLUMNS``.
 
-    Only motor lag, ``u``, ``v`` and ``r`` feed back, so after the first
-    step, the fixed-point probe, only they are stepped one at a time (``v``
-    on its own, ``_sway``); the heading and the position are column passes
-    (``_pose_pass``) of up to ``PLANAR_BLOCK`` steps."""
+    Only motor lag, ``u`` and ``r`` feed back, so after the first step, the
+    fixed-point probe, only they are stepped one at a time; the heading and
+    the position are column passes (``_pose_pass``) of up to
+    ``PLANAR_BLOCK`` steps, and ``v`` is the +0.0 it started at."""
     target_l = _clamp(cmd.motor_left, -1.0, 1.0) * p.max_thrust_per_prop
     target_r = _clamp(cmd.motor_right, -1.0, 1.0) * p.max_thrust_per_prop
     k = dt / p.motor_time_constant
@@ -170,7 +172,6 @@ def _planar_steps(planar, cmd, dt, p, m, out):
     c_u, c_r = p.drag_surge, p.drag_yaw
 
     x, y, psi, u, v, r, tl, tr = planar
-    vs = _sway(v, dt, p, m)
     us, rs = array("d", [u]), array("d", [r])
     push_u, push_r = us.append, rs.append
     for i in range(m):
@@ -182,52 +183,35 @@ def _planar_steps(planar, cmd, dt, p, m, out):
         push_u(u)
         push_r(r)
         if not i:
-            v, heading = float(vs[1]), psi + dt * r
-            c, s = math.cos(heading), math.sin(heading)
-            if _same_bits((x + dt * (u * c - v * s), y + dt * (u * s + v * c), heading,
-                           u, v, r, tl, tr), planar):
+            heading = psi + dt * r
+            if _same_bits((x + dt * (u * math.cos(heading)), y + dt * (u * math.sin(heading)),
+                           heading, u, v, r, tl, tr), planar):
                 out[:, PLANAR_COLUMNS] = planar[:6]  # a fixed point: every row is its state
                 return planar
-    velocities = np.frombuffer(us), vs, np.frombuffer(rs)
-    for j, column in zip(PLANAR_COLUMNS[3:], velocities):
-        out[:, j] = column[:-1]
+    us, rs = np.frombuffer(us), np.frombuffer(rs)
+    u_col, v_col, r_col = PLANAR_COLUMNS[3:]
+    out[:, u_col], out[:, v_col], out[:, r_col] = us[:-1], v, rs[:-1]
     for a in range(0, m, PLANAR_BLOCK):
         rows = out[a : a + PLANAR_BLOCK]
-        x, y, psi = _pose_pass(x, y, psi, [column[a + 1 : a + 1 + len(rows)]
-                                           for column in velocities], dt, rows)
-    return x, y, psi, u, float(vs[-1]), r, tl, tr
+        post = slice(a + 1, a + 1 + len(rows))
+        x, y, psi = _pose_pass(x, y, psi, us[post], rs[post], dt, rows)
+    return x, y, psi, u, v, r, tl, tr
 
 
-def _sway(v, dt, p, m):
-    """The sway ``v`` before each of ``m`` steps and after the last, a
-    column of ``m + 1``.  Its drag is the only force on it, so it is
-    stepped on its own; a ``v`` that one step leaves unchanged (no built-in
-    run sways the hull) is that state broadcast."""
-    c_v, mass = -p.drag_sway, p.mass
-    vs = array("d", [v])
-    for i in range(m):
-        v = v + dt * (c_v * v * abs(v)) / mass
-        if not i and _same_bits((v,), vs):
-            return np.full(m + 1, v)
-        vs.append(v)
-    return np.frombuffer(vs)
-
-
-def _pose_pass(x, y, psi, uvr, dt, rows):
-    """Step ``(x, y, psi)`` once under each post-step ``u``, ``v`` and ``r``
-    of the columns ``uvr``: ``psi += dt * r``, then ``x += dt * (u * c - v
-    * s)`` and ``y += dt * (u * s + v * c)``.  Each pre-step ``(x, y, psi)``
-    goes to the ``PLANAR_COLUMNS[:3]`` of ``rows``; returns the last.  The
-    running sums are ``np.add.accumulate``, which adds left to right with
-    one rounding per add; ``c`` and ``s`` are ``math.cos`` and ``math.sin``
-    of each heading, since numpy's round some arguments differently."""
-    u, v, r = uvr
+def _pose_pass(x, y, psi, u, r, dt, rows):
+    """Step ``(x, y, psi)`` once under each post-step ``u`` and ``r`` of
+    those columns: ``psi += dt * r``, then ``x += dt * (u * c)`` and ``y +=
+    dt * (u * s)``.  Each pre-step ``(x, y, psi)`` goes to the
+    ``PLANAR_COLUMNS[:3]`` of ``rows``; returns the last.  The running sums
+    are ``np.add.accumulate``, which adds left to right with one rounding
+    per add; ``c`` and ``s`` are ``math.cos`` and ``math.sin`` of each
+    heading, since numpy's round some arguments differently."""
     pose = np.empty((3, len(r) + 1))
     pose[:, 0] = x, y, psi
     np.multiply(dt, r, out=pose[2, 1:])
     heading = np.add.accumulate(pose[2], out=pose[2])[1:].tolist()
     c, s = (np.fromiter(map(f, heading), float, len(heading)) for f in (math.cos, math.sin))
-    pose[0, 1:], pose[1, 1:] = dt * (u * c - v * s), dt * (u * s + v * c)
+    pose[0, 1:], pose[1, 1:] = dt * (u * c), dt * (u * s)
     np.add.accumulate(pose[:2], axis=1, out=pose[:2])
     rows[:, PLANAR_COLUMNS[:3]] = pose[:, :-1].T
     return pose[:, -1].tolist()

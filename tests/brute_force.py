@@ -162,21 +162,14 @@ def bf_observe(x, y, z, psi, pose, cam, tag, rng):
     if z > cam.visibility_depth:
         return None
 
-    dropout = cam.dropout_prob
-    for g in cam.glare_regions:
-        if math.hypot(x - g.x, y - g.y) <= g.radius:
-            dropout = max(dropout, g.dropout_prob)
-    if dropout > 0.0 and rng.random() < dropout:
+    if cam.dropout_prob > 0.0 and rng.random() < cam.dropout_prob:
         return None
 
     c, s = math.cos(psi), math.sin(psi)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    mount = tag.mount_offset
-    tag_translation = np.array([x, y, z]) + rz @ mount.translation
-    tag_rotation = rz @ mount.rotation
     rc = pose.rotation
-    q = rc.T @ (tag_translation - pose.translation)
-    r_bc = rc.T @ tag_rotation
+    q = rc.T @ (np.array([x, y, z]) - pose.translation)
+    r_bc = rc.T @ rz
 
     if cam.translation_noise_sigma > 0.0:
         q = q + rng.normal(0.0, cam.translation_noise_sigma, size=3)

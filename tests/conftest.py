@@ -18,9 +18,9 @@ def detection_row(t, translation, rotation, tag_id=0):
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_run_tree():
-    """``tools/run_tree.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("run_tree", TOOLS / "run_tree.py")
+def load_tool(name):
+    """``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -30,7 +30,7 @@ def load_run_tree():
 def tree_dir(tmp_path_factory):
     """``tools/run_tree.py``'s tree, written once per session; read it only."""
     out = tmp_path_factory.mktemp("tree")
-    load_run_tree().write_tree(str(out))
+    load_tool("run_tree").write_tree(str(out))
     return out
 
 

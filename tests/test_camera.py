@@ -5,8 +5,8 @@ import brute_force as bf
 import numpy as np
 import pytest
 
-from tanklab.camera import CameraConfig, GlareRegion, TagConfig, frame_clock, observe
-from tanklab.frames import Pose, extract_yaw, rot_x, rot_y, rot_z, vec3
+from tanklab.camera import CameraConfig, TagConfig, frame_clock, observe
+from tanklab.frames import Pose, extract_yaw, rot_x, rot_y, vec3
 from tanklab.scenarios import ConfigError, get_scenario
 from tanklab.tracking import DETECTION_CSV_HEADER
 
@@ -63,14 +63,6 @@ class TestObserve:
         r_world = pose.rotation @ rot
         assert extract_yaw(r_world) == pytest.approx(-0.7, abs=1e-12)
 
-    def test_mount_offset_applied(self):
-        cam = overhead_config()
-        tag = TagConfig(mount_offset=Pose(vec3(0.1, 0.0, 0.0), np.eye(3)))
-        table = observe(frames((2.0, 2.0, 0.0, math.pi / 2)), LEVEL, cam, tag, fresh_rng())
-        # offset points along body x, which is world +y at psi = pi/2;
-        # camera frame swaps and negates per the level extrinsics
-        np.testing.assert_allclose(table[0, 2:5], [0.0, 0.1, 2.4], atol=1e-12)
-
     def test_submerged_invisible(self):
         cam = overhead_config()
         table = observe(frames((0.0, 0.0, 0.2, 0.0), (0.0, 0.0, 0.04, 0.0)), LEVEL,
@@ -82,13 +74,6 @@ class TestObserve:
         table = observe(frames(*[(2.0, 2.0, 0.0, 0.0)] * 5000), LEVEL, cam, TagConfig(),
                         fresh_rng())
         assert len(table) / 5000 == pytest.approx(0.7, abs=0.02)
-
-    def test_glare_region_elevates_dropout(self):
-        glare = GlareRegion(x=1.0, y=1.0, radius=0.3, dropout_prob=1.0)
-        cam = overhead_config(glare_regions=(glare,))
-        table = observe(frames((1.0, 1.1, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)), LEVEL,
-                        cam, TagConfig(), fresh_rng())
-        assert table[:, 0].tolist() == [1.0]
 
     def test_translation_noise_statistics(self):
         cam = overhead_config(translation_noise_sigma=0.003)
@@ -160,26 +145,20 @@ def random_frames(gen, n):
 TILTED = Pose(vec3(2.1, 1.9, -2.4), rot_x(math.radians(2.5)) @ rot_y(math.radians(-1.5)))
 
 
-MOUNT = TagConfig(tag_id=3, mount_offset=Pose(vec3(0.04, -0.02, 0.01),
-                                              rot_z(0.3) @ rot_x(0.05)))
-GLARE = (GlareRegion(1.0, 1.0, 0.8, 0.9), GlareRegion(1.5, 1.2, 0.5, 0.4),
-         GlareRegion(3.0, 3.0, 0.6, 1.0))
+MOUNT = TagConfig(tag_id=3)  # the tag on the hull, by an id other than the default
 
 ORACLE_CASES = {
     "defaults": (CameraConfig(), TagConfig()),
-    "glare": (CameraConfig(glare_regions=GLARE), TagConfig()),
-    "glare_only": (CameraConfig(dropout_prob=0.0, glare_regions=GLARE), TagConfig()),
     "mount": (CameraConfig(), MOUNT),
     "no_translation_noise": (CameraConfig(translation_noise_sigma=0.0), MOUNT),
     "no_rotation_noise": (CameraConfig(rotation_noise_sigma=0.0), MOUNT),
     "noiseless": (CameraConfig(translation_noise_sigma=0.0, rotation_noise_sigma=0.0,
                                dropout_prob=0.0), MOUNT),
     "dropout_0": (CameraConfig(dropout_prob=0.0), TagConfig()),
-    "dropout_half": (CameraConfig(dropout_prob=0.5, glare_regions=GLARE), MOUNT),
+    "dropout_half": (CameraConfig(dropout_prob=0.5), MOUNT),
     "dropout_1": (CameraConfig(dropout_prob=1.0), TagConfig()),
     "spurious": (CameraConfig(spurious_z_prob=0.1, spurious_z_offset=0.25), MOUNT),
-    "all_branches": (CameraConfig(spurious_z_prob=0.1, glare_regions=GLARE,
-                                  rotation_noise_sigma=0.2), MOUNT),
+    "all_branches": (CameraConfig(spurious_z_prob=0.1, rotation_noise_sigma=0.2), MOUNT),
 }
 
 
@@ -212,10 +191,8 @@ class TestObserveOracle:
                 rotation_noise_sigma=float(gen.choice([0.0, 0.01, 1.0])),
                 dropout_prob=float(gen.choice([0.0, 0.02, 0.5])),
                 spurious_z_prob=float(gen.choice([0.0, 0.1])),
-                glare_regions=GLARE[:int(gen.integers(4))],
             )
-            tag = TagConfig(mount_offset=Pose(gen.normal(0, 0.1, 3),
-                                              rot_z(gen.normal()) @ rot_x(gen.normal(0, 0.2))))
+            tag = TagConfig(tag_id=int(gen.integers(1000)))
             seed = int(gen.integers(1 << 30))
             self.assert_matches(random_frames(gen, 40), cam, tag,
                                 lambda: np.random.default_rng(seed), pose)

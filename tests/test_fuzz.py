@@ -154,7 +154,7 @@ def test_every_domain_key_is_an_attribute_path():
 
 def test_every_number_setting_has_one_domain():
     listed = [key for keys in _DOMAINS.values() for key in keys]
-    assert len(NUMBER_SETTINGS) == 42
+    assert len(NUMBER_SETTINGS) == 41
     assert sorted(listed) == sorted(NUMBER_SETTINGS)  # each once, none missing or unknown
 
 

@@ -1056,12 +1056,17 @@ class TestCli:
         "camera.translation_noise_sigma=1e200",
         # a plot frame that is neither 'ned' nor 'paper'
         "plot_frame=north",
+        # settings of model concepts that no run reached, since removed
+        "vehicle.drag_sway=1",
+        "camera.glare_regions=x",
+        "tag.mount_offset=x",
     ])
     def test_bad_override_value_exit_2(self, override, tmp_path, capsys):
         rc = cli.main(["run", "line", "--out", str(tmp_path / "o"),
                        "--set", override])
         assert rc == 2
         assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_set_fixes_an_invalid_scenario_file(self, tmp_path, capsys):
         # the file alone puts a command past its end; --set lengthens the run

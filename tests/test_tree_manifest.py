@@ -8,11 +8,11 @@ record of which files changed.  The bytes depend on the numpy/BLAS build
 that wrote the manifest beside this one; it is never skipped.
 """
 
-from conftest import load_run_tree
+from conftest import load_tool
 
 
 def test_tree_matches_manifest(tree_dir):
-    run_tree = load_run_tree()
+    run_tree = load_tool("run_tree")
     header, want = [], {}
     for line in run_tree.MANIFEST.read_text().splitlines():
         if line.startswith("#"):

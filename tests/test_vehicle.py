@@ -175,10 +175,18 @@ class TestStep:
 
     def test_energy_dissipates_unforced(self):
         # quadratic drag decays ~1/t, so expect a large but partial drop
-        s0 = VehicleState(u=0.5, v=0.2, r=1.0)
+        s0 = VehicleState(u=0.5, r=1.0)
         s = run_steps(s0, ActuatorCommand(), 240 * 10)
         assert 0 < s.u < 0.1 and 0 <= s.v < 0.05 and 0 < s.r < 0.1
 
+    def test_sway_must_be_zero(self):
+        # no force acts on v, so a hull can only start with it at rest; -0.0
+        # is refused too, since its bytes differ from the +0.0 truth column
+        out = np.full((5, len(TRUTH_DTYPE)), np.nan)
+        for v in (0.2, -0.0, math.nan):
+            with pytest.raises(VehicleError, match="sway v must be"):
+                step(VehicleState(v=v), ActuatorCommand(0.5, 0.5), DT, n=5, out=out)
+        assert np.isnan(out).all()
 
 
 TANK = VehicleParams().tank_depth
@@ -201,7 +209,7 @@ def reference_step(state, cmd, dt, p):
     fill = clamp(state.fill + dfill[cmd.pump], 0.0, p.syringe_capacity)
     buoy = GRAVITY * WATER_DENSITY * (fill - p.neutral_fill) * 1e-6
     u = state.u + dt * (tl + tr - p.drag_surge * state.u * abs(state.u)) / p.mass
-    v = state.v + dt * (-p.drag_sway * state.v * abs(state.v)) / p.mass
+    v = state.v
     w = state.w + dt * (buoy - p.drag_heave * state.w * abs(state.w)) / p.mass
     r = state.r + dt * ((tr - tl) * p.propeller_separation / 2.0
                         - p.drag_yaw * state.r * abs(state.r)) / p.yaw_inertia
@@ -280,7 +288,7 @@ class TestStepN:
         "2-start3-contact3", "2-start4-contact4",
     ])
     def test_n_steps_equal_n_calls(self, pump, start, contact):
-        cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge, sway and yaw all move
+        cmd = ActuatorCommand(0.3, -0.7, pump)  # asymmetric: surge and yaw both move
         out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         name, value = contact
         col = column(out, name).tolist()
@@ -306,8 +314,8 @@ class TestStepN:
         # full syringe resting on the bottom, pump still taking in water
         (VehicleState(z=TANK, fill=25.0),
          ActuatorCommand(0.3, -0.7, INTAKE), HEAVE_FIELDS, 0),
-        # a -0.0 sway at rest: its own probe sees it become +0.0
-        (VehicleState(x=1.5, v=-0.0), ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
+        # a -0.0 position at rest: the probe sees it become +0.0
+        (VehicleState(x=1.5, y=-0.0), ActuatorCommand(pump=INTAKE), PLANAR_FIELDS, 1),
     ])
     def test_channel_at_rest(self, start, cmd, resting, first_rest_row):
         out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
@@ -333,7 +341,7 @@ class TestStepN:
     def test_straddles_block_edges(self, n):
         # the heading and position passes end and start again at each block
         # edge, carrying the pose across it
-        out = assert_n_steps_equal_n_calls(VehicleState(x=1.5, y=2.0, psi=0.4, v=0.05),
+        out = assert_n_steps_equal_n_calls(VehicleState(x=1.5, y=2.0, psi=0.4),
                                            ActuatorCommand(0.3, -0.7), n, VehicleParams())
         assert len(set(column(out, "psi").tolist())) == n
 
@@ -350,14 +358,9 @@ class TestStepN:
         assert np.count_nonzero(np.diff(turns)) >= 4
 
     @pytest.mark.parametrize("start, cmd, zeros", [
-        # -0.0 is 0.0 after one step of a moving call
-        (VehicleState(x=1.5, v=-0.0), ActuatorCommand(0.3, -0.7), ("v",)),
-        # equal thrusts: r turns 0.0 and the heading stays put
+        # equal thrusts: -0.0 is 0.0 after one step, and the heading stays put
         (VehicleState(x=1.5, r=-0.0), ActuatorCommand(0.5, 0.5), ("r",)),
-        (VehicleState(x=1.5, v=-0.0, r=-0.0), ActuatorCommand(0.5, 0.5), ("v", "r")),
-        # a sway that decays, stepped on its own
-        (VehicleState(x=1.5, v=0.2), ActuatorCommand(0.3, -0.7), ()),
-    ], ids=["v", "r", "v_r", "v_moving"])
+    ], ids=["r"])
     def test_signed_zero_velocities(self, start, cmd, zeros):
         out = assert_n_steps_equal_n_calls(start, cmd, 600, VehicleParams())
         for name in zeros:
