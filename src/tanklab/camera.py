@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Pose
+from .frames import Pose, mm
 from .tracking import DETECTION_CSV_HEADER
 
 
@@ -66,30 +66,30 @@ def observe(frames: np.ndarray, pose: Pose, cam: CameraConfig, tag: TagConfig,
     n = len(kept)
     seen = frames[kept]
     normals = np.array(normals).reshape(n, width)
-    # The products below keep the bits of the same products on one frame:
-    # no einsum, no norm(axis=...), no np.sin/np.cos, no plain-float sums.
+    # Every product is frames.mm, whose in-order sums give each frame the bits
+    # of the same sums on that frame alone, on any BLAS kernel and CPU; the
+    # sines and cosines are math's, one angle at a time.
     psi = seen[:, 4].tolist()
     c, s = np.array([math.cos(v) for v in psi]), np.array([math.sin(v) for v in psi])
     rz = np.zeros((n, 3, 3))
     rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1], rz[:, 2, 2] = c, -s, s, c, 1.0
     rc = pose.rotation
-    d = seen[:, 1:4] - pose.translation
-    q = (rc.T @ d[:, :, None])[:, :, 0]
-    r_bc = rc.T @ rz
+    q = mm(seen[:, 1:4] - pose.translation, rc)  # each row is rc.T @ d
+    r_bc = mm(rc.T, rz)
 
     if sigma_t > 0.0:
         q = q + (0.0 + sigma_t * normals[:, :3])
     if sigma_r > 0.0:
         a = 0.0 + normals[:, -4:-1]
         angles = (0.0 + sigma_r * normals[:, -1]).tolist()
-        norm = np.sqrt(a[:, None, :] @ a[:, :, None])[:, :, 0]
+        norm = np.sqrt(mm(a[:, None, :], a[:, :, None]))[:, :, 0]
         a = a / np.where(norm == 0.0, 1.0, norm)  # a zero axis: k = 0, a factor of eye(3)
         k = np.zeros((n, 3, 3))
         k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -a[:, 2], a[:, 1], -a[:, 0]
         k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = a[:, 2], -a[:, 1], a[:, 0]
         sin = np.array([math.sin(v) for v in angles]).reshape(n, 1, 1)
         versin = np.array([1.0 - math.cos(v) for v in angles]).reshape(n, 1, 1)
-        r_bc = (np.eye(3) + sin * k + versin * (k @ k)) @ r_bc
+        r_bc = mm(np.eye(3) + sin * k + versin * mm(k, k), r_bc)
     if cam.spurious_z_prob > 0.0:
         q[np.array(spurious, dtype=bool)] += (0.0, 0.0, cam.spurious_z_offset)
 

@@ -36,6 +36,22 @@ def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     return np.where(a <= -math.pi, math.pi, a)[()]
 
 
+def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product ``a @ b``, broadcast over stacks as ``@`` is, with
+    each entry summed over the inner index in order,
+    ``a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ...``, one rounding per
+    multiply and per add.  Its bits therefore depend on neither the BLAS
+    kernel nor the CPU, where ``@`` may fuse multiply-adds or reorder the sum.
+    The result is in Fortran order, so that numpy's loops run along the
+    stack rather than along rows of 3.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.multiply(a[..., :, 0, None], b[..., 0, None, :], order="F")
+    for k in range(1, a.shape[-1]):
+        out += np.multiply(a[..., :, k, None], b[..., k, None, :], order="F")
+    return out
+
+
 def rot_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -95,7 +111,7 @@ def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             m[row, col:] -= f * m[col, col:]
     x = np.zeros(3)
     for col in range(2, -1, -1):
-        x[col] = (m[col, 3] - m[col, col + 1 : 3] @ x[col + 1 : 3]) / m[col, col]
+        x[col] = (m[col, 3] - np.sum(m[col, col + 1 : 3] * x[col + 1 : 3])) / m[col, col]
     return x
 
 
@@ -114,14 +130,20 @@ def fit_plane(points: Iterable[Sequence[float]]) -> PlaneCoefficients:
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     ata = np.array(
         [
-            [np.dot(x, x), np.dot(x, y), np.sum(x)],
-            [np.dot(x, y), np.dot(y, y), np.sum(y)],
+            [np.sum(x * x), np.sum(x * y), np.sum(x)],
+            [np.sum(x * y), np.sum(y * y), np.sum(y)],
             [np.sum(x), np.sum(y), float(n)],
         ]
     )
-    atb = np.array([np.dot(x, z), np.dot(y, z), np.sum(z)])
+    atb = np.array([np.sum(x * z), np.sum(y * z), np.sum(z)])
     a, b, d = _solve3(ata, atb)
     return PlaneCoefficients(a=float(a), b=float(b), d=float(d))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The length of a 3-vector, its squares summed in order."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
@@ -133,11 +155,12 @@ def world_rotation(plane: PlaneCoefficients) -> np.ndarray:
     world coordinates; in particular it sends the plane normal to (0,0,1).
     """
     n = plane.normal
-    u3 = n / np.linalg.norm(n)
+    norm = _norm(n)
+    u3 = n / norm
     u1 = np.cross(n, [1.0, 0.0, 0.0])
-    n1 = np.linalg.norm(u1)
+    n1 = _norm(u1)
     # sin of the angle between the normal and the x-axis
-    if n1 / np.linalg.norm(n) < 1e-6:
+    if n1 / norm < 1e-6:
         raise GeometryError("plane normal is parallel to the x-axis")
     u1 = u1 / n1
     u2 = np.cross(u3, u1)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import wrap_angle
+from .frames import mm, wrap_angle
 
 
 class MetricsError(ValueError):
@@ -72,8 +72,8 @@ def residuals(
     x, y, z, psi = (np.interp(t, truth.t, truth[name]) for name in ("x", "y", "z", "psi"))
     lag = (smoothing_window - 1) / 2.0 / output_rate
     u, v, r = (np.interp(t - lag, truth.t, truth[name]) for name in ("u", "v", "r"))
-    position = (np.column_stack([x, y, z]) - origin) @ rotation.T
-    heading = np.column_stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)]) @ rotation.T
+    position = mm(np.column_stack([x, y, z]) - origin, rotation.T)
+    heading = mm(np.column_stack([np.cos(psi), np.sin(psi), np.zeros_like(psi)]), rotation.T)
     m = rotation[:2, :2]
     sign = 1.0 if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) >= 0 else -1.0
     return {

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import link, metrics as metrics_mod, tracking, vehicle as vehicle_mod
 from .camera import frame_clock, observe
+from .frames import mm
 from .link import (
     PUMP_MODE_EXPEL,
     PUMP_MODE_INTAKE,
@@ -99,7 +100,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
     downlink = Channel(s.channel, rng_down)
 
     params = s.vehicle
-    state = VehicleState(x=s.initial_x, y=s.initial_y, psi=s.initial_psi,
+    # + 0.0 turns a -0.0 start into +0.0 and leaves every other value as it is
+    state = VehicleState(x=s.initial_x + 0.0, y=s.initial_y + 0.0, psi=s.initial_psi + 0.0,
                          fill=params.neutral_fill)
 
     script = s.command_script  # validate() has checked the order
@@ -192,7 +194,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> RunArtifacts
             continue
         segment_states.append(states)
         alignment_rows.append(
-            _alignment(len(alignment_rows), states, truth, r_oc @ pose.rotation.T))
+            _alignment(len(alignment_rows), states, truth, mm(r_oc, pose.rotation.T)))
     estimates = np.concatenate(segment_states).view(np.recarray)
     alignments = rows_table(alignment_rows, ALIGNMENT_HEADER)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from .camera import CameraConfig, TagConfig
-from .frames import Pose, rot_x, rot_y, vec3
+from .frames import Pose, mm, rot_x, rot_y, vec3
 from .link import (
     ChannelConfig,
     Message,
@@ -176,8 +176,8 @@ class Scenario:
     def camera_pose(self) -> Pose:
         """The camera in the world frame: above the tank's center, tilted."""
         return Pose(vec3(self.tank_side / 2, self.tank_side / 2, -self.camera_height),
-                    rot_x(math.radians(self.camera_tilt_x_deg))
-                    @ rot_y(math.radians(self.camera_tilt_y_deg)))
+                    mm(rot_x(math.radians(self.camera_tilt_x_deg)),
+                       rot_y(math.radians(self.camera_tilt_y_deg))))
 
 
 # The paper's experiments, each an ordinary scenario file whose first line is

@@ -204,8 +204,8 @@ def run_pipeline_detailed(
         plane = PlaneCoefficients(0.0, 0.0, 0.0)
     r_oc = frames.world_rotation(plane)
     origin = q[0].copy()
-    world = (q - origin) @ r_oc.T
-    yaw = np.unwrap(frames.extract_yaw(r_oc @ segment.rot))
+    world = frames.mm(q - origin, r_oc.T)
+    yaw = np.unwrap(frames.extract_yaw(frames.mm(r_oc, segment.rot)))
 
     grid, x = resample_uniform(t, world[:, 0], cfg.output_rate)
     y, psi = np.interp(grid, t, world[:, 1]), np.interp(grid, t, yaw)

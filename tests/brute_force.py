@@ -154,11 +154,23 @@ def bf_pipeline(times, translations, rotations, window, rate):
     }
 
 
+def matmul3(a, b):
+    """``a @ b`` for a 3x3 ``a`` and a 3x3 or length-3 ``b``, in plain floats:
+    each entry is ``a[i][0] * b[0] + a[i][1] * b[1] + a[i][2] * b[2]``, summed
+    left to right with one rounding per multiply and per add."""
+    a, b = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
+    if not isinstance(b[0], list):
+        return np.array([r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in a])
+    return np.array([[r[0] * b[0][j] + r[1] * b[1][j] + r[2] * b[2][j] for j in range(3)]
+                     for r in a])
+
+
 def bf_observe(x, y, z, psi, pose, cam, tag, rng):
     """One frame of the camera at ``pose``: the tag's noisy camera-frame
     ``(translation, rotation)``, or None on dropout or when the tag is
     submerged.  Draws from ``rng`` in the order the batched camera pass must
-    keep, with the same numpy forms, so its rows are bit-equal to the pass's."""
+    keep, and takes each product as the in-order sum of ``matmul3``, so its
+    rows are bit-equal to the pass's."""
     if z > cam.visibility_depth:
         return None
 
@@ -168,22 +180,23 @@ def bf_observe(x, y, z, psi, pose, cam, tag, rng):
     c, s = math.cos(psi), math.sin(psi)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     rc = pose.rotation
-    q = rc.T @ (np.array([x, y, z]) - pose.translation)
-    r_bc = rc.T @ rz
+    q = matmul3(rc.T, np.array([x, y, z]) - pose.translation)
+    r_bc = matmul3(rc.T, rz)
 
     if cam.translation_noise_sigma > 0.0:
         q = q + rng.normal(0.0, cam.translation_noise_sigma, size=3)
     if cam.rotation_noise_sigma > 0.0:
         a = rng.normal(size=3)
         angle = rng.normal(0.0, cam.rotation_noise_sigma)
-        n = np.linalg.norm(a)
+        a0, a1, a2 = a.tolist()
+        n = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
         if n == 0.0:
             aa = np.eye(3)
         else:
             a = a / n
             k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-            aa = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        r_bc = aa @ r_bc
+            aa = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * matmul3(k, k)
+        r_bc = matmul3(aa, r_bc)
     if cam.spurious_z_prob > 0.0 and rng.random() < cam.spurious_z_prob:
         q = q + np.array([0.0, 0.0, cam.spurious_z_offset])
 
@@ -196,7 +209,8 @@ def bf_residuals(truth, estimates, rotation, origin, window, rate):
 
     Truth is mapped into the segment's frame once per time set: at the
     compared times for pose and one filter group delay earlier for
-    velocity, each interpolating all seven channels."""
+    velocity, each interpolating all seven channels, and each sample
+    rotated on its own by ``matmul3``."""
     est = estimates[window : len(estimates) - window]
     t = est.timestamp
     if t.size == 0 or t[0] > truth.t[-1] or t[-1] < truth.t[0]:
@@ -209,9 +223,9 @@ def bf_residuals(truth, estimates, rotation, origin, window, rate):
         s = {name: np.interp(times, truth.t, truth[name])
              for name in ("x", "y", "z", "psi", "u", "v", "r")}
         p = np.column_stack([s["x"], s["y"], s["z"]]) - origin
-        pw = p @ rotation.T
+        pw = np.array([matmul3(rotation, row) for row in p]).reshape(-1, 3)
         bx = np.column_stack([np.cos(s["psi"]), np.sin(s["psi"]), np.zeros_like(s["psi"])])
-        bw = bx @ rotation.T
+        bw = np.array([matmul3(rotation, row) for row in bx]).reshape(-1, 3)
         return {"x": pw[:, 0], "y": pw[:, 1], "psi": np.arctan2(bw[:, 1], bw[:, 0]),
                 "u": s["u"], "v": sign * s["v"], "r": sign * s["r"]}
 

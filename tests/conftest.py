@@ -7,7 +7,11 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from tanklab.frames import Pose, rot_x, rot_z, vec3
+from tanklab.runner import run_scenario
+from tanklab.scenarios import BUILTIN_SCENARIOS, get_scenario
 from tanklab.tracking import Detections
+
+ENSEMBLE_SEEDS = range(20)
 
 
 def detection_row(t, translation, rotation, tag_id=0):
@@ -32,6 +36,15 @@ def tree_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("tree")
     load_tool("run_tree").write_tree(str(out))
     return out
+
+
+@pytest.fixture(scope="session")
+def ensemble():
+    """The ``RunArtifacts`` of each built-in scenario at each of
+    ``ENSEMBLE_SEEDS``, run without writes once per session and keyed by
+    ``(scenario, seed)``; read them only."""
+    return {(name, seed): run_scenario(get_scenario(name, ["seed=%d" % seed]))
+            for name in BUILTIN_SCENARIOS for seed in ENSEMBLE_SEEDS}
 
 
 def pytest_configure(config):

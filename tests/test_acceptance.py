@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import brute_force as bf
-from conftest import camera_pose, synthetic_detections
+from conftest import ENSEMBLE_SEEDS, camera_pose, synthetic_detections
 from tanklab import frames, link, scenarios, tracking, vehicle
 from tanklab.frames import PlaneCoefficients, wrap_angle
 from tanklab.metrics import circle_fit, count_sign_changes
@@ -148,13 +148,11 @@ def test_zigzag():
     report("zigzag", changes == 4, "%d sign changes of estimated r" % changes)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_zigzag_turns_match_truth(seed):
+@pytest.mark.parametrize("seed", ENSEMBLE_SEEDS)
+def test_zigzag_turns_match_truth(seed, ensemble):
     # compared with truth's count, not with 4: at seed 14 the link drops the
     # first SetMotors and the vehicle turns 3 times
-    s = scenarios.get_scenario("zigzag")
-    s.seed = seed
-    art = run_scenario(s)
+    art = ensemble["zigzag", seed]
     assert art.metrics["r_sign_changes_est"] == count_sign_changes(art.truth.r, R_HYSTERESIS)
 
 
@@ -168,22 +166,16 @@ def test_line_high_dropout_completes(seed):
     assert art.metrics["n_detections"] == len(art.detections)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_pump_test_depth_across_seeds(seed):
-    s = scenarios.get_scenario("pump_test")
-    s.seed = seed
-    art = run_scenario(s)
-    assert abs(art.metrics["max_depth_truth"] - 1.0) <= 0.15
+@pytest.mark.parametrize("seed", ENSEMBLE_SEEDS)
+def test_pump_test_depth_across_seeds(seed, ensemble):
+    assert abs(ensemble["pump_test", seed].metrics["max_depth_truth"] - 1.0) <= 0.15
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_line_rmse_u_across_seeds(seed):
+@pytest.mark.parametrize("seed", ENSEMBLE_SEEDS)
+def test_line_rmse_u_across_seeds(seed, ensemble):
     # test_end_to_end_line's bound at the default seed, 3% of the steady
     # surge (0.01337 m/s), rounded up
-    s = scenarios.get_scenario("line")
-    s.seed = seed
-    art = run_scenario(s)
-    assert art.metrics["rmse_u"] < 0.0134
+    assert ensemble["line", seed].metrics["rmse_u"] < 0.0134
 
 
 def test_buoyancy():

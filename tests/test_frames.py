@@ -130,6 +130,32 @@ class TestToWorld:
         np.testing.assert_allclose(back, q, atol=1e-12)
 
 
+class TestMm:
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 3), (3, 3)), ((3, 3), (40, 3, 3)), ((40, 3, 3), (3, 3)), ((40, 3, 3), (40, 3, 3)),
+        ((40, 3), (3, 3)), ((40, 1, 3), (40, 3, 1)), ((2, 4), (4, 5)), ((0, 3), (3, 3)),
+    ])
+    def test_entries_are_in_order_sums(self, a_shape, b_shape):
+        gen = np.random.default_rng(len(a_shape) * 10 + len(b_shape))
+        a, b = gen.normal(size=a_shape), gen.normal(size=b_shape)
+        a.flat[::7], b.flat[::5] = 0.0, -0.0  # signed zeros must sum as they do in order
+        got = frames.mm(a, b)
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a_full = np.broadcast_to(a, stack + a.shape[-2:])
+        b_full = np.broadcast_to(b, stack + b.shape[-2:])
+        want = np.empty(stack + (a.shape[-2], b.shape[-1]))
+        for s in np.ndindex(stack):
+            x, y = a_full[s].tolist(), b_full[s].tolist()
+            for i, j in np.ndindex(want.shape[-2:]):
+                acc = x[i][0] * y[0][j]
+                for k in range(1, len(y)):
+                    acc = acc + x[i][k] * y[k][j]
+                want[s + (i, j)] = acc
+        assert got.shape == want.shape == (a @ b).shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, a @ b, rtol=1e-12, atol=1e-12)
+
+
 class TestExtractYaw:
     def test_identity(self):
         assert extract_yaw(np.eye(3)) == 0.0

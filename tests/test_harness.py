@@ -881,6 +881,21 @@ class TestRunner:
         assert np.all(art.truth["fill"] == 15.0)
         assert np.all(art.truth.z == 0.0) and np.all(art.truth.w == 0.0)
 
+    @pytest.mark.parametrize("start", [
+        ["initial_x=-0.0", "initial_psi=-2"],
+        ["initial_y=-0.0", "initial_psi=-2"],
+        ["initial_psi=-0.0"],
+    ])
+    def test_signed_zero_start_writes_no_negative_zero(self, start, tmp_path):
+        # validate admits -0.0 (0 <= -0.0); a hull at rest heading psi = -2
+        # adds only -0.0 to x and y, so a -0.0 start would fill the column
+        out = tmp_path / "run"
+        run_scenario(get_scenario("line", start), out_dir=str(out))
+        with open(out / "truth.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        cols = [rows[0].index(name) for name in ("x", "y", "psi")]
+        assert [row[c] for row in rows[1:] for c in cols if row[c] == "-0"] == []
+
     def test_sensors_sample_truth_at_their_steps(self):
         # noiseless sensors and an instant link: frame time f sees the truth
         # of the first step k with f <= t_k + dt/2, from the camera pose the
@@ -903,7 +918,8 @@ class TestRunner:
             cam = s.camera_pose()
             poses.append(cam)
             position = np.column_stack([truth.x, truth.y, truth.z])[steps]
-            expected = np.array([cam.rotation.T @ (p - cam.translation) for p in position])
+            expected = np.array([bf.matmul3(cam.rotation.T, p - cam.translation)
+                                 for p in position])
             assert len(art.detections) > 0
             np.testing.assert_array_equal(art.detections.q, expected)
 

@@ -3,9 +3,11 @@ committed ``tests/tree.sha256``.
 
 A change that alters output on purpose rewrites the manifest with
 ``PYTHONPATH=src python tools/run_tree.py --manifest``; its diff is the
-record of which files changed.  The bytes depend on the numpy/BLAS build
-(fused multiply-adds in small products), so a mismatch prints the build
-that wrote the manifest beside this one; it is never skipped.
+record of which files changed.  No product on the CSV path goes through
+BLAS (``frames.mm`` and in-order sums, gated by ``test_products.py``), so
+the bytes do not depend on the BLAS kernel the host picks; a mismatch still
+prints the build that wrote the manifest beside this one, and it is never
+skipped.
 """
 
 from conftest import load_tool

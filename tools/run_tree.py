@@ -81,7 +81,9 @@ def write_tree(out: str) -> None:
 
 
 def numpy_build() -> str:
-    """The numpy and BLAS build, whose arithmetic the CSV bytes depend on."""
+    """The numpy and BLAS build that wrote a tree.  The CSV bytes do not
+    depend on the BLAS kernel, since no product on their path goes through
+    BLAS; the build is named so that a mismatch shows both."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return "numpy %s, BLAS %s %s" % (np.__version__, blas["name"], blas["version"])
 
